@@ -1,8 +1,7 @@
-// Packed-vs-scalar throughput of the compiled-BNN reference executor
-// (google-benchmark).  run_all.sh writes the result to BENCH_bnn.json so
-// the speedup of the word-parallel engine over the per-bit oracle is
-// tracked across PRs; both engines score identically, so the ratio of the
-// two img/s counters is pure execution-engine speedup.
+// Throughput of the compiled-BNN packed engine (google-benchmark) on the
+// full-width CIFAR-10 CNV, single image and batched.  run_all.sh writes
+// the result to BENCH_bnn.json so the engine's img/s is tracked across
+// PRs; tests/test_bnn_packed.cpp holds its scores to the generic oracle.
 //
 // The custom main additionally registers per-ISA dispatch rows, forced
 // via MPCNN_ISA + refresh_isa outside the timed loop: the packed engine
@@ -111,17 +110,6 @@ void BM_BnnReferencePacked(benchmark::State& state) {
       1.0, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_BnnReferencePacked)->UseRealTime();
-
-void BM_BnnReferenceScalar(benchmark::State& state) {
-  BnnFixture& fx = fixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bnn::run_reference(fx.net, fx.image, bnn::BnnExec::kScalar));
-  }
-  state.counters["img/s"] = benchmark::Counter(
-      1.0, benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_BnnReferenceScalar)->UseRealTime();
 
 // Batched fan-out as core/stream and core/workbench drive it: per-image
 // parallelism over the pool on top of the packed per-layer engine.

@@ -1,6 +1,6 @@
 // Micro-benchmarks of the compute kernels underneath everything
 // (google-benchmark): float GEMM, XNOR-popcount dot products, im2col,
-// and whole-network BNN inference in both executors.
+// and whole-network BNN inference in the packed engine.
 //
 // The custom main below additionally registers one benchmark per
 // supported ISA dispatch level (BM_GemmIsa/<isa>, BM_XnorGemmIsa/<isa>,
@@ -19,7 +19,6 @@
 #include "bnn/topology.hpp"
 #include "core/cpu.hpp"
 #include "core/threadpool.hpp"
-#include "finn/executor.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/rng.hpp"
@@ -213,18 +212,6 @@ void BM_BnnReference(benchmark::State& state) {
       1.0, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_BnnReference);
-
-void BM_BnnFoldedExecutor(benchmark::State& state) {
-  static BnnFixture fx;
-  static finn::FoldedExecutor executor(
-      fx.net, finn::engines_for_compiled(fx.net, 100'000, 32));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.run(fx.image));
-  }
-  state.counters["img/s"] = benchmark::Counter(
-      1.0, benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_BnnFoldedExecutor);
 
 // ---- per-ISA dispatch benchmarks --------------------------------------
 

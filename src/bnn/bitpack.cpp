@@ -55,19 +55,19 @@ std::int64_t masked_byte_sum_sse2(const std::uint8_t* p,
 #endif  // __SSE2__
 
 const BnnKernels& scalar_table() {
-  static const BnnKernels t = {"scalar",       "none",
-                               &xor_pop_impl,  &xor_pop4_impl,
-                               &xor_range_impl, nullptr,
-                               nullptr,         nullptr};
+  static const BnnKernels t = {"scalar",      "none",
+                               &xor_pop_impl, &xor_pop4_impl,
+                               nullptr,       nullptr,
+                               nullptr};
   return t;
 }
 
 const BnnKernels& sse2_table(bool with_popcnt) {
 #if defined(__SSE2__)
-  static const BnnKernels plain = {"scalar",        "sse2",
-                                   &xor_pop_impl,   &xor_pop4_impl,
-                                   &xor_range_impl, &byte_sum_sse2,
-                                   &masked_byte_sum_sse2, nullptr};
+  static const BnnKernels plain = {"scalar",       "sse2",
+                                   &xor_pop_impl,  &xor_pop4_impl,
+                                   &byte_sum_sse2, &masked_byte_sum_sse2,
+                                   nullptr};
   static const BnnKernels popcnt = {
       "popcnt",
       "sse2",
@@ -75,8 +75,6 @@ const BnnKernels& sse2_table(bool with_popcnt) {
                                        : &xor_pop_impl,
       kBnnPopPopcnt.xor_pop4 != nullptr ? kBnnPopPopcnt.xor_pop4
                                         : &xor_pop4_impl,
-      kBnnPopPopcnt.xor_range != nullptr ? kBnnPopPopcnt.xor_range
-                                         : &xor_range_impl,
       &byte_sum_sse2,
       &masked_byte_sum_sse2,
       nullptr};
@@ -96,7 +94,6 @@ const BnnKernels& avx2_table() {
                                "avx2",
                                kBnnPopAvx2.xor_pop,
                                kBnnPopAvx2.xor_pop4,
-                               kBnnPopAvx2.xor_range,
                                kBnnSumAvx2.byte_sum,
                                kBnnSumAvx2.masked_byte_sum,
                                kBnnSumAvx2.masked_byte_sum4};
@@ -277,13 +274,6 @@ Dim BitMatrix::row_xnor_matches(Dim r, const BitVector& v) const {
 
 std::int64_t BitMatrix::row_dot_bipolar(Dim r, const BitVector& v) const {
   return 2 * static_cast<std::int64_t>(row_xnor_matches(r, v)) - cols_;
-}
-
-Dim xor_mismatches_range(const std::uint64_t* a, const std::uint64_t* b,
-                         Dim begin, Dim end) {
-  MPCNN_CHECK(begin >= 0 && begin <= end, "bad bit range [" << begin << ", "
-                                                            << end << ")");
-  return static_cast<Dim>(detail::kernels().xor_range(a, b, begin, end));
 }
 
 void copy_bits(const std::uint64_t* src, Dim src_bit, std::uint64_t* dst,

@@ -134,12 +134,6 @@ inline Dim popcount_words(const std::uint64_t* w, Dim nwords) {
   return c0 + c1;
 }
 
-/// Mismatch count of bit range [begin, end) of two packed rows, with the
-/// partial first/last words masked (word-level, no per-bit loop).  Used
-/// by the folded executor's PE column-slice accumulation.
-Dim xor_mismatches_range(const std::uint64_t* a, const std::uint64_t* b,
-                         Dim begin, Dim end);
-
 /// Copies `count` bits from src starting at bit `src_bit` into dst
 /// starting at bit `dst_bit`, using word reads/shifts/splices (no
 /// per-bit loop).  Ranges must not overlap within the same buffer.

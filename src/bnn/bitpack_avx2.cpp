@@ -139,26 +139,6 @@ void xor_pop4_avx2(const std::uint64_t* w, std::int64_t wstride,
   m[3] = m3;
 }
 
-std::int64_t xor_range_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                            std::int64_t begin, std::int64_t end) {
-  if (begin >= end) return 0;
-  const std::int64_t w0 = begin >> 6;
-  const std::int64_t w1 = (end - 1) >> 6;
-  const std::uint64_t head = ~0ULL << (begin & 63);
-  const std::int64_t tail_bits = ((end - 1) & 63) + 1;
-  const std::uint64_t tail =
-      tail_bits >= 64 ? ~0ULL : (1ULL << tail_bits) - 1ULL;
-  if (w0 == w1) {
-    return static_cast<std::int64_t>(
-        _mm_popcnt_u64((a[w0] ^ b[w0]) & head & tail));
-  }
-  std::int64_t m =
-      static_cast<std::int64_t>(_mm_popcnt_u64((a[w0] ^ b[w0]) & head));
-  m += xor_pop_avx2(a + w0 + 1, b + w0 + 1, w1 - w0 - 1);
-  return m + static_cast<std::int64_t>(
-                 _mm_popcnt_u64((a[w1] ^ b[w1]) & tail));
-}
-
 std::int64_t byte_sum_avx2(const std::uint8_t* p, std::int64_t nbytes) {
   __m256i acc = _mm256_setzero_si256();
   std::int64_t i = 0;
@@ -267,8 +247,7 @@ void masked_byte_sum4_avx2(const std::uint8_t* p, const std::uint8_t* w,
 
 }  // namespace
 
-const BnnPopFns kBnnPopAvx2 = {&xor_pop_avx2, &xor_pop4_avx2,
-                               &xor_range_avx2};
+const BnnPopFns kBnnPopAvx2 = {&xor_pop_avx2, &xor_pop4_avx2};
 const BnnSumFns kBnnSumAvx2 = {&byte_sum_avx2, &masked_byte_sum_avx2,
                                &masked_byte_sum4_avx2};
 
@@ -277,7 +256,7 @@ const BnnSumFns kBnnSumAvx2 = {&byte_sum_avx2, &masked_byte_sum_avx2,
 #else  // non-x86 build or missing per-file flags: never bound.
 
 namespace mpcnn::bnn::detail {
-const BnnPopFns kBnnPopAvx2 = {nullptr, nullptr, nullptr};
+const BnnPopFns kBnnPopAvx2 = {nullptr, nullptr};
 const BnnSumFns kBnnSumAvx2 = {nullptr, nullptr, nullptr};
 }  // namespace mpcnn::bnn::detail
 

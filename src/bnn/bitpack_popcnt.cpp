@@ -11,15 +11,14 @@
 
 namespace mpcnn::bnn::detail {
 
-const BnnPopFns kBnnPopPopcnt = {&xor_pop_impl, &xor_pop4_impl,
-                                 &xor_range_impl};
+const BnnPopFns kBnnPopPopcnt = {&xor_pop_impl, &xor_pop4_impl};
 
 }  // namespace mpcnn::bnn::detail
 
 #else  // non-x86 build or missing per-file flag: never bound.
 
 namespace mpcnn::bnn::detail {
-const BnnPopFns kBnnPopPopcnt = {nullptr, nullptr, nullptr};
+const BnnPopFns kBnnPopPopcnt = {nullptr, nullptr};
 }  // namespace mpcnn::bnn::detail
 
 #endif

@@ -4,10 +4,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string_view>
 
 #include "bnn/binary_layers.hpp"
 #include "bnn/kernels.hpp"
@@ -236,140 +234,11 @@ CompiledBnn compile_bnn(nn::Net& net) {
 
 namespace {
 
-// ------------------------- fast path: fully binarised activations -----
-
-// Binary activation map: bit index (c·H + h)·W + w.
-struct BitFeatureMap {
-  Dim ch = 0, h = 0, w = 0;
-  BitVector bits;
-
-  BitFeatureMap(Dim ch_, Dim h_, Dim w_)
-      : ch(ch_), h(h_), w(w_), bits(ch_ * h_ * w_) {}
-
-  bool get(Dim c, Dim y, Dim x) const {
-    return bits.get((c * h + y) * w + x);
-  }
-  void set(Dim c, Dim y, Dim x, bool v) {
-    bits.set((c * h + y) * w + x, v);
-  }
-};
-
-bool fire_binary(const CompiledStage& s, Dim oc, std::int64_t acc) {
-  return (acc >= s.threshold(oc, 0)) !=
-         (s.negate[static_cast<std::size_t>(oc)] != 0);
-}
-
-BitFeatureMap exec_fixed_point_conv(const CompiledStage& s,
-                                    const std::vector<int>& image) {
-  BitFeatureMap out(s.out_ch, s.out_h, s.out_w);
-  for (Dim oh = 0; oh < s.out_h; ++oh) {
-    for (Dim ow = 0; ow < s.out_w; ++ow) {
-      for (Dim oc = 0; oc < s.out_ch; ++oc) {
-        std::int64_t acc = 0;
-        Dim bit = 0;
-        for (Dim c = 0; c < s.in_ch; ++c) {
-          for (Dim kh = 0; kh < s.kernel; ++kh) {
-            for (Dim kw = 0; kw < s.kernel; ++kw, ++bit) {
-              const int x = image[static_cast<std::size_t>(
-                  (c * s.in_h + oh + kh) * s.in_w + ow + kw)];
-              acc += s.weights.get(oc, bit) ? x : -x;
-            }
-          }
-        }
-        out.set(oc, oh, ow, fire_binary(s, oc, acc));
-      }
-    }
-  }
-  return out;
-}
-
-BitFeatureMap exec_binary_conv(const CompiledStage& s,
-                               const BitFeatureMap& in) {
-  BitFeatureMap out(s.out_ch, s.out_h, s.out_w);
-  BitVector patch(s.in_ch * s.kernel * s.kernel);
-  for (Dim oh = 0; oh < s.out_h; ++oh) {
-    for (Dim ow = 0; ow < s.out_w; ++ow) {
-      Dim bit = 0;
-      for (Dim c = 0; c < s.in_ch; ++c) {
-        for (Dim kh = 0; kh < s.kernel; ++kh) {
-          for (Dim kw = 0; kw < s.kernel; ++kw, ++bit) {
-            patch.set(bit, in.get(c, oh + kh, ow + kw));
-          }
-        }
-      }
-      for (Dim oc = 0; oc < s.out_ch; ++oc) {
-        const std::int64_t acc = s.weights.row_dot_bipolar(oc, patch);
-        out.set(oc, oh, ow, fire_binary(s, oc, acc));
-      }
-    }
-  }
-  return out;
-}
-
-BitFeatureMap exec_maxpool(const CompiledStage& s, const BitFeatureMap& in) {
-  BitFeatureMap out(s.out_ch, s.out_h, s.out_w);
-  for (Dim c = 0; c < s.out_ch; ++c) {
-    for (Dim oh = 0; oh < s.out_h; ++oh) {
-      for (Dim ow = 0; ow < s.out_w; ++ow) {
-        // max over bipolar values == boolean OR of bits
-        const bool v = in.get(c, 2 * oh, 2 * ow) ||
-                       in.get(c, 2 * oh, 2 * ow + 1) ||
-                       in.get(c, 2 * oh + 1, 2 * ow) ||
-                       in.get(c, 2 * oh + 1, 2 * ow + 1);
-        out.set(c, oh, ow, v);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<std::int32_t> run_reference_binary(const CompiledBnn& net,
-                                               const std::vector<int>& px) {
-  BitFeatureMap fmap = exec_fixed_point_conv(net.stages.front(), px);
-  for (std::size_t s = 1; s < net.stages.size(); ++s) {
-    const CompiledStage& stage = net.stages[s];
-    switch (stage.kind) {
-      case StageKind::kBinaryConv:
-        fmap = exec_binary_conv(stage, fmap);
-        break;
-      case StageKind::kMaxPoolBinary:
-        fmap = exec_maxpool(stage, fmap);
-        break;
-      case StageKind::kBinaryDense: {
-        MPCNN_CHECK(fmap.bits.size() == stage.in_ch,
-                    "dense stage input width mismatch");
-        BitFeatureMap next(stage.out_ch, 1, 1);
-        for (Dim oc = 0; oc < stage.out_ch; ++oc) {
-          const std::int64_t acc =
-              stage.weights.row_dot_bipolar(oc, fmap.bits);
-          next.set(oc, 0, 0, fire_binary(stage, oc, acc));
-        }
-        fmap = std::move(next);
-        break;
-      }
-      case StageKind::kOutputDense: {
-        MPCNN_CHECK(fmap.bits.size() == stage.in_ch,
-                    "output stage input width mismatch");
-        std::vector<std::int32_t> scores(
-            static_cast<std::size_t>(stage.out_ch));
-        for (Dim oc = 0; oc < stage.out_ch; ++oc) {
-          scores[static_cast<std::size_t>(oc)] = static_cast<std::int32_t>(
-              stage.weights.row_dot_bipolar(oc, fmap.bits));
-        }
-        return scores;
-      }
-      case StageKind::kFixedPointConv:
-        MPCNN_CHECK(false, "fixed-point conv must be the first stage");
-    }
-  }
-  MPCNN_CHECK(false, "compiled net has no output stage");
-  return {};
-}
-
 // ------------------- packed word-parallel engine ----------------------
 //
-// The scalar path above rebuilds every sliding patch one bounds-checked
-// bit at a time; this engine works on whole 64-bit words instead:
+// The generic oracle further down sums every accumulator one element at
+// a time; for fully-binary nets this engine works on whole 64-bit words
+// instead:
 //
 //   1. bit_im2col packs all conv patches of a layer into a word-aligned
 //      BitMatrix with shifts and word splices,
@@ -384,6 +253,11 @@ std::vector<std::int32_t> run_reference_binary(const CompiledBnn& net,
 // Feature maps live in channel planes padded to word boundaries, so a
 // parallel chunk of output channels owns a disjoint word range — results
 // are bit-identical from 1 to N threads by construction.
+
+bool fire_binary(const CompiledStage& s, Dim oc, std::int64_t acc) {
+  return (acc >= s.threshold(oc, 0)) !=
+         (s.negate[static_cast<std::size_t>(oc)] != 0);
+}
 
 // Packed activation map: channel c's out_h·out_w bits start at word
 // c·plane_words (bit y·w + x within the plane).
@@ -448,7 +322,7 @@ inline void or_bits(std::uint64_t* words, Dim bit, std::uint64_t v,
 // Byte-SAD first stage: patches as byte vectors, weights as 0x00/0xFF
 // byte masks, Σ_{w=1} x via masked byte sums (PSADBW on SSE2, VPSADBW on
 // AVX2 — whichever the dispatch table bound).  Pure integer arithmetic,
-// so the accumulators are bit-identical to the plane path and the scalar
+// so the accumulators are bit-identical to the plane path and the generic
 // oracle; pixels must fit a byte (input_levels ≤ 256).
 PlanedBitMap exec_fixed_point_conv_sad(const CompiledStage& s,
                                        const std::vector<int>& px,
@@ -620,8 +494,8 @@ PlanedBitMap exec_fixed_point_conv_packed(const CompiledStage& s,
   // the same loads as Σ_k 2^k·popcount(plane_k row).  The parallel grain
   // of 64 positions puts chunk boundaries on output-word edges, so each
   // chunk owns a disjoint word range of every output plane (bit-identical
-  // at any thread count).  acc = 2·Σ_{w=1} x − Σ x, exact vs the scalar
-  // path's Σ (w ? x : −x).
+  // at any thread count).  acc = 2·Σ_{w=1} x − Σ x, exact vs the
+  // oracle's Σ (w ? x : −x).
   PlanedBitMap out(s.out_ch, s.out_h, s.out_w);
   core::parallel_for(0, positions, 64, [&](Dim p0, Dim p1) {
     std::vector<std::uint64_t> accw(static_cast<std::size_t>(s.out_ch), 0);
@@ -881,7 +755,13 @@ std::vector<std::int32_t> run_reference_packed(const CompiledBnn& net,
   return {};
 }
 
-// ---------------- generic path: multi-level activations ---------------
+// ------------- generic oracle: L-level activations, L ≥ 2 -------------
+//
+// The one reference interpreter: every accumulator is summed element by
+// element from the integer encoding, with no packing, blocking or ISA
+// dispatch.  It runs every partially-binarised net, and run_reference's
+// kOracle runs fully-binary nets (L = 2) through it too, so the packed
+// engine is checked against an independent datapath.
 
 // Feature map of quantisation levels q ∈ {0, …, L−1}; the encoded
 // bipolar value is x̃ = 2q − (L−1), so the next stage's accumulator is
@@ -1032,20 +912,6 @@ std::vector<std::int32_t> run_reference_generic(const CompiledBnn& net,
   return {};
 }
 
-// Resolves kAuto from MPCNN_BNN_EXEC ("packed" | "scalar"; unset means
-// packed).  Re-read on every call so tests and tools can flip the toggle
-// at runtime; the lookup is trivial next to a network evaluation.
-BnnExec env_bnn_exec() {
-  const char* s = std::getenv("MPCNN_BNN_EXEC");
-  if (s == nullptr || *s == '\0' || std::string_view(s) == "packed") {
-    return BnnExec::kPacked;
-  }
-  MPCNN_CHECK(std::string_view(s) == "scalar",
-              "MPCNN_BNN_EXEC must be 'packed' or 'scalar', got '" << s
-                                                                   << "'");
-  return BnnExec::kScalar;
-}
-
 }  // namespace
 
 std::vector<std::int32_t> run_reference(const CompiledBnn& net,
@@ -1068,14 +934,12 @@ std::vector<std::int32_t> run_reference(const CompiledBnn& net,
     pixels[static_cast<std::size_t>(i)] = static_cast<int>(
         std::lround(std::clamp(image[i], 0.0f, 1.0f) * levels));
   }
-  if (!net.fully_binary()) {
-    MPCNN_CHECK(exec != BnnExec::kPacked,
-                "packed engine requires a fully binarised net");
-    return run_reference_generic(net, pixels);
-  }
-  const BnnExec mode = exec == BnnExec::kAuto ? env_bnn_exec() : exec;
-  return mode == BnnExec::kScalar ? run_reference_binary(net, pixels)
-                                  : run_reference_packed(net, pixels);
+  const bool binary = net.fully_binary();
+  MPCNN_CHECK(binary || exec != BnnExec::kPacked,
+              "packed engine requires a fully binarised net");
+  return binary && exec != BnnExec::kOracle
+             ? run_reference_packed(net, pixels)
+             : run_reference_generic(net, pixels);
 }
 
 std::vector<std::vector<std::int32_t>> run_reference_batch(

@@ -86,19 +86,20 @@ struct CompiledBnn {
 /// graph does not match the expected Quantize/Conv/BN/Act/Pool/FC pattern.
 CompiledBnn compile_bnn(nn::Net& net);
 
-/// Which functional executor run_reference uses for fully-binary nets.
+/// Which executor run_reference uses.
 ///
+///  - kAuto:   the packed engine for fully-binary nets, the oracle for
+///    partially-binarised ones.  The default.
 ///  - kPacked: the word-parallel engine — bit-level im2col, blocked
 ///    XNOR-popcount GEMM with the threshold comparison fused into the
-///    epilogue, and a bit-plane first stage.  The default.
-///  - kScalar: the original per-bit patch-assembly path, kept as the
-///    correctness oracle.
-///  - kAuto:   resolve from the MPCNN_BNN_EXEC environment variable
-///    ("packed" | "scalar"; unset means packed).
+///    epilogue, and a byte-SAD or bit-plane first stage.  Throws on a
+///    multi-bit net.
+///  - kOracle: the generic L-level interpreter, one accumulator per
+///    (channel, position) summed element by element; the fully-binary
+///    net is its L = 2 case.  The correctness reference for kPacked.
 ///
-/// Both engines produce bit-identical class scores at any thread count;
-/// partially-binarised nets always take the generic multi-level path.
-enum class BnnExec { kAuto, kPacked, kScalar };
+/// Both produce bit-identical class scores at any thread count.
+enum class BnnExec { kAuto, kPacked, kOracle };
 
 /// Bit-exact integer reference execution of one image (NCHW batch 1,
 /// floats in [0,1]); returns the `classes` output scores.

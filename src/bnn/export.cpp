@@ -6,8 +6,7 @@ namespace mpcnn::bnn {
 namespace {
 
 constexpr io::ArtifactMagic kMagic = {'M', 'P', 'B', 'N'};
-constexpr std::uint32_t kVersion = 2;      // current: framed, CRC-checked
-constexpr std::uint32_t kFirstFramed = 2;  // v1 predates the frame
+constexpr std::uint32_t kVersion = 2;  // v1 predates the frame; unreadable
 
 // Stored words per weight row: the on-disk format packs each row into
 // ceil(cols / 64) little-endian words, independent of BitMatrix's
@@ -57,7 +56,7 @@ void save_compiled(const CompiledBnn& net, const std::string& path) {
 }
 
 CompiledBnn load_compiled(const std::string& path) {
-  io::ArtifactReader reader(path, kMagic, kVersion, kFirstFramed);
+  io::ArtifactReader reader(path, kMagic, kVersion);
   CompiledBnn net;
   net.classes = reader.pod<std::int64_t>();
   net.input_levels = reader.pod<std::int32_t>();

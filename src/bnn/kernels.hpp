@@ -32,12 +32,6 @@ using XorPop4Fn = void (*)(const std::uint64_t* w, std::int64_t wstride,
                            const std::uint64_t* p, std::int64_t nwords,
                            std::int64_t m[4]);
 
-/// Mismatches of bit range [begin, end) with partial words masked — the
-/// folded executor's PE column-slice primitive.
-using XorRangeFn = std::int64_t (*)(const std::uint64_t* a,
-                                    const std::uint64_t* b,
-                                    std::int64_t begin, std::int64_t end);
-
 /// Σ p[i] over nbytes bytes (byte-image horizontal sum).
 using ByteSumFn = std::int64_t (*)(const std::uint8_t* p,
                                    std::int64_t nbytes);
@@ -61,7 +55,6 @@ struct BnnKernels {
   const char* sum_name;  ///< byte-conv variant: "none", "sse2", "avx2"
   XorPopFn xor_pop;
   XorPop4Fn xor_pop4;
-  XorRangeFn xor_range;
   ByteSumFn byte_sum;            ///< null when sum_name == "none"
   MaskedByteSumFn masked_byte_sum;  ///< null when sum_name == "none"
   /// Null where the ISA lacks the registers to carry four wide
@@ -81,7 +74,6 @@ const BnnKernels& kernels();
 struct BnnPopFns {
   XorPopFn xor_pop;
   XorPop4Fn xor_pop4;
-  XorRangeFn xor_range;
 };
 struct BnnSumFns {
   ByteSumFn byte_sum;

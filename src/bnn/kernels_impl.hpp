@@ -58,27 +58,4 @@ static inline void xor_pop4_impl(const std::uint64_t* w,
   m[3] = m3;
 }
 
-// Mismatches of [begin, end) with the partial first/last words masked —
-// word-level only, no per-bit loop.
-static inline std::int64_t xor_range_impl(const std::uint64_t* a,
-                                          const std::uint64_t* b,
-                                          std::int64_t begin,
-                                          std::int64_t end) {
-  if (begin >= end) return 0;
-  const std::int64_t w0 = begin >> 6;
-  const std::int64_t w1 = (end - 1) >> 6;
-  const std::uint64_t head = ~0ULL << (begin & 63);
-  const std::int64_t tail_bits = ((end - 1) & 63) + 1;
-  const std::uint64_t tail =
-      tail_bits >= 64 ? ~0ULL : (1ULL << tail_bits) - 1ULL;
-  if (w0 == w1) {
-    return bnn_popcount64((a[w0] ^ b[w0]) & head & tail);
-  }
-  std::int64_t mismatches = bnn_popcount64((a[w0] ^ b[w0]) & head);
-  for (std::int64_t t = w0 + 1; t < w1; ++t) {
-    mismatches += bnn_popcount64(a[t] ^ b[t]);
-  }
-  return mismatches + bnn_popcount64((a[w1] ^ b[w1]) & tail);
-}
-
 }  // namespace mpcnn::bnn::detail

@@ -236,7 +236,7 @@ void save_cache_file(const std::string& path) {
 }
 
 std::vector<Entry> read_cache_file(const std::string& path) {
-  io::ArtifactReader r(path, kTuneMagic, kTuneVersion, 1);
+  io::ArtifactReader r(path, kTuneMagic, kTuneVersion);
   const std::string sig = read_string(r, "signature");
   const auto count =
       r.bounded_count(r.pod<std::uint64_t>(), 20, "tuning entries");

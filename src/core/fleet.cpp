@@ -532,8 +532,7 @@ void save_fleet_plan(const FleetPlanFile& plan, const std::string& path) {
 }
 
 FleetPlanFile load_fleet_plan(const std::string& path) {
-  io::ArtifactReader reader(path, kFleetPlanMagic, kFleetPlanVersion,
-                            /*first_framed_version=*/1);
+  io::ArtifactReader reader(path, kFleetPlanMagic, kFleetPlanVersion);
   FleetPlanFile plan;
   const std::uint64_t replicas = reader.pod<std::uint64_t>();
   const std::uint64_t host_workers = reader.pod<std::uint64_t>();

@@ -93,7 +93,7 @@ void save_canary_book(const CanaryBook& book, const std::string& path) {
 }
 
 CanaryBook load_canary_book(const std::string& path) {
-  io::ArtifactReader r(path, kMagic, kVersion, /*first_framed_version=*/1);
+  io::ArtifactReader r(path, kMagic, kVersion);
   CanaryBook book;
   book.model_crc = r.pod<std::uint32_t>();
   book.classes = static_cast<Dim>(r.pod<std::int64_t>());

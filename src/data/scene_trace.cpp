@@ -232,8 +232,7 @@ void save_scene_trace(const SceneTrace& trace, const std::string& path) {
 }
 
 SceneTrace load_scene_trace(const std::string& path) {
-  io::ArtifactReader reader(path, kSceneTraceMagic, kSceneTraceVersion,
-                            /*first_framed_version=*/1);
+  io::ArtifactReader reader(path, kSceneTraceMagic, kSceneTraceVersion);
   SceneTrace trace;
   const std::uint32_t pattern = reader.pod<std::uint32_t>();
   MPCNN_CHECK(pattern <= 3,

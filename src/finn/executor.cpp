@@ -1,16 +1,13 @@
 #include "finn/executor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "core/threadpool.hpp"
 #include "finn/explorer.hpp"
 #include "tensor/error.hpp"
 
 namespace mpcnn::finn {
 namespace {
 
-using bnn::BitVector;
 using bnn::CompiledStage;
 using bnn::StageKind;
 
@@ -42,32 +39,6 @@ bnn::CnvLayerInfo info_of(const CompiledStage& stage, bool first) {
   return info;
 }
 
-// Bipolar folded accumulation of one weight row window: PE handles S
-// columns [c0, c0+S) of row `oc` against the patch bits.  Masked
-// word-level XNOR+popcount over the slice — same accumulator values as
-// the per-bit loop (matches − mismatches = S − 2·mismatches), and the
-// cycle model is untouched.
-std::int64_t window_dot_bipolar(const bnn::BitMatrix& weights, Dim oc,
-                                const BitVector& patch, Dim c0, Dim s) {
-  const Dim mismatches =
-      bnn::xor_mismatches_range(weights.row_data(oc), patch.data(), c0,
-                                c0 + s);
-  return s - 2 * static_cast<std::int64_t>(mismatches);
-}
-
-struct BitMap {
-  Dim ch = 0, h = 0, w = 0;
-  BitVector bits;
-  BitMap(Dim ch_, Dim h_, Dim w_) : ch(ch_), h(h_), w(w_), bits(ch_ * h_ * w_) {}
-  bool get(Dim c, Dim y, Dim x) const { return bits.get((c * h + y) * w + x); }
-  void set(Dim c, Dim y, Dim x, bool v) { bits.set((c * h + y) * w + x, v); }
-};
-
-bool threshold_fire(const CompiledStage& stage, Dim oc, std::int64_t acc) {
-  return (acc >= stage.thresholds[static_cast<std::size_t>(oc)]) !=
-         (stage.negate[static_cast<std::size_t>(oc)] != 0);
-}
-
 }  // namespace
 
 std::vector<Engine> engines_for_compiled(const bnn::CompiledBnn& net,
@@ -86,198 +57,33 @@ std::vector<Engine> engines_for_compiled(const bnn::CompiledBnn& net,
 }
 
 FoldedExecutor::FoldedExecutor(const bnn::CompiledBnn& net,
-                               std::vector<Engine> engines)
-    : net_(net), engines_(std::move(engines)) {
-  MPCNN_CHECK(net_.fully_binary(),
-              "FoldedExecutor models single-bit engines; use "
-              "bnn::run_reference for partially-binarised networks");
+                               const std::vector<Engine>& engines) {
+  MPCNN_CHECK(net.fully_binary(),
+              "FoldedExecutor models single-bit engines; partially-"
+              "binarised networks have no folded cycle model");
   std::size_t e = 0;
-  for (const CompiledStage& stage : net_.stages) {
+  for (const CompiledStage& stage : net.stages) {
     if (!is_compute(stage)) continue;
-    MPCNN_CHECK(e < engines_.size(), "fewer engines than compute stages");
-    const Engine& engine = engines_[e];
+    MPCNN_CHECK(e < engines.size(), "fewer engines than compute stages");
+    const Engine& engine = engines[e];
     MPCNN_CHECK(engine.folding_valid(), "invalid folding for stage " << e);
     MPCNN_CHECK(engine.layer.weight_rows() == stage.out_ch &&
                     engine.layer.weight_cols() == stage.weights.cols(),
                 "engine " << e << " geometry does not match compiled stage");
-    ++e;
-  }
-  MPCNN_CHECK(e == engines_.size(), "more engines than compute stages");
-}
-
-std::vector<std::int32_t> FoldedExecutor::run(const Tensor& image,
-                                              ExecutionTrace* trace) const {
-  MPCNN_CHECK(image.shape().rank() == 4 && image.shape()[0] == 1,
-              "FoldedExecutor expects one NCHW image");
-  if (trace) {
-    trace->engine_cycles.assign(engines_.size(), 0);
-    trace->total_cycles = 0;
-    trace->bottleneck_cycles = 0;
-  }
-
-  const CompiledStage& first = net_.stages.front();
-  std::vector<int> pixels(static_cast<std::size_t>(image.numel()));
-  const float levels = static_cast<float>(net_.input_levels);
-  for (Dim i = 0; i < image.numel(); ++i) {
-    pixels[static_cast<std::size_t>(i)] = static_cast<int>(
-        std::lround(std::clamp(image[i], 0.0f, 1.0f) * levels));
-  }
-
-  BitMap fmap(first.out_ch, first.out_h, first.out_w);
-  std::vector<std::int32_t> scores;
-  std::size_t engine_idx = 0;
-
-  for (std::size_t s_idx = 0; s_idx < net_.stages.size(); ++s_idx) {
-    const CompiledStage& stage = net_.stages[s_idx];
-    if (stage.kind == StageKind::kMaxPoolBinary) {
-      BitMap out(stage.out_ch, stage.out_h, stage.out_w);
-      for (Dim c = 0; c < stage.out_ch; ++c)
-        for (Dim y = 0; y < stage.out_h; ++y)
-          for (Dim x = 0; x < stage.out_w; ++x)
-            out.set(c, y, x,
-                    fmap.get(c, 2 * y, 2 * x) || fmap.get(c, 2 * y, 2 * x + 1) ||
-                        fmap.get(c, 2 * y + 1, 2 * x) ||
-                        fmap.get(c, 2 * y + 1, 2 * x + 1));
-      fmap = std::move(out);
-      continue;
-    }
-    const Engine& engine = engines_[engine_idx];
-    const Dim P = engine.folding.pe;
-    const Dim S = engine.folding.simd;
-    const Dim rows = stage.out_ch;
-    const Dim cols = stage.weights.cols();
-    std::int64_t cycles = 0;
-
+    // Tile walk: every cycle each of the P PEs consumes S columns of its
+    // current output-channel row, once per output position.
     const bool is_conv = stage.kind == StageKind::kFixedPointConv ||
                          stage.kind == StageKind::kBinaryConv;
     const Dim positions = is_conv ? stage.out_h * stage.out_w : 1;
-    BitMap out(stage.out_ch, stage.out_h, stage.out_w);
-    if (stage.kind == StageKind::kOutputDense) {
-      scores.assign(static_cast<std::size_t>(stage.out_ch), 0);
-    }
-
-    BitVector patch(cols);
-    for (Dim pos = 0; pos < positions; ++pos) {
-      // Assemble the receptive field for this output position.
-      if (is_conv) {
-        const Dim oh = pos / stage.out_w;
-        const Dim ow = pos % stage.out_w;
-        Dim bit = 0;
-        if (stage.kind == StageKind::kBinaryConv) {
-          for (Dim c = 0; c < stage.in_ch; ++c)
-            for (Dim kh = 0; kh < stage.kernel; ++kh)
-              for (Dim kw = 0; kw < stage.kernel; ++kw, ++bit)
-                patch.set(bit, fmap.get(c, oh + kh, ow + kw));
-        }
-        (void)bit;
-      } else {
-        MPCNN_CHECK(fmap.bits.size() == cols, "dense input width mismatch");
-        patch = fmap.bits;
-      }
-
-      // Tile walk: every cycle each of the P PEs consumes S columns of
-      // its current output-channel row.
-      std::vector<std::int64_t> acc(static_cast<std::size_t>(rows), 0);
-      for (Dim row_tile = 0; row_tile < rows / P; ++row_tile) {
-        for (Dim col_tile = 0; col_tile < cols / S; ++col_tile) {
-          ++cycles;
-          for (Dim p = 0; p < P; ++p) {
-            const Dim oc = row_tile * P + p;
-            const Dim c0 = col_tile * S;
-            if (stage.kind == StageKind::kFixedPointConv) {
-              // Fixed-point first layer: S lanes of ±pixel adds.
-              const Dim oh = pos / stage.out_w;
-              const Dim ow = pos % stage.out_w;
-              std::int64_t partial = 0;
-              for (Dim c = c0; c < c0 + S; ++c) {
-                const Dim ch = c / (stage.kernel * stage.kernel);
-                const Dim rem = c % (stage.kernel * stage.kernel);
-                const Dim kh = rem / stage.kernel;
-                const Dim kw = rem % stage.kernel;
-                const int x = pixels[static_cast<std::size_t>(
-                    (ch * stage.in_h + oh + kh) * stage.in_w + ow + kw)];
-                partial += stage.weights.get(oc, c) ? x : -x;
-              }
-              acc[static_cast<std::size_t>(oc)] += partial;
-            } else {
-              acc[static_cast<std::size_t>(oc)] +=
-                  window_dot_bipolar(stage.weights, oc, patch, c0, S);
-            }
-          }
-        }
-      }
-
-      if (stage.kind == StageKind::kOutputDense) {
-        for (Dim oc = 0; oc < rows; ++oc) {
-          scores[static_cast<std::size_t>(oc)] =
-              static_cast<std::int32_t>(acc[static_cast<std::size_t>(oc)]);
-        }
-      } else {
-        const Dim oh = is_conv ? pos / stage.out_w : 0;
-        const Dim ow = is_conv ? pos % stage.out_w : 0;
-        for (Dim oc = 0; oc < rows; ++oc) {
-          out.set(oc, oh, ow,
-                  threshold_fire(stage, oc, acc[static_cast<std::size_t>(oc)]));
-        }
-      }
-    }
-
-    if (trace) {
-      trace->engine_cycles[engine_idx] = cycles;
-      trace->total_cycles += cycles;
-      trace->bottleneck_cycles = std::max(trace->bottleneck_cycles, cycles);
-    }
-    if (stage.kind == StageKind::kOutputDense) return scores;
-    fmap = std::move(out);
-    ++engine_idx;
+    const std::int64_t cycles = positions *
+                                (stage.out_ch / engine.folding.pe) *
+                                (stage.weights.cols() / engine.folding.simd);
+    trace_.engine_cycles.push_back(cycles);
+    trace_.total_cycles += cycles;
+    trace_.bottleneck_cycles = std::max(trace_.bottleneck_cycles, cycles);
+    ++e;
   }
-  MPCNN_CHECK(false, "compiled net has no output stage");
-  return {};
-}
-
-std::vector<std::vector<std::int32_t>> FoldedExecutor::run_batch(
-    const Tensor& images, ExecutionTrace* trace) const {
-  MPCNN_CHECK(images.shape().rank() == 4, "run_batch expects NCHW images");
-  const Dim n = images.shape()[0];
-  std::vector<std::vector<std::int32_t>> scores(static_cast<std::size_t>(n));
-  std::vector<ExecutionTrace> traces(
-      trace != nullptr ? static_cast<std::size_t>(n) : 0);
-  // Per-image fan-out: run() only reads net_/engines_, and every image
-  // owns its scores slot (and trace slot when requested).
-  core::parallel_for(0, n, 1, [&](Dim i0, Dim i1) {
-    for (Dim i = i0; i < i1; ++i) {
-      ExecutionTrace* t =
-          trace != nullptr ? &traces[static_cast<std::size_t>(i)] : nullptr;
-      scores[static_cast<std::size_t>(i)] = run(images.slice_batch(i), t);
-    }
-  });
-  if (trace != nullptr) {
-    // Merge in batch order.  Cycle counts are integers, so the sum is
-    // order-independent anyway; the fixed order keeps the contract
-    // obvious and future-proof for non-integral trace fields.
-    trace->engine_cycles.assign(engines_.size(), 0);
-    trace->total_cycles = 0;
-    trace->bottleneck_cycles = 0;
-    for (const ExecutionTrace& t : traces) {
-      for (std::size_t e = 0; e < engines_.size(); ++e) {
-        trace->engine_cycles[e] += t.engine_cycles[e];
-      }
-      trace->total_cycles += t.total_cycles;
-      trace->bottleneck_cycles += t.bottleneck_cycles;
-    }
-  }
-  return scores;
-}
-
-std::vector<int> FoldedExecutor::classify(const Tensor& images) const {
-  const std::vector<std::vector<std::int32_t>> scores = run_batch(images);
-  std::vector<int> labels(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    labels[i] = static_cast<int>(std::distance(
-        scores[i].begin(),
-        std::max_element(scores[i].begin(), scores[i].end())));
-  }
-  return labels;
+  MPCNN_CHECK(e == engines.size(), "more engines than compute stages");
 }
 
 }  // namespace mpcnn::finn

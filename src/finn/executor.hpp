@@ -1,12 +1,12 @@
-// Folded functional execution of a compiled BNN on the engine model.
+// Folded cycle walk of a compiled BNN on the engine model.
 //
-// Executes every engine exactly the way the hardware is folded: per
-// output position, the P×S weight tile walk — PE p owns output channels
-// congruent to p mod P, and each "clock cycle" consumes S weight columns
-// per PE.  The produced activations are bit-exact against the
-// bnn::run_reference executor (integration-tested), and the executed
-// cycle count equals the Eq. (3)/(4) model exactly, which validates the
-// performance model against a working implementation.
+// Counts every engine's cycles the way the hardware is folded: per output
+// position, the P×S weight tile walk — PE p owns output channels
+// congruent to p mod P, and each clock cycle consumes S weight columns
+// per PE.  The walk computes no activations (bnn::run_reference is the
+// functional engine); it derives the count from the compiled stages'
+// geometry, independently of the Eq. (3)/(4) closed form in finn::Engine,
+// so the tests can hold the performance model to it.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,7 @@
 
 namespace mpcnn::finn {
 
-/// Cycle accounting produced by a folded run.
+/// Cycle accounting of one image through the folded engines.
 struct ExecutionTrace {
   std::vector<std::int64_t> engine_cycles;  ///< per compute engine
   std::int64_t total_cycles = 0;            ///< Σ engine cycles
@@ -30,32 +30,20 @@ std::vector<Engine> engines_for_compiled(const bnn::CompiledBnn& net,
                                          std::int64_t target_cycles,
                                          Dim max_simd = 32);
 
-/// Functional folded executor.
+/// Folded cycle walk over a single-bit compiled net.
 class FoldedExecutor {
  public:
   /// `engines` must have one entry per conv/dense stage of `net`, in
-  /// order, with geometry matching the compiled stages.
-  FoldedExecutor(const bnn::CompiledBnn& net, std::vector<Engine> engines);
+  /// order, with valid foldings and geometry matching the compiled
+  /// stages.  Throws Error otherwise, and on partially-binarised nets.
+  FoldedExecutor(const bnn::CompiledBnn& net,
+                 const std::vector<Engine>& engines);
 
-  /// Runs one image; returns class scores, optionally the cycle trace.
-  std::vector<std::int32_t> run(const Tensor& image,
-                                ExecutionTrace* trace = nullptr) const;
-
-  /// Runs every image of an NCHW batch (per-image fan-out on the shared
-  /// thread pool) and returns the per-image scores.  When `trace` is
-  /// non-null it receives the per-image cycle traces summed in batch
-  /// order — the deterministic batched equivalent of run()'s trace.
-  std::vector<std::vector<std::int32_t>> run_batch(
-      const Tensor& images, ExecutionTrace* trace = nullptr) const;
-
-  /// Argmax labels for a batch (same fan-out as run_batch).
-  std::vector<int> classify(const Tensor& images) const;
-
-  const std::vector<Engine>& engines() const { return engines_; }
+  /// Per-image cycles: positions × row tiles × column tiles per engine.
+  const ExecutionTrace& trace() const { return trace_; }
 
  private:
-  const bnn::CompiledBnn& net_;
-  std::vector<Engine> engines_;
+  ExecutionTrace trace_;
 };
 
 }  // namespace mpcnn::finn

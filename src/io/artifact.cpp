@@ -18,8 +18,6 @@ namespace {
 // payload, then the u32 CRC trailer.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kTrailerBytes = 4;
-// Legacy (unframed) files only carry magic + version before the payload.
-constexpr std::size_t kLegacyHeaderBytes = 4 + 4;
 
 const std::array<std::uint32_t, 256>& crc_table() {
   static const std::array<std::uint32_t, 256> table = [] {
@@ -60,12 +58,13 @@ void fsync_dir_of(const std::string& path) {
 #endif
 }
 
-// The artifact registry: every known format with the version at which it
-// adopted the framed container (MPCN/MPBN shipped a v1 before framing).
+// The artifact registry: every known format with the oldest version this
+// build reads.  MPCN/MPBN v1 predate the frame (no length, no CRC) and
+// are rejected like any other unsupported version.
 struct KnownFormat {
   ArtifactMagic magic;
   const char* name;
-  std::uint32_t first_framed_version;
+  std::uint32_t oldest_version;
 };
 
 constexpr KnownFormat kKnownFormats[] = {
@@ -109,34 +108,35 @@ T load_pod(const unsigned char* p) {
 }
 
 // Shared frame parse for ArtifactReader and inspect(): validates magic,
-// version bound and (for framed files) the declared length against the
-// actual size.  On success fills everything but crc_ok.
+// the format's oldest readable version and the declared length against
+// the actual size.  Both CRCs are returned; callers decide what a
+// mismatch means.
 struct ParsedFrame {
+  const KnownFormat* format = nullptr;
   std::uint32_t version = 0;
-  bool framed = false;
-  std::size_t payload_offset = 0;
   std::size_t payload_bytes = 0;
   std::uint32_t stored_crc = 0;
   std::uint32_t computed_crc = 0;
 };
 
 ParsedFrame parse_frame(const std::vector<unsigned char>& file,
-                        const std::string& path, ArtifactMagic magic,
-                        std::uint32_t first_framed_version) {
-  MPCNN_CHECK(file.size() >= kLegacyHeaderBytes,
+                        const std::string& path, ArtifactMagic magic) {
+  MPCNN_CHECK(file.size() >= 4 + 4,  // magic + version
               path << ": too short to be an artifact (" << file.size()
                    << " bytes)");
   MPCNN_CHECK(std::memcmp(file.data(), magic.data(), magic.size()) == 0,
               "bad magic in " << path << " (want " << magic_str(magic)
                               << ")");
   ParsedFrame frame;
+  frame.format = find_format(magic);
+  MPCNN_CHECK(frame.format != nullptr,
+              path << ": unknown artifact magic '" << magic_str(magic)
+                   << "'");
   frame.version = load_pod<std::uint32_t>(file.data() + 4);
-  frame.framed = frame.version >= first_framed_version;
-  if (!frame.framed) {
-    frame.payload_offset = kLegacyHeaderBytes;
-    frame.payload_bytes = file.size() - kLegacyHeaderBytes;
-    return frame;
-  }
+  MPCNN_CHECK(frame.version >= frame.format->oldest_version,
+              path << ": unsupported " << magic_str(magic) << " version "
+                   << frame.version << " (oldest readable is "
+                   << frame.format->oldest_version << ")");
   MPCNN_CHECK(file.size() >= kHeaderBytes + kTrailerBytes,
               path << ": truncated header (" << file.size() << " bytes)");
   const auto declared = load_pod<std::uint64_t>(file.data() + 8);
@@ -146,7 +146,6 @@ ParsedFrame parse_frame(const std::vector<unsigned char>& file,
       declared <= file.size() && expected_size == file.size(),
       path << ": declared payload " << declared << " bytes but file holds "
            << file.size() << " (want " << expected_size << ")");
-  frame.payload_offset = kHeaderBytes;
   frame.payload_bytes = static_cast<std::size_t>(declared);
   frame.stored_crc =
       load_pod<std::uint32_t>(file.data() + file.size() - kTrailerBytes);
@@ -223,30 +222,22 @@ void ArtifactWriter::commit(const std::string& path) const {
 }
 
 ArtifactReader::ArtifactReader(const std::string& path, ArtifactMagic magic,
-                               std::uint32_t max_version,
-                               std::uint32_t first_framed_version)
+                               std::uint32_t max_version)
     : path_(path) {
   const std::vector<unsigned char> file = read_whole_file(path);
-  const ParsedFrame frame =
-      parse_frame(file, path, magic, first_framed_version);
-  MPCNN_CHECK(frame.version >= 1 && frame.version <= max_version,
+  const ParsedFrame frame = parse_frame(file, path, magic);
+  MPCNN_CHECK(frame.version <= max_version,
               path << ": unsupported " << magic_str(magic) << " version "
                    << frame.version << " (this build reads <= "
                    << max_version << ")");
-  if (frame.framed) {
-    MPCNN_CHECK(frame.stored_crc == frame.computed_crc,
-                path << ": CRC mismatch (stored " << std::hex
-                     << frame.stored_crc << ", computed "
-                     << frame.computed_crc << std::dec
-                     << ") — file is corrupt");
-  }
+  MPCNN_CHECK(frame.stored_crc == frame.computed_crc,
+              path << ": CRC mismatch (stored " << std::hex
+                   << frame.stored_crc << ", computed " << frame.computed_crc
+                   << std::dec << ") — file is corrupt");
   version_ = frame.version;
-  framed_ = frame.framed;
-  payload_.assign(file.begin() + static_cast<std::ptrdiff_t>(
-                                     frame.payload_offset),
-                  file.begin() + static_cast<std::ptrdiff_t>(
-                                     frame.payload_offset +
-                                     frame.payload_bytes));
+  const auto payload = file.begin() + kHeaderBytes;
+  payload_.assign(payload,
+                  payload + static_cast<std::ptrdiff_t>(frame.payload_bytes));
 }
 
 void ArtifactReader::bytes(void* p, std::size_t n) {
@@ -297,18 +288,12 @@ ArtifactInfo inspect(const std::string& path) {
                                      << file.size() << " bytes)");
   ArtifactMagic magic;
   std::memcpy(magic.data(), file.data(), magic.size());
-  const KnownFormat* format = find_format(magic);
-  MPCNN_CHECK(format != nullptr,
-              path << ": unknown artifact magic '" << magic_str(magic)
-                   << "'");
-  const ParsedFrame frame =
-      parse_frame(file, path, magic, format->first_framed_version);
+  const ParsedFrame frame = parse_frame(file, path, magic);
   ArtifactInfo info;
   info.magic = magic;
-  info.format = format->name;
+  info.format = frame.format->name;
   info.version = frame.version;
-  info.framed = frame.framed;
-  info.crc_ok = frame.framed && frame.stored_crc == frame.computed_crc;
+  info.crc_ok = frame.stored_crc == frame.computed_crc;
   info.payload_bytes = frame.payload_bytes;
   info.file_bytes = file.size();
   return info;

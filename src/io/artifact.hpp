@@ -6,7 +6,9 @@
 // error — never undefined behaviour, unbounded allocation or silently
 // wrong classifications.  Every mpcnn artifact (trained weights "MPCN",
 // compiled networks "MPBN", training checkpoints "MPCK" and their
-// manifests "MPCM") therefore shares one framed container:
+// manifests "MPCM", tuning caches "MPTU", scene traces "MPSE", fleet
+// plans "MPFP" and canary golden books "MPGB") therefore shares one
+// framed container:
 //
 //   magic[4]  u32 version  u64 payload_bytes  payload...  u32 crc32
 //
@@ -16,9 +18,10 @@
 // file size must equal header + payload + trailer exactly; truncation
 // and trailing garbage are both errors.
 //
-// Legacy compatibility: "MPCN"/"MPBN" version-1 files predate the frame
-// (no length field, no CRC).  ArtifactReader still reads them — the
-// payload is simply the rest of the file — so old caches keep loading.
+// Every artifact carries the length field and the CRC.  Each format
+// declares the oldest version this build reads; older files — including
+// the unframed "MPCN"/"MPBN" version-1 files that predate the frame — are
+// rejected with an error naming the version.
 //
 // Writes are atomic: ArtifactWriter assembles the payload in memory and
 // commit() goes write-to-temp → flush → fsync → rename(), so a crash at
@@ -80,18 +83,14 @@ class ArtifactWriter {
 /// number of bytes present.
 class ArtifactReader {
  public:
-  /// Validates magic, version <= max_version, and (for versions >=
-  /// `first_framed_version`) the declared payload length against the
-  /// file size plus the CRC-32 trailer.  Versions below
-  /// `first_framed_version` are legacy: the payload is the file tail,
-  /// with no integrity check.  Throws Error with a one-line reason on
-  /// any mismatch.
+  /// Validates magic, the format's oldest readable version <= version
+  /// <= max_version, the declared payload length against the file size,
+  /// and the CRC-32 trailer.  Throws Error with a one-line reason on any
+  /// mismatch.
   ArtifactReader(const std::string& path, ArtifactMagic magic,
-                 std::uint32_t max_version,
-                 std::uint32_t first_framed_version);
+                 std::uint32_t max_version);
 
   std::uint32_t version() const { return version_; }
-  bool framed() const { return framed_; }
   std::size_t remaining() const { return payload_.size() - cursor_; }
   const std::string& path() const { return path_; }
 
@@ -122,7 +121,6 @@ class ArtifactReader {
  private:
   std::string path_;
   std::uint32_t version_ = 0;
-  bool framed_ = false;
   std::vector<unsigned char> payload_;
   std::size_t cursor_ = 0;
 };
@@ -136,17 +134,17 @@ struct ArtifactInfo {
   ArtifactMagic magic{};
   std::string format;  ///< human name ("net weights", ...)
   std::uint32_t version = 0;
-  bool framed = false;  ///< carries length + CRC trailer
-  bool crc_ok = false;  ///< meaningful only when framed
+  bool crc_ok = false;
   std::uint64_t payload_bytes = 0;
   std::uint64_t file_bytes = 0;
 };
 
-/// Inspects any known artifact (MPCN/MPBN/MPCK/MPCM) without parsing its
-/// payload: magic lookup, version, declared length vs file size, CRC
-/// verification.  Throws Error on unknown magic, short files or length
-/// mismatches; a CRC mismatch is reported via `crc_ok = false` so
-/// callers can print a diagnosis instead of aborting.
+/// Inspects any known artifact (MPCN/MPBN/MPCK/MPCM/MPTU/MPSE/MPFP/MPGB)
+/// without parsing its payload: magic lookup, version, declared length vs
+/// file size, CRC verification.  Throws Error on unknown magic, short
+/// files, versions older than the format reads, or length mismatches; a
+/// CRC mismatch is reported via `crc_ok = false` so callers can print a
+/// diagnosis instead of aborting.
 ArtifactInfo inspect(const std::string& path);
 
 }  // namespace mpcnn::io

@@ -217,7 +217,7 @@ void save_checkpoint(const std::string& dir, const TrainerCheckpoint& ck) {
 }
 
 TrainerCheckpoint load_checkpoint_file(const std::string& path) {
-  io::ArtifactReader r(path, kCkptMagic, kVersion, 1);
+  io::ArtifactReader r(path, kCkptMagic, kVersion);
   TrainerCheckpoint ck;
   ck.global_step = r.pod<std::int64_t>();
   ck.epoch = r.pod<std::int32_t>();
@@ -252,7 +252,7 @@ TrainerCheckpoint load_checkpoint_file(const std::string& path) {
 }
 
 std::string read_manifest(const std::string& manifest) {
-  io::ArtifactReader r(manifest, kManifestMagic, kVersion, 1);
+  io::ArtifactReader r(manifest, kManifestMagic, kVersion);
   const auto step = r.pod<std::int64_t>();
   MPCNN_CHECK(step >= 0, manifest << ": negative step");
   const auto raw_len = r.pod<std::uint32_t>();

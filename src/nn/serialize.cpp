@@ -7,8 +7,7 @@ namespace mpcnn::nn {
 namespace {
 
 constexpr io::ArtifactMagic kMagic = {'M', 'P', 'C', 'N'};
-constexpr std::uint32_t kVersion = 2;      // current: framed, CRC-checked
-constexpr std::uint32_t kFirstFramed = 2;  // v1 predates the frame
+constexpr std::uint32_t kVersion = 2;  // v1 predates the frame; unreadable
 constexpr std::uint32_t kMaxRank = 8;
 
 std::vector<Tensor*> all_state(Net& net) {
@@ -76,7 +75,7 @@ void save_net(const Net& net, const std::string& path) {
 }
 
 void load_net(Net& net, const std::string& path) {
-  io::ArtifactReader reader(path, kMagic, kVersion, kFirstFramed);
+  io::ArtifactReader reader(path, kMagic, kVersion);
   const std::vector<Tensor*> state = all_state(net);
   const auto raw_count = reader.pod<std::uint64_t>();
   // Each tensor costs at least its u32 rank field.
@@ -102,10 +101,9 @@ bool is_net_file(const std::string& path) {
 }
 
 NetFileSummary summarize_net_file(const std::string& path) {
-  io::ArtifactReader reader(path, kMagic, kVersion, kFirstFramed);
+  io::ArtifactReader reader(path, kMagic, kVersion);
   NetFileSummary summary;
   summary.version = reader.version();
-  summary.framed = reader.framed();
   const auto raw_count = reader.pod<std::uint64_t>();
   const std::size_t count =
       reader.bounded_count(raw_count, sizeof(std::uint32_t), "tensor");

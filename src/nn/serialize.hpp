@@ -37,7 +37,6 @@ bool is_net_file(const std::string& path);
 /// (used by `mpcnn_cli verify`).  Throws Error on corruption.
 struct NetFileSummary {
   std::uint32_t version = 0;
-  bool framed = false;  ///< carries the CRC frame (version >= 2)
   std::vector<Shape> shapes;
 };
 NetFileSummary summarize_net_file(const std::string& path);

@@ -1,6 +1,6 @@
 // Adversarial tests for the hardened artifact layer (src/io/artifact):
 // frame validation, CRC integrity, bounded reads driven by hostile
-// header fields, legacy v1 compatibility, and atomic-commit behaviour.
+// header fields, version bounds, and atomic-commit behaviour.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -264,34 +264,64 @@ TEST_F(ArtifactTest, HostileDimsCannotDriveAllocation) {
   }
 }
 
-TEST_F(ArtifactTest, LegacyV1FilesStillLoad) {
-  const std::vector<unsigned char> v2 = golden_net("net.bin");
-  // A v1 file is magic + u32 version + bare payload — no length, no CRC.
-  std::vector<unsigned char> v1(v2.begin(), v2.begin() + 4);
-  const std::uint32_t one = 1;
-  v1.insert(v1.end(), reinterpret_cast<const unsigned char*>(&one),
-            reinterpret_cast<const unsigned char*>(&one) + 4);
-  v1.insert(v1.end(), v2.begin() + 16, v2.end() - 4);
-  spit(path("v1.bin"), v1);
+// Expects `fn` to throw a one-line Error that names `version`.
+template <class Fn>
+void expect_version_error(Fn fn, std::uint32_t version,
+                          const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": no error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("version " + std::to_string(version)),
+              std::string::npos)
+        << what << ": " << msg;
+    EXPECT_EQ(msg.find('\n'), std::string::npos) << what << ": " << msg;
+  }
+}
 
-  EXPECT_TRUE(nn::is_net_file(path("v1.bin")));
-  nn::Net loaded = make_micro_net();
-  nn::load_net(loaded, path("v1.bin"));  // must not throw
-  const nn::NetFileSummary summary = nn::summarize_net_file(path("v1.bin"));
-  EXPECT_EQ(summary.version, 1u);
-  EXPECT_FALSE(summary.framed);
-  ASSERT_EQ(summary.shapes.size(), 2u);
-  EXPECT_EQ(summary.shapes[0], Shape({2, 4}));
-  EXPECT_EQ(summary.shapes[1], Shape({2}));
+TEST_F(ArtifactTest, UnframedV1FilesAreRejected) {
+  // A v1 MPCN/MPBN file is magic + u32 version + bare payload — no
+  // length, no CRC.  No loader reads it.
+  const auto to_v1 = [](const std::vector<unsigned char>& v2) {
+    std::vector<unsigned char> v1(v2.begin(), v2.begin() + 8);
+    v1.insert(v1.end(), v2.begin() + 16, v2.end() - 4);
+    patch<std::uint32_t>(&v1, 4, 1);
+    return v1;
+  };
+  spit(path("net_v1.bin"), to_v1(golden_net("net.bin")));
+  bnn::save_compiled(make_micro_compiled(), path("bnn.bin"));
+  spit(path("bnn_v1.bin"), to_v1(slurp(path("bnn.bin"))));
 
-  // v1 has no CRC, but structural bounds still apply.
-  std::vector<unsigned char> cut(v1.begin(), v1.end() - 3);
-  spit(path("v1cut.bin"), cut);
-  EXPECT_THROW(nn::load_net(loaded, path("v1cut.bin")), Error);
-  std::vector<unsigned char> fat = v1;
-  fat.push_back(0);
-  spit(path("v1fat.bin"), fat);
-  EXPECT_THROW(nn::load_net(loaded, path("v1fat.bin")), Error);
+  EXPECT_TRUE(nn::is_net_file(path("net_v1.bin")));
+  nn::Net net = make_micro_net();
+  expect_version_error([&] { nn::load_net(net, path("net_v1.bin")); }, 1,
+                       "load_net");
+  expect_version_error([&] { nn::summarize_net_file(path("net_v1.bin")); },
+                       1, "summarize_net_file");
+  expect_version_error([&] { io::inspect(path("net_v1.bin")); }, 1,
+                       "inspect MPCN");
+  expect_version_error([&] { bnn::load_compiled(path("bnn_v1.bin")); }, 1,
+                       "load_compiled");
+  expect_version_error([&] { io::inspect(path("bnn_v1.bin")); }, 1,
+                       "inspect MPBN");
+}
+
+TEST_F(ArtifactTest, VersionZeroIsRejectedForEveryFormat) {
+  // A well-framed, CRC-valid empty payload at version 0: inspect() and
+  // the reader must agree that no format reads it.
+  const io::ArtifactMagic magics[] = {
+      {'M', 'P', 'C', 'N'}, {'M', 'P', 'B', 'N'}, {'M', 'P', 'C', 'K'},
+      {'M', 'P', 'C', 'M'}, {'M', 'P', 'T', 'U'}, {'M', 'P', 'S', 'E'},
+      {'M', 'P', 'F', 'P'}, {'M', 'P', 'G', 'B'}};
+  for (const io::ArtifactMagic& magic : magics) {
+    const std::string name(magic.data(), magic.size());
+    const std::string p = path(name + "_v0.bin");
+    io::ArtifactWriter(magic, 0).commit(p);
+    expect_version_error([&] { io::inspect(p); }, 0, "inspect " + name);
+    expect_version_error([&] { io::ArtifactReader(p, magic, 99); }, 0,
+                         "reader " + name);
+  }
 }
 
 TEST_F(ArtifactTest, InspectDiagnosesWithoutThrowingOnBadCrc) {
@@ -299,7 +329,6 @@ TEST_F(ArtifactTest, InspectDiagnosesWithoutThrowingOnBadCrc) {
   io::ArtifactInfo info = io::inspect(path("net.bin"));
   EXPECT_EQ(info.format, "net weights");
   EXPECT_EQ(info.version, 2u);
-  EXPECT_TRUE(info.framed);
   EXPECT_TRUE(info.crc_ok);
   EXPECT_EQ(info.file_bytes, golden.size());
   EXPECT_EQ(info.payload_bytes, golden.size() - 20);

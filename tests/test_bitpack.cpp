@@ -151,27 +151,6 @@ TEST(CopyBits, MatchesPerBitReferenceAcrossOffsets) {
   }
 }
 
-TEST(XorMismatchesRange, MatchesPerBitReference) {
-  Rng rng(101);
-  const Dim n = 3 * 64 + 7;
-  BitVector a(n), b(n);
-  for (Dim i = 0; i < n; ++i) {
-    a.set(i, rng.bernoulli(0.5));
-    b.set(i, rng.bernoulli(0.5));
-  }
-  for (const auto& [begin, end] :
-       std::vector<std::pair<Dim, Dim>>{{0, 0}, {0, 1}, {0, 64}, {0, n},
-                                        {1, 63}, {5, 64}, {63, 65},
-                                        {64, 128}, {70, 199}, {128, n}}) {
-    Dim expected = 0;
-    for (Dim i = begin; i < end; ++i) {
-      if (a.get(i) != b.get(i)) ++expected;
-    }
-    EXPECT_EQ(xor_mismatches_range(a.data(), b.data(), begin, end), expected)
-        << "range [" << begin << ", " << end << ")";
-  }
-}
-
 // Randomized packed-vs-scalar equivalence at tail-word hostile widths:
 // cols % 64 ∈ {0, 1, 63} plus small odd sizes.
 class XnorGemmShapes : public ::testing::TestWithParam<int> {};

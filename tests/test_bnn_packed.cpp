@@ -1,11 +1,11 @@
-// Packed-vs-scalar equivalence of the compiled-BNN execution engines.
+// Packed-vs-oracle equivalence of the compiled-BNN engine.
 //
 // The word-parallel engine (bit-level im2col + XNOR-popcount GEMM with a
-// fused threshold epilogue) must reproduce the scalar oracle bit for bit:
-// identical class scores on every compiled topology, at any thread count.
+// fused threshold epilogue) must reproduce the generic L-level oracle bit
+// for bit: identical class scores on every compiled topology, at any
+// thread count.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "bnn/compile.hpp"
@@ -50,8 +50,8 @@ void expect_scores_equal(const PackedFixture& fx) {
   for (Dim i = 0; i < fx.images.shape()[0]; ++i) {
     const Tensor img = fx.image(i);
     const auto packed = run_reference(fx.net, img, BnnExec::kPacked);
-    const auto scalar = run_reference(fx.net, img, BnnExec::kScalar);
-    ASSERT_EQ(packed, scalar) << "image " << i;
+    const auto oracle = run_reference(fx.net, img, BnnExec::kOracle);
+    ASSERT_EQ(packed, oracle) << "image " << i;
   }
 }
 
@@ -76,26 +76,9 @@ TEST(PackedBnn, BatchMatchesPerImageScores) {
   ASSERT_EQ(batch.size(), static_cast<std::size_t>(fx.images.shape()[0]));
   for (Dim i = 0; i < fx.images.shape()[0]; ++i) {
     EXPECT_EQ(batch[static_cast<std::size_t>(i)],
-              run_reference(fx.net, fx.image(i), BnnExec::kScalar))
+              run_reference(fx.net, fx.image(i), BnnExec::kOracle))
         << "image " << i;
   }
-}
-
-TEST(PackedBnn, EnvToggleSelectsEngine) {
-  const PackedFixture fx(0.125f, 64, 53, 1);
-  const Tensor img = fx.image(0);
-  const auto packed = run_reference(fx.net, img, BnnExec::kPacked);
-
-  // kAuto consults MPCNN_BNN_EXEC on every call; both settings must agree
-  // with the explicit engines (and with each other).
-  ::setenv("MPCNN_BNN_EXEC", "scalar", 1);
-  EXPECT_EQ(run_reference(fx.net, img), packed);
-  ::setenv("MPCNN_BNN_EXEC", "packed", 1);
-  EXPECT_EQ(run_reference(fx.net, img), packed);
-  ::setenv("MPCNN_BNN_EXEC", "simd-ish", 1);
-  EXPECT_THROW(run_reference(fx.net, img), Error);
-  ::unsetenv("MPCNN_BNN_EXEC");
-  EXPECT_EQ(run_reference(fx.net, img), packed);
 }
 
 TEST(Determinism, PackedBnnReferenceIdenticalAcrossThreadCounts) {

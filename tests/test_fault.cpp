@@ -11,7 +11,6 @@
 #include "core/stream.hpp"
 #include "core/threadpool.hpp"
 #include "core/workbench.hpp"
-#include "finn/executor.hpp"
 
 namespace mpcnn {
 namespace {
@@ -114,29 +113,6 @@ TEST(WeightScrub, SeuIsCaughtAndRepairedBitIdentical) {
             bnn::run_reference(fabric, image));
   EXPECT_EQ(bnn::run_reference(fabric, image), clean);
   EXPECT_EQ(core::scrub_weights(fabric, golden, book), 0);
-}
-
-TEST(WeightScrub, RepairsMemoryUnderALiveFoldedExecutor) {
-  // The FINN emulator reads the emulated on-chip memory by reference:
-  // an SEU visibly diverts the folded datapath, and an in-place scrub
-  // restores it without rebuilding the executor.
-  const bnn::CompiledBnn golden = tiny_compiled(41);
-  const core::WeightCrcBook book = core::crc_book(golden);
-  bnn::CompiledBnn fabric = golden;
-  const auto engines = finn::engines_for_compiled(fabric, 20'000, 32);
-  finn::FoldedExecutor executor(fabric, engines);
-
-  Rng rng(43);
-  Tensor image(Shape{1, 3, 32, 32});
-  image.fill_uniform(rng, 0.0f, 1.0f);
-  const std::vector<std::int32_t> clean = executor.run(image);
-
-  core::FaultPlan plan;
-  plan.add(window(core::FaultKind::kSeuWeightFlip, 0, 0, 1.0, 64));
-  core::FaultInjector injector(3, plan);
-  ASSERT_EQ(injector.apply_seu(fabric, 0), 64);
-  ASSERT_GE(core::scrub_weights(fabric, golden, book), 1);
-  EXPECT_EQ(executor.run(image), clean);
 }
 
 // ------------------------------------------------- supervised streaming

@@ -2,86 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bnn/topology.hpp"
 
 namespace mpcnn::finn {
 namespace {
 
-struct CompiledFixture {
-  bnn::CompiledBnn net;
-  Tensor images{Shape{0}};
-
-  explicit CompiledFixture(std::uint64_t seed) {
-    bnn::CnvConfig config;
-    config.width = 0.125f;  // 8/16/32 channels — fast to execute
-    nn::Net graph = bnn::make_cnv_net(config);
-    Rng rng(seed);
-    graph.init(rng);
-    net = bnn::compile_bnn(graph);
-    images = Tensor(Shape{4, 3, 32, 32});
-    images.fill_uniform(rng, 0.0f, 1.0f);
-  }
-};
-
-class FoldedVsReference : public ::testing::TestWithParam<std::int64_t> {};
-
-TEST_P(FoldedVsReference, BitExactScoresAtAnyFolding) {
-  CompiledFixture fx(17);
-  const std::int64_t target = GetParam();
-  const auto engines = engines_for_compiled(fx.net, target, 32);
-  FoldedExecutor executor(fx.net, engines);
-  for (Dim i = 0; i < fx.images.shape()[0]; ++i) {
-    const Tensor image = fx.images.slice_batch(i);
-    const auto folded = executor.run(image);
-    const auto reference = bnn::run_reference(fx.net, image);
-    ASSERT_EQ(folded, reference) << "image " << i << " target " << target;
-  }
+bnn::CompiledBnn compiled_cnv(std::uint64_t seed) {
+  bnn::CnvConfig config;
+  config.width = 0.125f;  // 8/16/32 channels
+  nn::Net graph = bnn::make_cnv_net(config);
+  Rng rng(seed);
+  graph.init(rng);
+  return bnn::compile_bnn(graph);
 }
-
-INSTANTIATE_TEST_SUITE_P(FoldingTargets, FoldedVsReference,
-                         ::testing::Values(1, 5'000, 50'000, 500'000,
-                                           5'000'000));
 
 TEST(FoldedExecutor, TraceCyclesMatchEquations) {
-  // The executed tile-walk count must equal the Eq. (3)/(4) closed form —
-  // the performance model is validated by a working implementation.
-  CompiledFixture fx(19);
-  const auto engines = engines_for_compiled(fx.net, 20'000, 32);
-  FoldedExecutor executor(fx.net, engines);
-  ExecutionTrace trace;
-  (void)executor.run(fx.images.slice_batch(0), &trace);
-  ASSERT_EQ(trace.engine_cycles.size(), engines.size());
-  for (std::size_t e = 0; e < engines.size(); ++e) {
-    EXPECT_EQ(trace.engine_cycles[e], engines[e].cycles_per_image())
-        << "engine " << e;
+  // The walked tile count must equal the Eq. (3)/(4) closed form at every
+  // folding, from fully unrolled to fully folded — the performance model
+  // is held to a count taken over the compiled stages' own geometry.
+  const bnn::CompiledBnn net = compiled_cnv(19);
+  for (std::int64_t target : {1, 5'000, 20'000, 500'000, 5'000'000}) {
+    const auto engines = engines_for_compiled(net, target, 32);
+    const ExecutionTrace trace = FoldedExecutor(net, engines).trace();
+    ASSERT_EQ(trace.engine_cycles.size(), engines.size());
+    std::int64_t total = 0;
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      EXPECT_EQ(trace.engine_cycles[e], engines[e].cycles_per_image())
+          << "engine " << e << " target " << target;
+      total += trace.engine_cycles[e];
+    }
+    EXPECT_EQ(trace.total_cycles, total);
+    EXPECT_EQ(trace.bottleneck_cycles,
+              *std::max_element(trace.engine_cycles.begin(),
+                                trace.engine_cycles.end()));
   }
-  EXPECT_EQ(trace.bottleneck_cycles,
-            *std::max_element(trace.engine_cycles.begin(),
-                              trace.engine_cycles.end()));
-}
-
-TEST(FoldedExecutor, ClassifyAgreesWithReference) {
-  CompiledFixture fx(23);
-  const auto engines = engines_for_compiled(fx.net, 100'000, 32);
-  FoldedExecutor executor(fx.net, engines);
-  EXPECT_EQ(executor.classify(fx.images),
-            bnn::classify_reference(fx.net, fx.images));
 }
 
 TEST(FoldedExecutor, RejectsMismatchedEngines) {
-  CompiledFixture fx(29);
-  auto engines = engines_for_compiled(fx.net, 100'000, 32);
+  const bnn::CompiledBnn net = compiled_cnv(29);
+  auto engines = engines_for_compiled(net, 100'000, 32);
   engines.pop_back();
-  EXPECT_THROW(FoldedExecutor(fx.net, engines), Error);
+  EXPECT_THROW(FoldedExecutor(net, engines), Error);
 
-  auto engines2 = engines_for_compiled(fx.net, 100'000, 32);
+  auto engines2 = engines_for_compiled(net, 100'000, 32);
   engines2[0].folding.pe = 3;  // 3 ∤ 8 output channels
-  EXPECT_THROW(FoldedExecutor(fx.net, engines2), Error);
+  EXPECT_THROW(FoldedExecutor(net, engines2), Error);
 }
 
 TEST(EnginesForCompiled, OnePerComputeStage) {
-  CompiledFixture fx(31);
-  const auto engines = engines_for_compiled(fx.net, 100'000, 32);
+  const bnn::CompiledBnn net = compiled_cnv(31);
+  const auto engines = engines_for_compiled(net, 100'000, 32);
   // 6 convs + 3 dense = 9 engines; pools are not engines.
   EXPECT_EQ(engines.size(), 9u);
   EXPECT_FALSE(engines.front().layer.binarised_input);

@@ -295,8 +295,8 @@ TEST(InstrumentedEngine, CheckedPathMatchesFusedAndScalarOracle) {
     Tensor image(Shape{1, 3, 32, 32});
     image.fill_uniform(rng, 0.0f, 1.0f);
     const std::vector<std::int32_t> fused = bnn::run_reference(net, image);
-    const std::vector<std::int32_t> scalar =
-        bnn::run_reference(net, image, bnn::BnnExec::kScalar);
+    const std::vector<std::int32_t> oracle =
+        bnn::run_reference(net, image, bnn::BnnExec::kOracle);
     std::vector<std::int32_t> checked;
     {
       core::SerialGuard serial;
@@ -305,7 +305,7 @@ TEST(InstrumentedEngine, CheckedPathMatchesFusedAndScalarOracle) {
       EXPECT_GT(scope.calls_seen(), 0);
     }
     EXPECT_EQ(checked, fused) << i;
-    EXPECT_EQ(checked, scalar) << i;
+    EXPECT_EQ(checked, oracle) << i;
   }
   EXPECT_TRUE(sink.empty());
 }

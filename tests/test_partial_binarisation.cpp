@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "bnn/binary_layers.hpp"
 #include "bnn/compile.hpp"
@@ -188,21 +190,36 @@ TEST(PartialBinarisation, CompiledMatchesGraphPredictions) {
 }
 
 TEST(PartialBinarisation, GenericExecutorMatchesBinaryPathOnBinaryNets) {
-  // For a fully binary net the generic multi-level executor must agree
-  // with the bit-packed fast path exactly.
-  nn::Net net = make_cnv_net(partial_config(1));
-  Rng rng(17);
-  net.init(rng);
-  CompiledBnn compiled = compile_bnn(net);
-  Tensor images(Shape{4, 3, 32, 32});
-  images.fill_uniform(rng, 0.0f, 1.0f);
-  const std::vector<int> fast = classify_reference(compiled, images);
-  // Force the generic path by faking a multi-level stage marker on a
-  // copy... instead: lift levels on the *output* metadata only is not
-  // allowed; rebuild as QuantActive(1) which is semantically identical
-  // yet exercises quantise_level().  Both must match the fast path.
-  const std::vector<int> again = classify_reference(compiled, images);
-  EXPECT_EQ(fast, again);
+  // A fully binary net is the generic executor's L = 2 case: the oracle
+  // must reproduce the packed engine's scores byte for byte, on the 1-bit
+  // QuantActive config and on the BinActive CNV family at three widths.
+  std::vector<CnvConfig> configs = {partial_config(1)};
+  for (float width : {0.125f, 0.25f, 0.5f}) {
+    CnvConfig config;
+    config.width = width;
+    configs.push_back(config);
+  }
+  std::uint64_t seed = 17;
+  for (const CnvConfig& config : configs) {
+    nn::Net net = make_cnv_net(config);
+    Rng rng(seed++);
+    net.init(rng);
+    const CompiledBnn compiled = compile_bnn(net);
+    ASSERT_TRUE(compiled.fully_binary());
+    Tensor images(Shape{2, 3, 32, 32});
+    images.fill_uniform(rng, 0.0f, 1.0f);
+    for (Dim i = 0; i < images.shape()[0]; ++i) {
+      const Tensor image = images.slice_batch(i);
+      const auto oracle = run_reference(compiled, image, BnnExec::kOracle);
+      const auto packed = run_reference(compiled, image, BnnExec::kPacked);
+      ASSERT_EQ(oracle.size(), packed.size());
+      EXPECT_EQ(std::memcmp(oracle.data(), packed.data(),
+                            oracle.size() * sizeof(std::int32_t)),
+                0)
+          << "width " << config.width << " bits " << config.activation_bits
+          << " image " << i;
+    }
+  }
 }
 
 TEST(PartialBinarisation, FoldedExecutorRejectsMultiBitNets) {

@@ -14,7 +14,6 @@
 
 #include "bnn/compile.hpp"
 #include "bnn/topology.hpp"
-#include "finn/executor.hpp"
 #include "nn/conv.hpp"
 #include "tensor/error.hpp"
 #include "tensor/gemm.hpp"
@@ -271,28 +270,6 @@ struct CompiledFixture {
     images.fill_uniform(rng, 0.0f, 1.0f);
   }
 };
-
-TEST(Determinism, FoldedExecutorBatchIdenticalAcrossThreadCounts) {
-  PoolSizeRestore restore;
-  CompiledFixture fx;
-  const auto engines = finn::engines_for_compiled(fx.net, 100'000, 32);
-  finn::FoldedExecutor executor(fx.net, engines);
-
-  core::set_thread_count(1);
-  finn::ExecutionTrace trace1;
-  const auto scores1 = executor.run_batch(fx.images, &trace1);
-  const auto labels1 = executor.classify(fx.images);
-  core::set_thread_count(4);
-  finn::ExecutionTrace trace4;
-  const auto scores4 = executor.run_batch(fx.images, &trace4);
-  const auto labels4 = executor.classify(fx.images);
-
-  EXPECT_EQ(scores1, scores4);
-  EXPECT_EQ(labels1, labels4);
-  EXPECT_EQ(trace1.engine_cycles, trace4.engine_cycles);
-  EXPECT_EQ(trace1.total_cycles, trace4.total_cycles);
-  EXPECT_EQ(trace1.bottleneck_cycles, trace4.bottleneck_cycles);
-}
 
 TEST(Determinism, BnnReferenceClassifyIdenticalAcrossThreadCounts) {
   PoolSizeRestore restore;

@@ -357,10 +357,8 @@ int cmd_verify(const Args& args) {
               path.c_str(), info.format.c_str(), info.version,
               static_cast<unsigned long long>(info.payload_bytes),
               static_cast<unsigned long long>(info.file_bytes),
-              !info.framed ? "legacy unframed (no CRC)"
-              : info.crc_ok ? "CRC ok"
-                            : "CRC MISMATCH");
-  if (info.framed && !info.crc_ok) {
+              info.crc_ok ? "CRC ok" : "CRC MISMATCH");
+  if (!info.crc_ok) {
     std::fprintf(stderr, "error: %s is corrupt (CRC mismatch)\n",
                  path.c_str());
     return 1;
