@@ -36,8 +36,7 @@ for isa in $ISA_LEVELS; do
 done
 
 # Artifact robustness: 1200+ seeded corruptions of every on-disk format
-# (including the MPTU tuning cache and MPSE scene traces) must be
-# rejected with clean errors,
+# (including MPSE scene traces) must be rejected with clean errors,
 # and a kill -9 mid-training must resume to byte-identical artifacts.
 build/tools/fuzz_artifact --iterations 1200 2>&1 | tee fuzz_output.txt
 sh tests/checkpoint_kill_resume.sh build/tools/mpcnn_cli \
@@ -50,10 +49,7 @@ sh tests/checkpoint_kill_resume.sh build/tools/mpcnn_cli \
 # undefended run).  Exit status carries the gate.
 build/tools/integrity_sweep 2>&1 | tee integrity_sweep_output.txt
 
-# Autotune this machine once (persists mpcnn_tune.mptu through the
-# artifact layer), then record the probe + bindings; the benches below
-# run against the warm cache, so their rows are the tuned paths.
-build/tools/mpcnn_cli tune 2>&1 | tee tune_output.txt
+# Record the CPU probe + kernel bindings the benches below run with.
 build/tools/mpcnn_cli cpuinfo 2>&1 | tee cpuinfo_output.txt
 
 # Snapshot the committed baselines BEFORE the benches overwrite them;

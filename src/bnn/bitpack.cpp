@@ -4,8 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <mutex>
-#include <string>
-#include <vector>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -13,7 +11,6 @@
 
 #include "bnn/kernels.hpp"
 #include "bnn/kernels_impl.hpp"
-#include "core/autotune.hpp"
 #include "core/cpu.hpp"
 #include "core/integrity/integrity.hpp"
 #include "core/threadpool.hpp"
@@ -345,106 +342,9 @@ BitMatrix bit_im2col(const std::uint64_t* planes, Dim plane_words, Dim ch,
 
 namespace {
 
-// Autotuned xnor_gemm schedule: `grain` is the thread-chunk of A rows
-// (kept a multiple of 4 so chunk edges stay on quad-row block edges) and
-// `pblock` tiles B's rows so a block of patch rows stays cache-hot while
-// every A-row quad sweeps it.  Both parameters only reorder independent
-// integer dot products — outputs are identical for any choice.
-struct XnorSchedule {
-  Dim grain, pblock;
-};
-
-const char* xnor_class(Dim wpr) {
-  if (wpr <= 2) return "narrow";
-  if (wpr <= 8) return "mid";
-  return "wide";
-}
-
-void xnor_gemm_with_schedule(const BitMatrix& a, const BitMatrix& b,
-                             std::int32_t* c, const XnorSchedule& sched);
-
-BitMatrix synthetic_bits(Dim rows, Dim cols, std::uint64_t seed) {
-  BitMatrix m(rows, cols);
-  std::uint64_t x = seed;
-  for (Dim r = 0; r < rows; ++r) {
-    std::uint64_t* row = m.row_data(r);
-    for (Dim t = 0; t < m.words_per_row(); ++t) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      row[t] = x;
-    }
-    // Keep the padding contract: bits past `cols` stay zero.
-    const Dim pad = m.words_per_row() * 64 - cols;
-    if (pad > 0) row[m.words_per_row() - 1] &= ~0ULL >> pad;
-  }
-  return m;
-}
-
-XnorSchedule xnor_schedule_for(Dim wpr) {
-  const char* cls = xnor_class(wpr);
-  static const std::vector<std::string> names = {"grain", "pblock"};
-  static const std::vector<std::vector<std::int64_t>> candidates = {
-      {4, 1 << 30},  // quad rows, unblocked sweep — the PR 2 baseline
-      {4, 256},      {8, 512}, {16, 1024}, {4, 128}, {8, 1 << 30},
-  };
-  const auto measure = [&](const std::vector<std::int64_t>& cand) {
-    const Dim rep_cols = wpr <= 2 ? 128 : (wpr <= 8 ? 512 : 2048);
-    const BitMatrix wa = synthetic_bits(128, rep_cols, 0x2545F4914F6CDD1DULL);
-    const BitMatrix pb = synthetic_bits(512, rep_cols, 0x9E3779B97F4A7C15ULL);
-    std::vector<std::int32_t> out(static_cast<std::size_t>(128 * 512));
-    const XnorSchedule sched{static_cast<Dim>(cand[0]),
-                             static_cast<Dim>(cand[1])};
-    return core::autotune::measure_seconds(
-        [&] { xnor_gemm_with_schedule(wa, pb, out.data(), sched); });
-  };
-  const auto v =
-      core::autotune::pick("xnor_gemm", cls, names, candidates, measure);
-  return {static_cast<Dim>(v[0]), static_cast<Dim>(v[1])};
-}
-
-void xnor_gemm_with_schedule(const BitMatrix& a, const BitMatrix& b,
-                             std::int32_t* c, const XnorSchedule& sched) {
-  const Dim n = b.rows();
-  const Dim wpr = a.words_per_row();
-  const Dim cols = a.cols();
-  const detail::BnnKernels& kern = detail::kernels();
-  core::parallel_for(0, a.rows(), sched.grain, [&](Dim r0, Dim r1) {
-    for (Dim p0 = 0; p0 < n; p0 += sched.pblock) {
-      const Dim p1 = std::min<Dim>(n, p0 + sched.pblock);
-      Dim r = r0;
-      for (; r + 4 <= r1; r += 4) {
-        const std::uint64_t* ar = a.row_data(r);
-        std::int32_t* crow = c + r * n;
-        for (Dim p = p0; p < p1; ++p) {
-          std::int64_t m[4];
-          kern.xor_pop4(ar, wpr, b.row_data(p), wpr, m);
-          crow[p] = static_cast<std::int32_t>(cols - 2 * m[0]);
-          crow[n + p] = static_cast<std::int32_t>(cols - 2 * m[1]);
-          crow[2 * n + p] = static_cast<std::int32_t>(cols - 2 * m[2]);
-          crow[3 * n + p] = static_cast<std::int32_t>(cols - 2 * m[3]);
-        }
-      }
-      for (; r < r1; ++r) {
-        const std::uint64_t* ar = a.row_data(r);
-        std::int32_t* crow = c + r * n;
-        for (Dim p = p0; p < p1; ++p) {
-          crow[p] = static_cast<std::int32_t>(
-              cols - 2 * kern.xor_pop(ar, b.row_data(p), wpr));
-        }
-      }
-    }
-  });
-}
-
-void tune_xnor_gemm() {
-  for (const Dim wpr : {Dim{2}, Dim{8}, Dim{32}}) {
-    xnor_schedule_for(wpr);
-  }
-}
-
-[[maybe_unused]] const bool kXnorTunerRegistered =
-    core::autotune::register_tuner("xnor_gemm", &tune_xnor_gemm);
+// Thread chunks of A rows stay a multiple of 4 so chunk edges fall on
+// the kernel's quad-row block edges.
+constexpr Dim kXnorGrain = 4;
 
 // The xnor ABFT reference rides the active xor-popcount dispatch (the
 // masked column counts reduce to xor_pop via the ∧/⊕ identity), so the
@@ -464,10 +364,35 @@ void xnor_gemm(const BitMatrix& a, const BitMatrix& b, std::int32_t* c) {
   // An inactive guard costs one thread-local load.
   namespace integ = core::integrity;
   integ::XnorGuard guard = integ::xnor_begin();
-  xnor_gemm_with_schedule(a, b, c, xnor_schedule_for(a.words_per_row()));
-  integ::xnor_end(guard, a.row_data(0), a.rows(), a.cols(),
-                  a.words_per_row(), b.row_data(0), b.rows(), c,
-                  detail::kernels().xor_pop, detail::kernels().xor_pop4);
+  const Dim n = b.rows();
+  const Dim wpr = a.words_per_row();
+  const Dim cols = a.cols();
+  const detail::BnnKernels& kern = detail::kernels();
+  core::parallel_for(0, a.rows(), kXnorGrain, [&](Dim r0, Dim r1) {
+    Dim r = r0;
+    for (; r + 4 <= r1; r += 4) {
+      const std::uint64_t* ar = a.row_data(r);
+      std::int32_t* crow = c + r * n;
+      for (Dim p = 0; p < n; ++p) {
+        std::int64_t m[4];
+        kern.xor_pop4(ar, wpr, b.row_data(p), wpr, m);
+        crow[p] = static_cast<std::int32_t>(cols - 2 * m[0]);
+        crow[n + p] = static_cast<std::int32_t>(cols - 2 * m[1]);
+        crow[2 * n + p] = static_cast<std::int32_t>(cols - 2 * m[2]);
+        crow[3 * n + p] = static_cast<std::int32_t>(cols - 2 * m[3]);
+      }
+    }
+    for (; r < r1; ++r) {
+      const std::uint64_t* ar = a.row_data(r);
+      std::int32_t* crow = c + r * n;
+      for (Dim p = 0; p < n; ++p) {
+        crow[p] = static_cast<std::int32_t>(
+            cols - 2 * kern.xor_pop(ar, b.row_data(p), wpr));
+      }
+    }
+  });
+  integ::xnor_end(guard, a.row_data(0), a.rows(), cols, wpr, b.row_data(0),
+                  n, c, kern.xor_pop, kern.xor_pop4);
 }
 
 }  // namespace mpcnn::bnn

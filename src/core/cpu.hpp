@@ -61,8 +61,8 @@ void refresh_isa();
 /// against the generation they were bound at and rebind when stale.
 int isa_generation();
 
-/// Human-readable signature of (features, active level) — the key that
-/// invalidates persisted tuning caches when the machine changes, e.g.
+/// Human-readable signature of (features, active level) — the key bench
+/// gates use to tell machines apart, e.g.
 /// "x86-64 sse2+popcnt+avx2+fma isa=avx2".
 std::string cpu_signature();
 

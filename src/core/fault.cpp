@@ -5,24 +5,10 @@
 
 #include "io/artifact.hpp"
 #include "tensor/error.hpp"
+#include "tensor/rng.hpp"
 
 namespace mpcnn::core {
 namespace {
-
-// SplitMix64 finalizer — the stateless mixing primitive behind every
-// injection decision.  Chaining mix64 over (seed, tag, args...) gives an
-// order-independent per-query value, which is what makes the injector
-// safe to consult from any code path without perturbing the replay.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
-  return mix64(a ^ mix64(b));
-}
 
 // Per-kind stream tags keep e.g. SEU targeting independent of input
 // corruption even when windows share dispatch indices.

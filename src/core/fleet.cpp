@@ -8,6 +8,19 @@
 #include "tensor/error.hpp"
 
 namespace mpcnn::core {
+namespace {
+
+// EWMA weight on history: health = decay·health + (1−decay)·sample.
+constexpr double kHealthDecay = 0.6;
+// Routing cost inflation at health 0: cost × (1 + penalty·(1−h)).
+constexpr double kBrownoutPenalty = 3.0;
+// EWMA weight on the latency-spike history (completion overruns).
+constexpr double kSpikeDecay = 0.5;
+// Health granted by a successful recovery probe — re-admission is
+// gradual, not a jump back to 1.0.
+constexpr double kReadmitHealth = 0.5;
+
+}  // namespace
 
 FleetScheduler::FleetScheduler(FleetConfig config,
                                std::vector<StreamSession> replicas,
@@ -19,17 +32,6 @@ FleetScheduler::FleetScheduler(FleetConfig config,
   MPCNN_CHECK(!replicas.empty(), "a fleet needs at least one replica");
   MPCNN_CHECK(config_.batch_size >= 1, "batch size");
   MPCNN_CHECK(config_.host_workers >= 0, "host_workers must be >= 0");
-  MPCNN_CHECK(config_.health_decay >= 0.0 && config_.health_decay < 1.0,
-              "health_decay must lie in [0, 1)");
-  MPCNN_CHECK(config_.spike_decay >= 0.0 && config_.spike_decay < 1.0,
-              "spike_decay must lie in [0, 1)");
-  MPCNN_CHECK(config_.health_floor >= 0.0 && config_.health_floor <= 1.0,
-              "health_floor must lie in [0, 1]");
-  MPCNN_CHECK(config_.readmit_health >= 0.0 &&
-                  config_.readmit_health <= 1.0,
-              "readmit_health must lie in [0, 1]");
-  MPCNN_CHECK(config_.brownout_penalty >= 0.0,
-              "brownout_penalty must be >= 0");
   MPCNN_CHECK(config_.max_redispatch >= 0,
               "max_redispatch must be >= 0");
   MPCNN_CHECK(config_.probe_interval >= 0,
@@ -122,10 +124,9 @@ FleetScheduler::Plan FleetScheduler::plan_route(
       done = completion(rep);
     } else {
       if (rep.session.fabric_state() == FabricState::kDegraded) continue;
-      if (rep.health < config_.health_floor) continue;
+      if (rep.health < kHealthFloor) continue;
       done = completion(rep);
-      cost = (done - now) *
-             (1.0 + (1.0 - rep.health) * config_.brownout_penalty);
+      cost = (done - now) * (1.0 + (1.0 - rep.health) * kBrownoutPenalty);
     }
     if (best.replica < 0 || cost < best_cost) {
       best.replica = static_cast<Dim>(r);
@@ -175,8 +176,8 @@ void FleetScheduler::update_health(Replica& rep,
     if (expected_done > now && actual > expected_done) {
       overrun = (actual - now) / (expected_done - now) - 1.0;
     }
-    rep.spike_ewma = config_.spike_decay * rep.spike_ewma +
-                     (1.0 - config_.spike_decay) * std::min(overrun, 4.0);
+    rep.spike_ewma = kSpikeDecay * rep.spike_ewma +
+                     (1.0 - kSpikeDecay) * std::min(overrun, 4.0);
     sample = 1.0 - 0.35 * std::min(timeouts, 2.0) -
              0.15 * std::min(hits, 2.0) -
              0.25 * std::min(rep.spike_ewma, 2.0) -
@@ -186,8 +187,7 @@ void FleetScheduler::update_health(Replica& rep,
   // A batch the replica failed to serve scores zero: brownouts shed
   // load gradually as the EWMA sinks, rather than flapping on a single
   // bad dispatch.
-  rep.health = config_.health_decay * rep.health +
-               (1.0 - config_.health_decay) * sample;
+  rep.health = kHealthDecay * rep.health + (1.0 - kHealthDecay) * sample;
 }
 
 void FleetScheduler::dispatch(std::vector<Tagged> batch, double now) {
@@ -214,7 +214,7 @@ void FleetScheduler::dispatch(std::vector<Tagged> batch, double now) {
       ++stats_.probes;
       ++rep.probes;
       rep.last_probe_batch = batches_seen_;
-      if (config_.scrub_on_probe) rep.session.scrub_now();
+      rep.session.scrub_now();
     }
     const bool was_degraded =
         rep.session.fabric_state() == FabricState::kDegraded;
@@ -240,7 +240,7 @@ void FleetScheduler::dispatch(std::vector<Tagged> batch, double now) {
         ++stats_.probe_successes;
         ++stats_.readmissions;
         ++rep.readmissions;
-        rep.health = std::max(rep.health, config_.readmit_health);
+        rep.health = std::max(rep.health, kReadmitHealth);
       }
       return;
     }

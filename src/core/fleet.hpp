@@ -26,8 +26,8 @@
 //    cannot ride the backoff ladder while peers sit idle;
 //  * recovery probes — every `probe_interval` fleet batches a degraded
 //    replica gets one real batch as a probe, preceded by a CRC scrub of
-//    its emulated weight memory; success re-admits it at
-//    `readmit_health` (ramping back to full health via the EWMA), and
+//    its emulated weight memory; success re-admits it at health 0.5
+//    (ramping back to full health via the EWMA), and
 //    failure just bounces the batch to a peer.
 //
 // Determinism contract: dispatch() is driven from a serial event loop
@@ -54,30 +54,22 @@ enum class RoutePolicy {
   kHealthCost,    ///< min expected completion × brownout(health)
 };
 
+/// Replicas below this health are quarantined (probe-only) under
+/// kHealthCost routing.
+inline constexpr double kHealthFloor = 0.05;
+
 /// Fleet-level knobs; the per-replica supervisor keeps its own
 /// StreamSession::Config.
 struct FleetConfig {
   Dim batch_size = 16;     ///< direct-API auto-dispatch size
   RoutePolicy routing = RoutePolicy::kHealthCost;
   Dim host_workers = 1;    ///< last-resort float workers (M)
-  /// EWMA weight on history: health = decay·health + (1−decay)·sample.
-  double health_decay = 0.6;
-  /// Replicas below this health are quarantined (probe-only) under
-  /// kHealthCost routing.
-  double health_floor = 0.05;
-  /// Routing cost inflation at health 0: cost × (1 + penalty·(1−h)).
-  double brownout_penalty = 3.0;
-  /// EWMA weight on the latency-spike history (completion overruns).
-  double spike_decay = 0.5;
-  /// Health granted by a successful recovery probe — re-admission is
-  /// gradual, not a jump back to 1.0.
-  double readmit_health = 0.5;
   /// Re-dispatches allowed per batch before the host workers take it.
   int max_redispatch = 2;
   /// Fleet batches between recovery probes of a degraded replica
-  /// (0 = probes off; a degraded replica then never re-admits).
+  /// (0 = probes off; a degraded replica then never re-admits).  Each
+  /// probe CRC-scrubs the replica's weights first.
   Dim probe_interval = 4;
-  bool scrub_on_probe = true;  ///< CRC-scrub weights before the probe
   /// Copied into every replica session's give_up_factor by
   /// Workbench::make_fleet (0 = hedging off; see StreamSession::Config).
   double hedge_factor = 0.0;

@@ -5,20 +5,13 @@
 #include "core/fault.hpp"
 #include "io/artifact.hpp"
 #include "tensor/error.hpp"
+#include "tensor/rng.hpp"
 
 namespace mpcnn::core::integrity {
 namespace {
 
 constexpr io::ArtifactMagic kMagic{{'M', 'P', 'G', 'B'}};
 constexpr std::uint32_t kVersion = 1;
-
-// SplitMix64 finalizer (as in core/fault) for the probe pixels.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 }  // namespace
 

@@ -10,22 +10,10 @@
 #include <unordered_map>
 
 #include "tensor/error.hpp"
+#include "tensor/rng.hpp"
 
 namespace mpcnn::core::integrity {
 namespace {
-
-// SplitMix64 finalizer — same stateless mixing primitive as core/fault,
-// duplicated here because this TU sits below mpcnn_core in the layering.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
-  return mix64(a ^ mix64(b));
-}
 
 std::atomic<int> g_mode{-1};  // -1 = resolve from MPCNN_INTEGRITY
 std::atomic<double> g_tolerance_factor{8.0};

@@ -5,17 +5,14 @@
 
 #include "core/threadpool.hpp"
 #include "tensor/error.hpp"
+#include "tensor/rng.hpp"
 
 namespace mpcnn::core {
 namespace {
 
-// SplitMix64 finalizer, the repository-wide stateless hash (core/fault).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+// First retry backoff as a fraction of the expected batch time; it
+// doubles per retry.
+constexpr double kBackoffBase = 0.5;
 
 // Integrity-scope sampling token for one (dispatch, slot) inference leg.
 std::uint64_t slot_token(std::uint64_t seed, Dim dispatch, Dim slot) {
@@ -44,14 +41,11 @@ StreamSession::StreamSession(const bnn::CompiledBnn& bnn_net,
   MPCNN_CHECK(config_.watchdog_factor > 0.0,
               "watchdog factor must be positive");
   MPCNN_CHECK(config_.max_retries >= 0, "max_retries must be >= 0");
-  MPCNN_CHECK(config_.backoff_base >= 0.0, "backoff_base must be >= 0");
   MPCNN_CHECK(config_.give_up_factor >= 0.0,
               "give_up_factor must be >= 0");
   MPCNN_CHECK(config_.host_fallback || !config_.auto_dispatch,
               "fleet mode (host_fallback off) requires auto_dispatch off "
               "— the fleet scheduler owns batch assembly");
-  MPCNN_CHECK(config_.integrity_sample_period >= 1,
-              "integrity_sample_period must be >= 1");
   MPCNN_CHECK(config_.canary_interval == 0 || config_.canary_count >= 1,
               "canary_count must be >= 1 when canaries are on");
   if (injector_ != nullptr) {
@@ -251,7 +245,6 @@ int StreamSession::host_predict(const Tensor& image) {
     std::vector<integrity::Detection> detections;
     integrity::ScopeOptions opts;
     opts.mode = config_.integrity;
-    opts.sample_period = config_.integrity_sample_period;
     opts.token = slot_token(injector_ ? injector_->seed() : 0,
                             /*dispatch=*/-1, host_calls_);
     opts.attempt = attempt;
@@ -357,8 +350,7 @@ void StreamSession::dispatch(double now) {
             stalled || attempt < static_cast<int>(dma_failures);
         if (!attempt_fails) break;
         ++stats_.watchdog_timeouts;
-        wasted += deadline + std::ldexp(config_.backoff_base * expected,
-                                        attempt);
+        wasted += deadline + std::ldexp(kBackoffBase * expected, attempt);
         if (attempt >= config_.max_retries) {
           // Retry budget exhausted: give up on the fabric for this and
           // subsequent batches until a probe succeeds.
@@ -480,7 +472,6 @@ void StreamSession::dispatch(double now) {
     for (Dim i = 0; i < n; ++i) {
       integrity::ScopeOptions& o = opts[static_cast<std::size_t>(i)];
       o.mode = config_.integrity;
-      o.sample_period = config_.integrity_sample_period;
       o.token = slot_token(injector_ ? injector_->seed() : 0, d, i);
       if (have_faults) o.faults = injector_->compute_faults(d, i);
       o.sink = &sinks[static_cast<std::size_t>(i)];

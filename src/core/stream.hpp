@@ -126,20 +126,19 @@ class StreamSession {
     // ---- supervisor (active only when a FaultInjector is attached) ----
     /// Watchdog deadline = factor × the Eq. (3)–(5) expected batch time.
     double watchdog_factor = 3.0;
-    /// Fabric re-dispatches after a timeout before degrading.
+    /// Fabric re-dispatches after a timeout before degrading.  The first
+    /// backoff is half the expected batch time and doubles per retry.
     int max_retries = 2;
-    /// First backoff = base × expected batch time; doubles per retry.
-    double backoff_base = 0.5;
     /// Dispatches between CRC scrubs of the fabric weight memory
     /// (0 = scrubbing off).
     Dim scrub_interval = 0;
     // ---- SDC defense (core/integrity; DESIGN.md §16) ----
     /// ABFT checksum verification of every kernel call made on behalf of
-    /// a batch slot.  kSample verifies 1-in-integrity_sample_period
-    /// calls; kFull everything.  Detections trigger verified
-    /// re-execution (fabric retry, then host float escalation).
+    /// a batch slot.  kSample verifies a deterministic 1-in-8 subset
+    /// (integrity::ScopeOptions::sample_period); kFull everything.
+    /// Detections trigger verified re-execution (fabric retry, then host
+    /// float escalation).
     integrity::IntegrityMode integrity = integrity::IntegrityMode::kOff;
-    Dim integrity_sample_period = 8;
     /// Dispatches between canary golden-book replays (0 = canaries off).
     /// Canaries also run after any scrub repair and on recovery probes.
     Dim canary_interval = 0;

@@ -72,7 +72,6 @@ constexpr KnownFormat kKnownFormats[] = {
     {{'M', 'P', 'B', 'N'}, "compiled BNN", 2},
     {{'M', 'P', 'C', 'K'}, "training checkpoint", 1},
     {{'M', 'P', 'C', 'M'}, "checkpoint manifest", 1},
-    {{'M', 'P', 'T', 'U'}, "tuning cache", 1},
     {{'M', 'P', 'S', 'E'}, "scene trace", 1},
     {{'M', 'P', 'F', 'P'}, "fleet plan", 1},
     {{'M', 'P', 'G', 'B'}, "canary golden book", 1},

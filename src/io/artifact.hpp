@@ -6,9 +6,8 @@
 // error — never undefined behaviour, unbounded allocation or silently
 // wrong classifications.  Every mpcnn artifact (trained weights "MPCN",
 // compiled networks "MPBN", training checkpoints "MPCK" and their
-// manifests "MPCM", tuning caches "MPTU", scene traces "MPSE", fleet
-// plans "MPFP" and canary golden books "MPGB") therefore shares one
-// framed container:
+// manifests "MPCM", scene traces "MPSE", fleet plans "MPFP" and canary
+// golden books "MPGB") therefore shares one framed container:
 //
 //   magic[4]  u32 version  u64 payload_bytes  payload...  u32 crc32
 //
@@ -139,7 +138,7 @@ struct ArtifactInfo {
   std::uint64_t file_bytes = 0;
 };
 
-/// Inspects any known artifact (MPCN/MPBN/MPCK/MPCM/MPTU/MPSE/MPFP/MPGB)
+/// Inspects any known artifact (MPCN/MPBN/MPCK/MPCM/MPSE/MPFP/MPGB)
 /// without parsing its payload: magic lookup, version, declared length vs
 /// file size, CRC verification.  Throws Error on unknown magic, short
 /// files, versions older than the format reads, or length mismatches; a

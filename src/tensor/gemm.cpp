@@ -5,7 +5,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/autotune.hpp"
 #include "core/cpu.hpp"
 #include "core/integrity/integrity.hpp"
 #include "core/threadpool.hpp"
@@ -88,81 +87,22 @@ core::integrity::GemmAbftKernels abft_kernels() {
   return out;
 }
 
-// --- autotuned cache blocking ---------------------------------------
-// The candidate grids only move tile boundaries and packing panel sizes;
-// each output element keeps its one-thread, k-ascending accumulation
-// regardless of the choice, so tuning can never change results.
+// --- cache blocking ---------------------------------------------------
+// Blocking only moves tile boundaries and packing panel sizes; each
+// output element keeps its one-thread, k-ascending accumulation, so the
+// block sizes can never change results.
 
-struct Blocking {
-  std::int64_t mc, nc, kc;
-};
+constexpr std::int64_t kMc = 64;
+constexpr std::int64_t kNc = 256;
+constexpr std::int64_t kKc = 256;
 
-const char* classify(std::int64_t M, std::int64_t N, std::int64_t K) {
-  const std::int64_t flops = M * N * K;
-  if (flops < (std::int64_t{1} << 18)) return "small";
-  if (flops < (std::int64_t{1} << 24)) return "medium";
-  return "large";
-}
-
-// Representative problem sizes used when the autotuner measures a class
-// (synthetic data — never the caller's buffers, whose C would be
-// clobbered by repeated timed runs).
-struct RepShape {
-  std::int64_t m, n, k;
-};
-
-RepShape rep_shape(const char* cls) {
-  if (cls[0] == 's') return {48, 48, 48};
-  if (cls[0] == 'm') return {160, 160, 160};
-  return {320, 320, 320};
-}
-
-void fill_deterministic(std::vector<float>& v) {
-  // Cheap LCG fill: tuning only needs realistic data movement, not
-  // realistic values.
-  std::uint32_t x = 0x9e3779b9u;
-  for (float& f : v) {
-    x = x * 1664525u + 1013904223u;
-    f = static_cast<float>(static_cast<std::int32_t>(x >> 8)) * 1e-7f;
-  }
-}
-
-void gemm_with_blocking(std::int64_t M, std::int64_t N, std::int64_t K,
-                        float alpha, const float* A, const float* B,
-                        float beta, float* C, const Blocking& blk);
-
-Blocking blocking_for(std::int64_t M, std::int64_t N, std::int64_t K) {
-  const char* cls = classify(M, N, K);
-  static const std::vector<std::string> names = {"mc", "nc", "kc"};
-  static const std::vector<std::vector<std::int64_t>> candidates = {
-      {64, 256, 256},  // the hand-tuned PR 1 default, always first
-      {32, 256, 256},  {64, 512, 256},  {128, 256, 256},
-      {64, 256, 512},  {96, 384, 384},  {32, 512, 512},
-  };
-  const auto measure = [&](const std::vector<std::int64_t>& c) {
-    const RepShape r = rep_shape(cls);
-    std::vector<float> A2(static_cast<std::size_t>(r.m * r.k));
-    std::vector<float> B2(static_cast<std::size_t>(r.k * r.n));
-    std::vector<float> C2(static_cast<std::size_t>(r.m * r.n), 0.0f);
-    fill_deterministic(A2);
-    fill_deterministic(B2);
-    const Blocking blk{c[0], c[1], c[2]};
-    return core::autotune::measure_seconds([&] {
-      gemm_with_blocking(r.m, r.n, r.k, 1.0f, A2.data(), B2.data(), 0.5f,
-                         C2.data(), blk);
-    });
-  };
-  const auto v = core::autotune::pick("gemm", cls, names, candidates, measure);
-  return {v[0], v[1], v[2]};
-}
-
-void gemm_with_blocking(std::int64_t M, std::int64_t N, std::int64_t K,
-                        float alpha, const float* A, const float* B,
-                        float beta, float* C, const Blocking& blk) {
+void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
+                  float alpha, const float* A, const float* B, float beta,
+                  float* C) {
   const detail::GemmKernels& kern = detail::gemm_kernels();
-  const std::int64_t mtiles = ceil_div(M, blk.mc);
-  const std::int64_t ntiles = ceil_div(N, blk.nc);
-  const std::int64_t ktiles = ceil_div(K, blk.kc);
+  const std::int64_t mtiles = ceil_div(M, kMc);
+  const std::int64_t ntiles = ceil_div(N, kNc);
+  const std::int64_t ktiles = ceil_div(K, kKc);
 
   // Pack B once into panel-contiguous layout: panel (kt, nt) holds the
   // (kb x nb) block with rows of length nb back to back, so the inner
@@ -170,7 +110,7 @@ void gemm_with_blocking(std::int64_t M, std::int64_t N, std::int64_t K,
   // k.  The packed panels are shared read-only by all M-tile workers and
   // reused across the whole K-loop of each tile.  Packing is a pure copy,
   // so it cannot perturb the floating-point result.
-  const std::int64_t panel = blk.kc * blk.nc;
+  const std::int64_t panel = kKc * kNc;
   std::vector<float>& Bp = packed_b_scratch();
   if (static_cast<std::int64_t>(Bp.size()) < ktiles * ntiles * panel) {
     Bp.resize(static_cast<std::size_t>(ktiles * ntiles * panel));
@@ -178,10 +118,10 @@ void gemm_with_blocking(std::int64_t M, std::int64_t N, std::int64_t K,
   core::parallel_for(0, ktiles * ntiles, 1, [&](std::int64_t t0,
                                                 std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t k0 = (t / ntiles) * blk.kc;
-      const std::int64_t j0 = (t % ntiles) * blk.nc;
-      const std::int64_t kb = std::min(blk.kc, K - k0);
-      const std::int64_t nb = std::min(blk.nc, N - j0);
+      const std::int64_t k0 = (t / ntiles) * kKc;
+      const std::int64_t j0 = (t % ntiles) * kNc;
+      const std::int64_t kb = std::min(kKc, K - k0);
+      const std::int64_t nb = std::min(kNc, N - j0);
       float* dst = Bp.data() + t * panel;
       for (std::int64_t k = 0; k < kb; ++k) {
         std::copy_n(B + (k0 + k) * N + j0, nb, dst + k * nb);
@@ -196,15 +136,15 @@ void gemm_with_blocking(std::int64_t M, std::int64_t N, std::int64_t K,
   core::parallel_for(0, mtiles, 1, [&, Bp_data](std::int64_t t0,
                                                 std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t i0 = t * blk.mc;
-      const std::int64_t mb = std::min(blk.mc, M - i0);
+      const std::int64_t i0 = t * kMc;
+      const std::int64_t mb = std::min(kMc, M - i0);
       scale_rows(mb, N, beta, C + i0 * N);
       for (std::int64_t kt = 0; kt < ktiles; ++kt) {
-        const std::int64_t k0 = kt * blk.kc;
-        const std::int64_t kb = std::min(blk.kc, K - k0);
+        const std::int64_t k0 = kt * kKc;
+        const std::int64_t kb = std::min(kKc, K - k0);
         for (std::int64_t nt = 0; nt < ntiles; ++nt) {
-          const std::int64_t j0 = nt * blk.nc;
-          const std::int64_t nb = std::min(blk.nc, N - j0);
+          const std::int64_t j0 = nt * kNc;
+          const std::int64_t nb = std::min(kNc, N - j0);
           kern.tile(mb, nb, kb, alpha, A + i0 * K + k0, K,
                     Bp_data + (kt * ntiles + nt) * panel, nb,
                     C + i0 * N + j0, N);
@@ -216,64 +156,31 @@ void gemm_with_blocking(std::int64_t M, std::int64_t N, std::int64_t K,
 
 // --- gemm_bt packed path (AVX2 level) --------------------------------
 
-struct BtBlocking {
-  std::int64_t mc, nc;
-};
+// kBtNc stays small: the bt tile re-reads its packed panel once per 8
+// output columns (the accumulators must stay register-resident over the
+// full K to preserve the dot-form rounding), so the panel must be
+// cache-resident.
+constexpr std::int64_t kBtMc = 64;
+constexpr std::int64_t kBtNc = 64;
 
 void gemm_bt_packed(std::int64_t M, std::int64_t N, std::int64_t K,
                     float alpha, const float* A, const float* B, float beta,
-                    float* C, const BtBlocking& blk,
-                    detail::GemmBtTileFn bt_tile);
-
-BtBlocking bt_blocking_for(std::int64_t M, std::int64_t N, std::int64_t K) {
-  const char* cls = classify(M, N, K);
-  static const std::vector<std::string> names = {"mc", "nc"};
-  // nc stays small: the bt tile re-reads its packed panel once per 8
-  // output columns (the accumulators must stay register-resident over
-  // the full K to preserve the dot-form rounding), so the panel must be
-  // cache-resident.
-  static const std::vector<std::vector<std::int64_t>> candidates = {
-      {64, 64}, {32, 64}, {64, 128}, {128, 32}, {64, 32},
-  };
-  const auto measure = [&](const std::vector<std::int64_t>& c) {
-    const RepShape r = rep_shape(cls);
-    std::vector<float> A2(static_cast<std::size_t>(r.m * r.k));
-    std::vector<float> B2(static_cast<std::size_t>(r.n * r.k));
-    std::vector<float> C2(static_cast<std::size_t>(r.m * r.n), 0.0f);
-    fill_deterministic(A2);
-    fill_deterministic(B2);
-    const BtBlocking blk{c[0], c[1]};
-    const detail::GemmBtTileFn fn = detail::gemm_kernels().bt_tile;
-    if (fn == nullptr) return 0.0;  // never selected under generic level
-    return core::autotune::measure_seconds([&] {
-      gemm_bt_packed(r.m, r.n, r.k, 1.0f, A2.data(), B2.data(), 0.5f,
-                     C2.data(), blk, fn);
-    });
-  };
-  const auto v =
-      core::autotune::pick("gemm_bt", cls, names, candidates, measure);
-  return {v[0], v[1]};
-}
-
-void gemm_bt_packed(std::int64_t M, std::int64_t N, std::int64_t K,
-                    float alpha, const float* A, const float* B, float beta,
-                    float* C, const BtBlocking& blk,
-                    detail::GemmBtTileFn bt_tile) {
-  const std::int64_t mtiles = ceil_div(M, blk.mc);
-  const std::int64_t ntiles = ceil_div(N, blk.nc);
+                    float* C, detail::GemmBtTileFn bt_tile) {
+  const std::int64_t mtiles = ceil_div(M, kBtMc);
+  const std::int64_t ntiles = ceil_div(N, kBtNc);
   // Pack Bᵀ (N x K rows) into per-n-tile column panels: panel nt stores
   // row k = { B[(j0+jj)*K + k] : jj < nb } at offset k·nb, so the tile
   // kernel streams one contiguous row per k.  Pure copies — packing
   // cannot change results.
-  const std::int64_t panel = K * blk.nc;
+  const std::int64_t panel = K * kBtNc;
   std::vector<float>& Bp = packed_b_scratch();
   if (static_cast<std::int64_t>(Bp.size()) < ntiles * panel) {
     Bp.resize(static_cast<std::size_t>(ntiles * panel));
   }
   core::parallel_for(0, ntiles, 1, [&](std::int64_t t0, std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t j0 = t * blk.nc;
-      const std::int64_t nb = std::min(blk.nc, N - j0);
+      const std::int64_t j0 = t * kBtNc;
+      const std::int64_t nb = std::min(kBtNc, N - j0);
       float* dst = Bp.data() + t * panel;
       for (std::int64_t jj = 0; jj < nb; ++jj) {
         const float* src = B + (j0 + jj) * K;
@@ -286,40 +193,18 @@ void gemm_bt_packed(std::int64_t M, std::int64_t N, std::int64_t K,
   core::parallel_for(0, mtiles, 1, [&, Bp_data](std::int64_t t0,
                                                 std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t i0 = t * blk.mc;
-      const std::int64_t mb = std::min(blk.mc, M - i0);
+      const std::int64_t i0 = t * kBtMc;
+      const std::int64_t mb = std::min(kBtMc, M - i0);
       scale_rows(mb, N, beta, C + i0 * N);
       for (std::int64_t nt = 0; nt < ntiles; ++nt) {
-        const std::int64_t j0 = nt * blk.nc;
-        const std::int64_t nb = std::min(blk.nc, N - j0);
+        const std::int64_t j0 = nt * kBtNc;
+        const std::int64_t nb = std::min(kBtNc, N - j0);
         bt_tile(mb, nb, K, alpha, A + i0 * K, K, Bp_data + nt * panel,
                 C + i0 * N + j0, N);
       }
     }
   });
 }
-
-// --- eager tuner (mpcnn_cli tune) ------------------------------------
-
-void tune_gemm() {
-  for (const char* cls : {"small", "medium", "large"}) {
-    const RepShape r = rep_shape(cls);
-    std::vector<float> A(static_cast<std::size_t>(r.m * r.k));
-    std::vector<float> B(static_cast<std::size_t>(r.k * r.n));
-    std::vector<float> C(static_cast<std::size_t>(r.m * r.n), 0.0f);
-    fill_deterministic(A);
-    fill_deterministic(B);
-    gemm(r.m, r.n, r.k, 1.0f, A.data(), B.data(), 0.0f, C.data());
-    if (detail::gemm_kernels().bt_tile != nullptr) {
-      std::vector<float> Bt(static_cast<std::size_t>(r.n * r.k));
-      fill_deterministic(Bt);
-      gemm_bt(r.m, r.n, r.k, 1.0f, A.data(), Bt.data(), 0.0f, C.data());
-    }
-  }
-}
-
-[[maybe_unused]] const bool kGemmTunerRegistered =
-    core::autotune::register_tuner("gemm", &tune_gemm);
 
 const char* gemm_tile_variant() { return detail::gemm_kernels().name; }
 const char* gemm_bt_variant() {
@@ -383,7 +268,7 @@ void gemm(std::int64_t M, std::int64_t N, std::int64_t K, float alpha,
   namespace integ = core::integrity;
   const integ::GemmAbftKernels abft = abft_kernels();
   integ::GemmGuard guard = integ::gemm_begin(M, N, beta, C, abft);
-  gemm_with_blocking(M, N, K, alpha, A, B, beta, C, blocking_for(M, N, K));
+  gemm_blocked(M, N, K, alpha, A, B, beta, C);
   integ::gemm_end(guard, integ::GemmLayout::kRowMajorB, M, N, K, alpha, A, B,
                   beta, C, abft);
 }
@@ -410,8 +295,7 @@ void gemm_bt(std::int64_t M, std::int64_t N, std::int64_t K, float alpha,
   integ::GemmGuard guard = integ::gemm_begin(M, N, beta, C, abft);
   const detail::GemmBtTileFn bt_tile = detail::gemm_kernels().bt_tile;
   if (bt_tile != nullptr) {
-    gemm_bt_packed(M, N, K, alpha, A, B, beta, C, bt_blocking_for(M, N, K),
-                   bt_tile);
+    gemm_bt_packed(M, N, K, alpha, A, B, beta, C, bt_tile);
   } else {
     // B is (N x K); dot-product formulation is already cache-friendly
     // since both A rows and B rows are unit-stride.  Rows of C are

@@ -13,6 +13,22 @@
 
 namespace mpcnn {
 
+/// SplitMix64 finalizer: the repository-wide stateless hash.  Chaining it
+/// over (seed, tag, args...) gives an order-independent per-query value,
+/// which is what lets fault injection, integrity sampling and canary
+/// probes be consulted from any code path without perturbing a replay.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// Folds one more value `b` into the running hash `a`.
+inline std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
+  return mix64(a ^ mix64(b));
+}
+
 /// Deterministic, seedable PRNG with convenience distributions.
 class Rng {
  public:

@@ -52,6 +52,20 @@ void patch(std::vector<unsigned char>* bytes, std::size_t offset, T value) {
   std::memcpy(bytes->data() + offset, &value, sizeof(T));
 }
 
+// Expects `fn` to throw a one-line Error that contains `needle`.
+template <class Fn>
+void expect_error_naming(Fn fn, const std::string& needle,
+                         const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": no error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(needle), std::string::npos) << what << ": " << msg;
+    EXPECT_EQ(msg.find('\n'), std::string::npos) << what << ": " << msg;
+  }
+}
+
 // The smallest net with real weights: one Dense layer, ~92-byte file, so
 // the exhaustive every-byte / every-bit sweeps stay instant.
 nn::Net make_micro_net() {
@@ -210,6 +224,18 @@ TEST_F(ArtifactTest, WrongMagicIsRejected) {
   mutant[0] = 'X';
   refit_crc(&mutant);  // CRC valid; only the magic is wrong
   expect_load_rejected(mutant, "wrong magic with valid CRC");
+
+  // The kernel tuning cache is no longer a format.  A file left over from
+  // an older build is well framed and CRC-valid, yet inspect() (and so
+  // `mpcnn_cli verify`) must reject its magic in one line.
+  const io::ArtifactMagic retired = {'M', 'P', 'T', 'U'};
+  const std::string name(retired.data(), retired.size());
+  io::ArtifactWriter writer(retired, 1);
+  writer.pod(std::uint64_t{0});
+  writer.commit(path("kernel_tuning_cache.bin"));
+  expect_error_naming([&] { io::inspect(path("kernel_tuning_cache.bin")); },
+                      "unknown artifact magic '" + name + "'",
+                      "inspect " + name);
 }
 
 TEST_F(ArtifactTest, FutureVersionIsRejected) {
@@ -264,22 +290,6 @@ TEST_F(ArtifactTest, HostileDimsCannotDriveAllocation) {
   }
 }
 
-// Expects `fn` to throw a one-line Error that names `version`.
-template <class Fn>
-void expect_version_error(Fn fn, std::uint32_t version,
-                          const std::string& what) {
-  try {
-    fn();
-    ADD_FAILURE() << what << ": no error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("version " + std::to_string(version)),
-              std::string::npos)
-        << what << ": " << msg;
-    EXPECT_EQ(msg.find('\n'), std::string::npos) << what << ": " << msg;
-  }
-}
-
 TEST_F(ArtifactTest, UnframedV1FilesAreRejected) {
   // A v1 MPCN/MPBN file is magic + u32 version + bare payload — no
   // length, no CRC.  No loader reads it.
@@ -295,16 +305,16 @@ TEST_F(ArtifactTest, UnframedV1FilesAreRejected) {
 
   EXPECT_TRUE(nn::is_net_file(path("net_v1.bin")));
   nn::Net net = make_micro_net();
-  expect_version_error([&] { nn::load_net(net, path("net_v1.bin")); }, 1,
-                       "load_net");
-  expect_version_error([&] { nn::summarize_net_file(path("net_v1.bin")); },
-                       1, "summarize_net_file");
-  expect_version_error([&] { io::inspect(path("net_v1.bin")); }, 1,
-                       "inspect MPCN");
-  expect_version_error([&] { bnn::load_compiled(path("bnn_v1.bin")); }, 1,
-                       "load_compiled");
-  expect_version_error([&] { io::inspect(path("bnn_v1.bin")); }, 1,
-                       "inspect MPBN");
+  expect_error_naming([&] { nn::load_net(net, path("net_v1.bin")); },
+                      "version 1", "load_net");
+  expect_error_naming([&] { nn::summarize_net_file(path("net_v1.bin")); },
+                      "version 1", "summarize_net_file");
+  expect_error_naming([&] { io::inspect(path("net_v1.bin")); }, "version 1",
+                      "inspect MPCN");
+  expect_error_naming([&] { bnn::load_compiled(path("bnn_v1.bin")); },
+                      "version 1", "load_compiled");
+  expect_error_naming([&] { io::inspect(path("bnn_v1.bin")); }, "version 1",
+                      "inspect MPBN");
 }
 
 TEST_F(ArtifactTest, VersionZeroIsRejectedForEveryFormat) {
@@ -312,15 +322,16 @@ TEST_F(ArtifactTest, VersionZeroIsRejectedForEveryFormat) {
   // the reader must agree that no format reads it.
   const io::ArtifactMagic magics[] = {
       {'M', 'P', 'C', 'N'}, {'M', 'P', 'B', 'N'}, {'M', 'P', 'C', 'K'},
-      {'M', 'P', 'C', 'M'}, {'M', 'P', 'T', 'U'}, {'M', 'P', 'S', 'E'},
-      {'M', 'P', 'F', 'P'}, {'M', 'P', 'G', 'B'}};
+      {'M', 'P', 'C', 'M'}, {'M', 'P', 'S', 'E'}, {'M', 'P', 'F', 'P'},
+      {'M', 'P', 'G', 'B'}};
   for (const io::ArtifactMagic& magic : magics) {
     const std::string name(magic.data(), magic.size());
     const std::string p = path(name + "_v0.bin");
     io::ArtifactWriter(magic, 0).commit(p);
-    expect_version_error([&] { io::inspect(p); }, 0, "inspect " + name);
-    expect_version_error([&] { io::ArtifactReader(p, magic, 99); }, 0,
-                         "reader " + name);
+    expect_error_naming([&] { io::inspect(p); }, "version 0",
+                        "inspect " + name);
+    expect_error_naming([&] { io::ArtifactReader(p, magic, 99); },
+                        "version 0", "reader " + name);
   }
 }
 

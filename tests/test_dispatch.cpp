@@ -1,28 +1,22 @@
-// Runtime-ISA dispatch equivalence and the MPTU tuning cache.
+// Runtime-ISA dispatch equivalence.
 //
 // Every kernel the CPU-feature registry can bind (generic/SSE2/AVX2 GEMM
 // tiles, SWAR/POPCNT/AVX2 popcount, PSADBW/AVX2 byte convolution) must
 // produce *bit-identical* results: the dispatcher may only change speed,
 // never a single output bit, at any thread count.  These tests force each
 // level through MPCNN_ISA + refresh_isa() and compare against the
-// scalar-forced run and the naive oracles.  The tuning-cache tests cover
-// the MPTU round trip, CPU-signature invalidation and corruption
-// handling (explicit load throws; the implicit startup load degrades to
-// built-in defaults).
+// scalar-forced run and the naive oracles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bnn/bitpack.hpp"
 #include "bnn/compile.hpp"
 #include "bnn/topology.hpp"
-#include "core/autotune.hpp"
 #include "core/cpu.hpp"
 #include "core/threadpool.hpp"
 #include "tensor/gemm.hpp"
@@ -288,126 +282,6 @@ TEST(DispatchBnn, PackedScoresIdenticalAcrossIsaLevels) {
     EXPECT_EQ(bnn::run_reference(net, img, bnn::BnnExec::kPacked), want)
         << "isa=" << level;
   }
-}
-
-// ---- MPTU tuning cache ------------------------------------------------
-
-// Points the cache at a scratch file and silences measuring; restores
-// the store to a pristine (empty, will-reload) state afterwards.
-struct TuneCacheScope {
-  std::string path;
-
-  explicit TuneCacheScope(const char* name, const char* policy = "cache")
-      : path(::testing::TempDir() + name) {
-    std::remove(path.c_str());
-    ::setenv("MPCNN_TUNE_CACHE", path.c_str(), 1);
-    ::setenv("MPCNN_TUNE", policy, 1);
-    core::autotune::reset_for_testing();
-  }
-  ~TuneCacheScope() {
-    std::remove(path.c_str());
-    ::unsetenv("MPCNN_TUNE_CACHE");
-    ::unsetenv("MPCNN_TUNE");
-    core::autotune::reset_for_testing();
-  }
-};
-
-// Deterministic fake measurement: candidate {32, ...} wins.
-double fake_measure(const std::vector<std::int64_t>& c) {
-  return c[0] == 32 ? 1.0 : 2.0;
-}
-
-TEST(DispatchTune, PickMeasuresPersistsAndReloads) {
-  TuneCacheScope scope("dispatch_tune_roundtrip.mptu", "auto");
-  const std::vector<std::int64_t> won = core::autotune::pick(
-      "test_kernel", "small", {"mc", "nc"}, {{64, 8}, {32, 16}},
-      &fake_measure);
-  EXPECT_EQ(won, (std::vector<std::int64_t>{32, 16}));
-
-  // A fresh store must serve the winner from the file without measuring
-  // (policy `cache` + a measure fn that fails the test if called).
-  ::setenv("MPCNN_TUNE", "cache", 1);
-  core::autotune::reset_for_testing();
-  const std::vector<std::int64_t> cached = core::autotune::pick(
-      "test_kernel", "small", {"mc", "nc"}, {{64, 8}, {32, 16}},
-      [](const std::vector<std::int64_t>&) -> double {
-        ADD_FAILURE() << "cache-only pick() measured";
-        return 0.0;
-      });
-  EXPECT_EQ(cached, won);
-
-  const auto entries = core::autotune::read_cache_file(scope.path);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].kernel, "test_kernel");
-  EXPECT_EQ(entries[0].shape_class, "small");
-  EXPECT_EQ(entries[0].signature, core::cpu_signature());
-  ASSERT_EQ(entries[0].params.size(), 2u);
-  EXPECT_EQ(entries[0].params[0].first, "mc");
-  EXPECT_EQ(entries[0].params[0].second, 32);
-}
-
-TEST(DispatchTune, OffPolicySkipsCacheAndMeasurement) {
-  TuneCacheScope scope("dispatch_tune_off.mptu", "off");
-  const std::vector<std::int64_t> got = core::autotune::pick(
-      "test_kernel", "small", {"mc"}, {{64}, {32}}, &fake_measure);
-  EXPECT_EQ(got, std::vector<std::int64_t>{64});  // built-in default
-  EXPECT_FALSE(core::autotune::is_tuning_cache_file(scope.path));
-}
-
-TEST(DispatchTune, CpuSignatureChangeInvalidatesEntries) {
-  TuneCacheScope scope("dispatch_tune_sig.mptu", "auto");
-  core::autotune::pick("test_kernel", "small", {"mc"}, {{64}, {32}},
-                       &fake_measure);
-  ASSERT_EQ(core::autotune::entries().size(), 1u);
-
-  // Forcing a different ISA changes cpu_signature(), so the persisted
-  // winner must become invisible: pick() falls back to the default.
-  // "Different" must account for the ambient level: the whole suite may
-  // itself be running under MPCNN_ISA=scalar (run_all.sh's ISA sweep).
-  if (core::active_isa() == core::Isa::kScalar &&
-      !core::cpu_features().sse2) {
-    GTEST_SKIP() << "no second ISA level available to force";
-  }
-  IsaOverride other(core::active_isa() == core::Isa::kScalar ? "sse2"
-                                                             : "scalar");
-  ::setenv("MPCNN_TUNE", "cache", 1);
-  core::autotune::reset_for_testing();
-  EXPECT_TRUE(core::autotune::entries().empty());
-  const std::vector<std::int64_t> got = core::autotune::pick(
-      "test_kernel", "small", {"mc"}, {{64}, {32}}, nullptr);
-  EXPECT_EQ(got, std::vector<std::int64_t>{64});
-}
-
-TEST(DispatchTune, CorruptCacheThrowsExplicitlyDegradesImplicitly) {
-  TuneCacheScope scope("dispatch_tune_corrupt.mptu", "auto");
-  core::autotune::pick("test_kernel", "small", {"mc"}, {{64}, {32}},
-                       &fake_measure);
-  ASSERT_TRUE(core::autotune::is_tuning_cache_file(scope.path));
-
-  // Flip one payload byte: the CRC frame must reject the file.
-  std::vector<char> bytes;
-  {
-    std::ifstream in(scope.path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(bytes.size(), 24u);
-  bytes[20] = static_cast<char>(bytes[20] ^ 0x40);
-  {
-    std::ofstream out(scope.path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  EXPECT_THROW(core::autotune::read_cache_file(scope.path), Error);
-  EXPECT_THROW(core::autotune::load_cache_file(scope.path), Error);
-
-  // The implicit startup load must swallow the corruption and fall back
-  // to built-in defaults — a damaged perf hint may not break inference.
-  ::setenv("MPCNN_TUNE", "cache", 1);
-  core::autotune::reset_for_testing();
-  const std::vector<std::int64_t> got = core::autotune::pick(
-      "test_kernel", "small", {"mc"}, {{64}, {32}}, nullptr);
-  EXPECT_EQ(got, std::vector<std::int64_t>{64});
 }
 
 }  // namespace

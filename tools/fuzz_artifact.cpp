@@ -1,8 +1,8 @@
 // Structure-aware corruption fuzzer for every mpcnn artifact format.
 //
 // Builds one golden artifact per format (MPCN net weights, MPBN compiled
-// BNN, MPCK training checkpoint, MPTU tuning cache, MPSE scene trace,
-// MPFP fleet plan, MPGB canary golden book), then applies seeded
+// BNN, MPCK training checkpoint, MPSE scene trace, MPFP fleet plan,
+// MPGB canary golden book), then applies seeded
 // random mutations — truncation, extension, single bit flips, and
 // multi-byte field overwrites aimed at the frame's magic / version /
 // length / payload / CRC regions — and feeds each mutant to the real
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "bnn/export.hpp"
-#include "core/autotune.hpp"
 #include "core/fleet.hpp"
 #include "core/integrity/canary.hpp"
 #include "data/scene_trace.hpp"
@@ -187,30 +186,6 @@ std::string build_checkpoint_golden(const std::string& dir) {
   return (std::filesystem::path(ckpt_dir) /
           nn::read_manifest(nn::manifest_path(ckpt_dir)))
       .string();
-}
-
-std::string build_tune_golden(const std::string& dir) {
-  // Drive the real tuner front door (deterministic fake measurements) so
-  // the golden MPTU carries genuine multi-entry, multi-param content.
-  const std::string path = dir + "/golden_tune.mptu";
-  setenv("MPCNN_TUNE_CACHE", path.c_str(), 1);
-  setenv("MPCNN_TUNE", "auto", 1);
-  core::autotune::reset_for_testing();
-  core::autotune::pick(
-      "fuzz_kernel", "small", {"mc", "nc"}, {{8, 16}, {16, 32}, {32, 64}},
-      [](const std::vector<std::int64_t>& c) {
-        return 1.0 / static_cast<double>(c[0]);
-      });
-  core::autotune::pick(
-      "fuzz_kernel", "large", {"grain"}, {{4}, {8}},
-      [](const std::vector<std::int64_t>& c) {
-        return static_cast<double>(c[0]);
-      });
-  core::autotune::save_cache_file(path);
-  unsetenv("MPCNN_TUNE");
-  unsetenv("MPCNN_TUNE_CACHE");
-  core::autotune::reset_for_testing();
-  return path;
 }
 
 std::string build_trace_golden(const std::string& dir) {
@@ -395,10 +370,6 @@ int run(const Options& opt) {
   targets.push_back({"MPCK", build_checkpoint_golden(opt.dir),
                      [](const std::string& p) {
                        nn::load_checkpoint_file(p);
-                     }});
-  targets.push_back({"MPTU", build_tune_golden(opt.dir),
-                     [](const std::string& p) {
-                       core::autotune::read_cache_file(p);
                      }});
   targets.push_back({"MPSE", build_trace_golden(opt.dir),
                      [](const std::string& p) {

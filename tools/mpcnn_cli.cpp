@@ -7,9 +7,8 @@
 //                     [--batch N] [--arm]
 //   mpcnn_cli export  [--cache DIR] --out FILE  export the compiled BNN
 //   mpcnn_cli verify  PATH           integrity-check any mpcnn artifact
-//   mpcnn_cli cpuinfo                CPU features, active ISA, kernel
-//                                    bindings and loaded tuning cache
-//   mpcnn_cli tune                   measure + persist kernel parameters
+//   mpcnn_cli cpuinfo                CPU features, active ISA and kernel
+//                                    bindings
 //   mpcnn_cli design  [--fps F] [--device zc702|zc706]
 //   mpcnn_cli stream  [--cache DIR] [--model A|B|C] [--threshold T]
 //                     [--batch N] [--images N] [--seed S] [--faults SPEC]
@@ -97,7 +96,6 @@
 #include <vector>
 
 #include "bnn/export.hpp"
-#include "core/autotune.hpp"
 #include "core/cpu.hpp"
 #include "core/fault.hpp"
 #include "core/integrity/canary.hpp"
@@ -166,21 +164,18 @@ core::WorkbenchConfig config_from(const Args& args) {
 int usage() {
   std::fprintf(stderr,
                "usage: mpcnn_cli "
-               "<train|eval|cascade|export|verify|cpuinfo|tune|design|"
-               "stream|serve|fleet|scene> [options]\n"
+               "<train|eval|cascade|export|verify|cpuinfo|design|stream|"
+               "serve|fleet|scene> [options]\n"
                "  train   [--cache DIR] [--tiny] [--checkpoint-every N]\n"
                "          [--resume]\n"
                "  eval    [--cache DIR] [--model A|B|C|bnn]\n"
                "  cascade [--cache DIR] [--model A|B|C] [--threshold T]\n"
                "          [--batch N] [--arm]\n"
                "  export  [--cache DIR] --out FILE\n"
-               "  verify  PATH   (weights, compiled BNN, checkpoint,\n"
-               "          manifest or tuning cache; nonzero exit on\n"
+               "  verify  PATH   (any mpcnn artifact; nonzero exit on\n"
                "          corruption)\n"
                "  cpuinfo        (features, MPCNN_ISA override, bound\n"
-               "          kernel variants, tuning-cache entries)\n"
-               "  tune           (run every kernel tuner, write the\n"
-               "          MPCNN_TUNE_CACHE file)\n"
+               "          kernel variants)\n"
                "  design  [--fps F] [--device zc702|zc706]\n"
                "  stream  [--cache DIR] [--model A|B|C] [--threshold T]\n"
                "          [--batch N] [--images N] [--seed S]\n"
@@ -409,23 +404,6 @@ int cmd_verify(const Args& args) {
                 static_cast<long long>(plan.batch_size),
                 static_cast<unsigned long long>(plan.seed), plan.rate_hz,
                 plan.duration_s, static_cast<long long>(windows));
-  } else if (core::autotune::is_tuning_cache_file(path)) {
-    const auto entries = core::autotune::read_cache_file(path);
-    std::printf("  %zu tuning entries, signature \"%s\"%s\n",
-                entries.size(),
-                entries.empty() ? "(none)" : entries[0].signature.c_str(),
-                entries.empty() ||
-                        entries[0].signature == core::cpu_signature()
-                    ? ""
-                    : " [foreign machine: ignored at runtime]");
-    for (const auto& e : entries) {
-      std::printf("  %s/%s", e.kernel.c_str(), e.shape_class.c_str());
-      for (const auto& [name, value] : e.params) {
-        std::printf(" %s=%lld", name.c_str(),
-                    static_cast<long long>(value));
-      }
-      std::printf(" score=%.3gs\n", e.seconds);
-    }
   }
   std::printf("ok\n");
   return 0;
@@ -449,40 +427,6 @@ int cmd_cpuinfo(const Args&) {
   for (const core::KernelBinding& b : core::kernel_bindings()) {
     std::printf("kernel %s variant=%s\n", b.slot.c_str(),
                 b.variant.c_str());
-  }
-  const std::string cache = core::autotune::cache_path();
-  if (!core::autotune::is_tuning_cache_file(cache)) {
-    std::printf("tune-cache: %s (absent)\n", cache.c_str());
-    return 0;
-  }
-  const auto entries = core::autotune::entries();
-  std::printf("tune-cache: %s (%zu entries for this machine)\n",
-              cache.c_str(), entries.size());
-  for (const auto& e : entries) {
-    std::printf("tune %s/%s", e.kernel.c_str(), e.shape_class.c_str());
-    for (const auto& [name, value] : e.params) {
-      std::printf(" %s=%lld", name.c_str(), static_cast<long long>(value));
-    }
-    std::printf(" score=%.3gs\n", e.seconds);
-  }
-  return 0;
-}
-
-// Eagerly measures every registered kernel tuner (the sweeps also write
-// the cache incrementally) and persists the final winner set.
-int cmd_tune(const Args&) {
-  std::printf("tuning on: %s\n", core::cpu_signature().c_str());
-  core::autotune::run_tuners();
-  core::autotune::save_cache_file(core::autotune::cache_path());
-  const auto entries = core::autotune::entries();
-  std::printf("wrote %s (%zu entries)\n",
-              core::autotune::cache_path().c_str(), entries.size());
-  for (const auto& e : entries) {
-    std::printf("  %s/%s", e.kernel.c_str(), e.shape_class.c_str());
-    for (const auto& [name, value] : e.params) {
-      std::printf(" %s=%lld", name.c_str(), static_cast<long long>(value));
-    }
-    std::printf(" score=%.3gs\n", e.seconds);
   }
   return 0;
 }
@@ -1177,7 +1121,6 @@ int main(int argc, char** argv) {
     if (args.command == "export") return cmd_export(args);
     if (args.command == "verify") return cmd_verify(args);
     if (args.command == "cpuinfo") return cmd_cpuinfo(args);
-    if (args.command == "tune") return cmd_tune(args);
     if (args.command == "design") return cmd_design(args);
     if (args.command == "stream") return cmd_stream(args);
     if (args.command == "serve") return cmd_serve(args);
