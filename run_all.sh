@@ -114,7 +114,7 @@ MPCNN_THREADS=4 ctest --test-dir build-tsan \
 cmake -B build-asan -G Ninja -DMPCNN_SANITIZE=address
 cmake --build build-asan
 MPCNN_THREADS=4 ctest --test-dir build-asan \
-  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|Fleet|ThreadPool|Bitpack|Artifact|Checkpoint|Dispatch|Integrity|Canary' \
+  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|Bitpack|Artifact|Checkpoint|Dispatch|Integrity|Canary' \
   --output-on-failure 2>&1 | tee asan_output.txt
 build-asan/tools/fuzz_artifact --iterations 1200 \
   2>&1 | tee -a asan_output.txt

@@ -1,9 +1,11 @@
 #include "core/scene_stream.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "tensor/error.hpp"
+#include "tensor/rng.hpp"
 
 namespace mpcnn::core {
 namespace {
@@ -66,13 +68,51 @@ StreamSession::Config session_config(
 
 std::uint64_t content_hash64(const void* data, std::size_t bytes,
                              std::uint64_t seed) {
+  // Four independent lanes absorb consecutive 8-byte words with
+  // xxHash64's round, so their multiply chains overlap instead of
+  // serialising on one accumulator.  Every step below is a bijection of
+  // the running state for a fixed word and of the word for a fixed state,
+  // and the lanes are merged by addition; so two inputs of one length
+  // that differ in a single word (any single-bit flip, say) always hash
+  // differently.
+  constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+  constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+  constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+  const auto step = [](std::uint64_t acc, std::uint64_t word) {
+    return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+  };
+  const auto fold = [&](std::uint64_t h, std::uint64_t word) {
+    return std::rotl(h ^ step(0, word), 27) * kPrime1 + kPrime3;
+  };
+  const auto load = [](const unsigned char* p) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    return word;
+  };
+
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= static_cast<std::uint64_t>(p[i]);
-    h *= 1099511628211ULL;
+  std::size_t i = 0;
+  std::uint64_t h = seed + kPrime3;
+  if (bytes >= 32) {
+    std::uint64_t lane[4] = {seed + kPrime1 + kPrime2, seed + kPrime2, seed,
+                             seed - kPrime1};
+    for (; i + 32 <= bytes; i += 32) {
+      for (int l = 0; l < 4; ++l) {
+        lane[l] = step(lane[l], load(p + i + 8 * l));
+      }
+    }
+    h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+        std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
   }
-  return h;
+  for (; i + 8 <= bytes; i += 8) h = fold(h, load(p + i));
+  if (i < bytes) {
+    // Tail bytes, zero-padded into one word; the length fold below tells
+    // a short tail from one that ends in zero bytes.
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + i, bytes - i);
+    h = fold(h, word);
+  }
+  return mix64(h, static_cast<std::uint64_t>(bytes));
 }
 
 // ------------------------------------------------------ TileResultCache
@@ -179,14 +219,16 @@ FrameReport SceneStreamSession::process_frame(const Tensor& frame) {
   verdicts_.resize(base + grid_.size());
   struct Miss {
     std::size_t tile;       // index into grid_ for this frame
+    std::uint64_t content;  // content hash of `input` (0 when uncached)
     Tensor input;
   };
   std::vector<Miss> misses;
   const bool cached = config_.cache_enabled && cache_.capacity() > 0;
   for (std::size_t t = 0; t < grid_.size(); ++t) {
     Tensor input = data::extract_tile(frame, grid_[t]);
+    std::uint64_t content = 0;
     if (cached) {
-      const std::uint64_t content = content_hash64(
+      content = content_hash64(
           input.data(),
           static_cast<std::size_t>(input.numel()) * sizeof(float));
       if (const TileVerdict* hit =
@@ -200,7 +242,7 @@ FrameReport SceneStreamSession::process_frame(const Tensor& frame) {
     }
     ++stats_.cache_misses;
     ++report.misses;
-    misses.push_back(Miss{t, std::move(input)});
+    misses.push_back(Miss{t, content, std::move(input)});
   }
 
   // Changed tiles go through the cascade as one ROI-style burst arriving
@@ -228,10 +270,7 @@ FrameReport SceneStreamSession::process_frame(const Tensor& frame) {
       ++report.escalated;
     }
     if (cached) {
-      const std::uint64_t content = content_hash64(
-          miss.input.data(),
-          static_cast<std::size_t>(miss.input.numel()) * sizeof(float));
-      cache_.insert(geometry_keys_[miss.tile], content, model_key_,
+      cache_.insert(geometry_keys_[miss.tile], miss.content, model_key_,
                     miss.input, verdict, stats_);
     }
     last_ready = std::max(last_ready, result.ready_at);

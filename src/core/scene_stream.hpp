@@ -20,7 +20,7 @@
 //                                     both *changed* and *uncertain*.
 //
 // The cache is a bounded LRU keyed by (tile geometry, content hash,
-// model/precision identity).  The content hash (FNV-1a 64 over the
+// model/precision identity).  The content hash (content_hash64 over the
 // classifier-input bytes) is only a bucket selector: every entry stores
 // the exact input bytes it was computed from and a lookup verifies them
 // with memcmp, so a hash collision can cost a rerun but can never serve
@@ -48,7 +48,10 @@
 
 namespace mpcnn::core {
 
-/// FNV-1a 64 — the cheap content hash behind the tile cache.
+/// The cheap content hash behind the tile cache: four independent 64-bit
+/// lanes over 8-byte words (xxHash64's round), the tail bytes and the
+/// length folded in, finished by mix64.  Nothing stores it; it only
+/// selects cache buckets.
 std::uint64_t content_hash64(const void* data, std::size_t bytes,
                              std::uint64_t seed = 14695981039346656037ULL);
 

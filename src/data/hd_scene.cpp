@@ -10,19 +10,65 @@ namespace {
 
 float clamp01(float v) { return std::clamp(v, 0.0f, 1.0f); }
 
-// Bilinear sample of one channel plane at fractional coordinates.
-float bilinear(const float* plane, Dim h, Dim w, float y, float x) {
-  const float cy = std::clamp(y, 0.0f, static_cast<float>(h - 1));
-  const float cx = std::clamp(x, 0.0f, static_cast<float>(w - 1));
-  const Dim y0 = static_cast<Dim>(cy);
-  const Dim x0 = static_cast<Dim>(cx);
-  const Dim y1 = std::min(y0 + 1, h - 1);
-  const Dim x1 = std::min(x0 + 1, w - 1);
-  const float fy = cy - static_cast<float>(y0);
-  const float fx = cx - static_cast<float>(x0);
-  const float top = plane[y0 * w + x0] * (1 - fx) + plane[y0 * w + x1] * fx;
-  const float bot = plane[y1 * w + x0] * (1 - fx) + plane[y1 * w + x1] * fx;
-  return top * (1 - fy) + bot * fy;
+// Sampling grid of one output axis: output i sits at source coordinate
+// origin + (i + 0.5) * scale - 0.5.
+struct Axis {
+  Dim n;         // output samples
+  float origin;  // source coordinate of the window's leading edge
+  float scale;   // source pixels per output pixel
+};
+
+// The one resampler behind extract_tile, extract_roi and paste_object:
+// bilinearly samples the three (src_h × src_w) planes of `src` on the
+// ys × xs grid and writes plane c, row y, column x of the output to
+// dst[c * dst_plane + y * dst_row + x].  Coordinates are clamped to the
+// planes, so windows partly outside the source read its edge pixels.
+//
+// A sample's row taps depend only on y and its column taps only on x,
+// so both are tabulated once per call: the two source indices and the
+// weights (1 - f, f).  The tables evaluate the same float expressions as
+// sampling each point on its own would, and the sample loop applies
+// them in the same order, so the output is bit-identical to per-point
+// evaluation.
+void resample(const float* src, Dim src_h, Dim src_w, Axis ys, Axis xs,
+              float* dst, Dim dst_row, Dim dst_plane) {
+  struct Tap {
+    Dim lo, hi;
+    float w_lo, w_hi;
+  };
+  std::vector<Tap> taps(static_cast<std::size_t>(ys.n + xs.n));
+  const auto tabulate = [](Tap* out, const Axis& axis, Dim extent) {
+    for (Dim i = 0; i < axis.n; ++i) {
+      const float s =
+          axis.origin + (static_cast<float>(i) + 0.5f) * axis.scale - 0.5f;
+      const float c = std::clamp(s, 0.0f, static_cast<float>(extent - 1));
+      Tap& tap = out[i];
+      tap.lo = static_cast<Dim>(c);
+      tap.hi = std::min(tap.lo + 1, extent - 1);
+      tap.w_hi = c - static_cast<float>(tap.lo);
+      tap.w_lo = 1 - tap.w_hi;
+    }
+  };
+  Tap* const rows = taps.data();
+  Tap* const cols = rows + ys.n;
+  tabulate(rows, ys, src_h);
+  tabulate(cols, xs, src_w);
+
+  for (Dim c = 0; c < 3; ++c) {
+    const float* plane = src + c * src_h * src_w;
+    for (Dim y = 0; y < ys.n; ++y) {
+      const Tap& r = rows[y];
+      const float* top = plane + r.lo * src_w;
+      const float* bot = plane + r.hi * src_w;
+      float* out = dst + c * dst_plane + y * dst_row;
+      for (Dim x = 0; x < xs.n; ++x) {
+        const Tap& k = cols[x];
+        const float t = top[k.lo] * k.w_lo + top[k.hi] * k.w_hi;
+        const float b = bot[k.lo] * k.w_lo + bot[k.hi] * k.w_hi;
+        out[x] = t * r.w_lo + b * r.w_hi;
+      }
+    }
+  }
 }
 
 // Integral images over intensity and squared intensity: O(1) box sums
@@ -172,19 +218,11 @@ void paste_object(Tensor& frame, const Tensor& render32,
                   object.x + object.size <= frame.shape()[3] &&
                   object.y + object.size <= frame.shape()[2],
               "object box outside the frame");
+  const Dim H = frame.shape()[2], W = frame.shape()[3];
   const float scale = 32.0f / static_cast<float>(object.size);
-  for (int c = 0; c < 3; ++c) {
-    const float* src = render32.data() + c * 32 * 32;
-    for (Dim y = 0; y < object.size; ++y) {
-      for (Dim x = 0; x < object.size; ++x) {
-        const float v = bilinear(
-            src, 32, 32,
-            (static_cast<float>(y) + 0.5f) * scale - 0.5f,
-            (static_cast<float>(x) + 0.5f) * scale - 0.5f);
-        frame.at4(0, c, object.y + y, object.x + x) = v;
-      }
-    }
-  }
+  resample(render32.data(), 32, 32, Axis{object.size, 0.0f, scale},
+           Axis{object.size, 0.0f, scale},
+           frame.data() + object.y * W + object.x, W, H * W);
 }
 
 std::vector<Roi> propose_rois(const Tensor& frame, Dim max_rois,
@@ -257,18 +295,9 @@ Tensor extract_roi(const Tensor& frame, const Roi& roi) {
   const Dim H = frame.shape()[2], W = frame.shape()[3];
   Tensor crop(Shape{1, 3, 32, 32});
   const float scale = static_cast<float>(roi.size) / 32.0f;
-  for (int c = 0; c < 3; ++c) {
-    const float* plane = frame.data() + c * H * W;
-    for (Dim y = 0; y < 32; ++y) {
-      for (Dim x = 0; x < 32; ++x) {
-        const float sy = static_cast<float>(roi.y) +
-                         (static_cast<float>(y) + 0.5f) * scale - 0.5f;
-        const float sx = static_cast<float>(roi.x) +
-                         (static_cast<float>(x) + 0.5f) * scale - 0.5f;
-        crop.at4(0, c, y, x) = bilinear(plane, H, W, sy, sx);
-      }
-    }
-  }
+  resample(frame.data(), H, W, Axis{32, static_cast<float>(roi.y), scale},
+           Axis{32, static_cast<float>(roi.x), scale}, crop.data(), 32,
+           32 * 32);
   return crop;
 }
 
@@ -311,20 +340,12 @@ Tensor extract_tile(const Tensor& frame, const TileGeometry& tile) {
                   tile.hy + tile.hh <= H,
               "tile halo rect outside the frame");
   Tensor crop(Shape{1, 3, 32, 32});
-  const float scale_y = static_cast<float>(tile.hh) / 32.0f;
-  const float scale_x = static_cast<float>(tile.hw) / 32.0f;
-  for (int c = 0; c < 3; ++c) {
-    const float* plane = frame.data() + c * H * W;
-    for (Dim y = 0; y < 32; ++y) {
-      for (Dim x = 0; x < 32; ++x) {
-        const float sy = static_cast<float>(tile.hy) +
-                         (static_cast<float>(y) + 0.5f) * scale_y - 0.5f;
-        const float sx = static_cast<float>(tile.hx) +
-                         (static_cast<float>(x) + 0.5f) * scale_x - 0.5f;
-        crop.at4(0, c, y, x) = bilinear(plane, H, W, sy, sx);
-      }
-    }
-  }
+  resample(frame.data(), H, W,
+           Axis{32, static_cast<float>(tile.hy),
+                static_cast<float>(tile.hh) / 32.0f},
+           Axis{32, static_cast<float>(tile.hx),
+                static_cast<float>(tile.hw) / 32.0f},
+           crop.data(), 32, 32 * 32);
   return crop;
 }
 

@@ -12,6 +12,10 @@
 //    recovers candidate boxes without knowing the ground truth;
 //  * extract_roi() bilinearly rescales any box to the classifier's
 //    32×32 input.
+//
+// extract_roi(), extract_tile() and paste_object() share one sampling
+// routine: it tabulates each output row's and column's source taps and
+// weights once per call, then samples from the tables.
 #pragma once
 
 #include "data/cifar_like.hpp"

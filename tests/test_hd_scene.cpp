@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-
+#include <cstring>
 #include <set>
 
 namespace mpcnn::data {
@@ -12,6 +13,86 @@ namespace {
 CifarLikeGenerator& objects() {
   static CifarLikeGenerator gen{SyntheticConfig{}};
   return gen;
+}
+
+// ---- per-sample oracle for the table-driven resampler -----------------
+//
+// Every output sample clamps, truncates and weights its own coordinates.
+// The table-driven resampler behind the three public functions must stay
+// byte-identical to these loops.
+
+float oracle_bilinear(const float* plane, Dim h, Dim w, float y, float x) {
+  const float cy = std::clamp(y, 0.0f, static_cast<float>(h - 1));
+  const float cx = std::clamp(x, 0.0f, static_cast<float>(w - 1));
+  const Dim y0 = static_cast<Dim>(cy);
+  const Dim x0 = static_cast<Dim>(cx);
+  const Dim y1 = std::min(y0 + 1, h - 1);
+  const Dim x1 = std::min(x0 + 1, w - 1);
+  const float fy = cy - static_cast<float>(y0);
+  const float fx = cx - static_cast<float>(x0);
+  const float top = plane[y0 * w + x0] * (1 - fx) + plane[y0 * w + x1] * fx;
+  const float bot = plane[y1 * w + x0] * (1 - fx) + plane[y1 * w + x1] * fx;
+  return top * (1 - fy) + bot * fy;
+}
+
+Tensor oracle_extract_tile(const Tensor& frame, const TileGeometry& tile) {
+  const Dim H = frame.shape()[2], W = frame.shape()[3];
+  Tensor crop(Shape{1, 3, 32, 32});
+  const float scale_y = static_cast<float>(tile.hh) / 32.0f;
+  const float scale_x = static_cast<float>(tile.hw) / 32.0f;
+  for (int c = 0; c < 3; ++c) {
+    const float* plane = frame.data() + c * H * W;
+    for (Dim y = 0; y < 32; ++y) {
+      for (Dim x = 0; x < 32; ++x) {
+        const float sy = static_cast<float>(tile.hy) +
+                         (static_cast<float>(y) + 0.5f) * scale_y - 0.5f;
+        const float sx = static_cast<float>(tile.hx) +
+                         (static_cast<float>(x) + 0.5f) * scale_x - 0.5f;
+        crop.at4(0, c, y, x) = oracle_bilinear(plane, H, W, sy, sx);
+      }
+    }
+  }
+  return crop;
+}
+
+// extract_roi samples a square box with exactly the arithmetic
+// extract_tile applies to a halo rect, so one oracle serves both.
+Tensor oracle_extract_roi(const Tensor& frame, const Roi& roi) {
+  TileGeometry box;
+  box.hx = roi.x;
+  box.hy = roi.y;
+  box.hw = roi.size;
+  box.hh = roi.size;
+  return oracle_extract_tile(frame, box);
+}
+
+void oracle_paste_object(Tensor& frame, const Tensor& render32,
+                         const SceneObject& object) {
+  const float scale = 32.0f / static_cast<float>(object.size);
+  for (int c = 0; c < 3; ++c) {
+    const float* src = render32.data() + c * 32 * 32;
+    for (Dim y = 0; y < object.size; ++y) {
+      for (Dim x = 0; x < object.size; ++x) {
+        const float v = oracle_bilinear(
+            src, 32, 32,
+            (static_cast<float>(y) + 0.5f) * scale - 0.5f,
+            (static_cast<float>(x) + 0.5f) * scale - 0.5f);
+        frame.at4(0, c, object.y + y, object.x + x) = v;
+      }
+    }
+  }
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+Dim draw(Rng& rng, Dim lo, Dim hi) {  // uniform in [lo, hi]
+  return lo + static_cast<Dim>(
+                  rng.uniform_int(static_cast<std::uint64_t>(hi - lo + 1)));
 }
 
 TEST(SceneGenerator, FrameGeometryAndRange) {
@@ -315,6 +396,56 @@ TEST(ExtractTile, ShortBorderTileResamplesCleanly) {
   const Tensor tile = extract_tile(frame, grid[4]);  // 2-wide coverage
   EXPECT_EQ(tile.shape(), Shape({1, 3, 32, 32}));
   for (Dim i = 0; i < tile.numel(); ++i) ASSERT_NEAR(tile[i], 0.25f, 1e-6f);
+}
+
+TEST(ExtractTile, ResamplersMatchThePerSampleOracleBitForBit) {
+  // 300 seeded random frames: every tile of the frame's grid, plus ROIs
+  // of random extent that may hang off any edge of the frame.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const Dim H = draw(rng, 1, 300), W = draw(rng, 1, 300);
+    const Dim tile = draw(rng, 8, 157), halo = draw(rng, 0, 39);
+    Tensor frame(Shape{1, 3, H, W});
+    frame.fill_uniform(rng, 0.0f, 1.0f);
+    for (const TileGeometry& g : tile_grid(H, W, tile, halo)) {
+      ASSERT_TRUE(same_bytes(extract_tile(frame, g),
+                             oracle_extract_tile(frame, g)))
+          << "seed " << seed << ": " << H << "x" << W << " frame, tile "
+          << tile << ", halo " << halo << ", tile index " << g.index
+          << " (halo rect " << g.hx << "," << g.hy << " " << g.hw << "x"
+          << g.hh << ")";
+    }
+    for (int k = 0; k < 4; ++k) {
+      Roi roi;
+      roi.size = draw(rng, 1, 160);
+      roi.x = draw(rng, -roi.size / 2, W - 1 + roi.size / 2);
+      roi.y = draw(rng, -roi.size / 2, H - 1 + roi.size / 2);
+      ASSERT_TRUE(same_bytes(extract_roi(frame, roi),
+                             oracle_extract_roi(frame, roi)))
+          << "seed " << seed << ": " << H << "x" << W << " frame, roi "
+          << roi.x << "," << roi.y << " size " << roi.size;
+    }
+  }
+  // paste_object at every object extent the scene generators could ask
+  // for, into a random frame at a random in-frame position.
+  for (Dim size = 8; size <= 120; ++size) {
+    Rng rng(static_cast<std::uint64_t>(size));
+    const Dim H = size + draw(rng, 0, 40), W = size + draw(rng, 0, 40);
+    Tensor frame(Shape{1, 3, H, W});
+    frame.fill_uniform(rng, 0.0f, 1.0f);
+    Tensor render(Shape{1, 3, 32, 32});
+    render.fill_uniform(rng, 0.0f, 1.0f);
+    SceneObject object;
+    object.size = size;
+    object.x = draw(rng, 0, W - size);
+    object.y = draw(rng, 0, H - size);
+    Tensor want = frame;
+    oracle_paste_object(want, render, object);
+    paste_object(frame, render, object);
+    ASSERT_TRUE(same_bytes(frame, want))
+        << "seed " << size << ": " << H << "x" << W << " frame, object "
+        << object.x << "," << object.y << " size " << size;
+  }
 }
 
 }  // namespace

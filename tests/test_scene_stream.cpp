@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <vector>
 
 #include "core/scene_stream.hpp"
@@ -395,6 +396,100 @@ TEST_F(SceneTest, ContentHashIsStableAndSensitive) {
   tweaked[3] ^= 1;
   EXPECT_NE(h, core::content_hash64(tweaked, sizeof(tweaked)));
   EXPECT_NE(h, core::content_hash64(bytes, sizeof(bytes) - 1));
+  EXPECT_NE(h, core::content_hash64(bytes, sizeof(bytes), 1));  // seed
+
+  // Every length 0..71 crosses the word, tail and four-lane block paths.
+  // Each input sits in a buffer of exactly its own size, so a read past
+  // the end trips the address sanitizer; the empty input is a null
+  // pointer, which must never reach memcpy.  Zero-filled inputs differ
+  // only in length, which the hash folds in.
+  std::set<std::uint64_t> by_length, zeros_by_length;
+  for (std::size_t n = 0; n < 72; ++n) {
+    std::vector<unsigned char> buf(n);
+    const unsigned char* data = n == 0 ? nullptr : buf.data();
+    EXPECT_TRUE(zeros_by_length.insert(core::content_hash64(data, n)).second)
+        << n << " zero bytes collide with a shorter run";
+    for (std::size_t i = 0; i < n; ++i) {
+      buf[i] = static_cast<unsigned char>(i * 37 + 11);
+    }
+    const std::uint64_t hn = core::content_hash64(data, n);
+    EXPECT_EQ(hn, core::content_hash64(data, n)) << "length " << n;
+    EXPECT_TRUE(by_length.insert(hn).second)
+        << "length " << n << " collides with a shorter prefix";
+    for (std::size_t i = 0; i < n; ++i) {
+      buf[i] ^= 0x80;
+      EXPECT_NE(hn, core::content_hash64(buf.data(), n))
+          << "length " << n << ", byte " << i << " flipped";
+      buf[i] ^= 0x80;
+    }
+  }
+  EXPECT_EQ(core::content_hash64(nullptr, 0), core::content_hash64(bytes, 0));
+
+  // A classifier input's size: flipping any one of its 98,304 bits moves
+  // the hash (guaranteed, not just likely: every step of the hash is a
+  // bijection in the word it absorbs).
+  std::vector<unsigned char> crop(12288);
+  for (std::size_t i = 0; i < crop.size(); ++i) {
+    crop[i] = static_cast<unsigned char>((i * 2654435761u) >> 13);
+  }
+  const std::uint64_t base = core::content_hash64(crop.data(), crop.size());
+  EXPECT_NE(base, core::content_hash64(crop.data(), crop.size(), 7));
+  for (std::size_t bit = 0; bit < crop.size() * 8; ++bit) {
+    crop[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    const std::uint64_t flipped =
+        core::content_hash64(crop.data(), crop.size());
+    crop[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    ASSERT_NE(flipped, base) << "bit " << bit;
+  }
+
+  // Golden values (little-endian word loads): a change to the function
+  // has to change these on purpose.
+  EXPECT_EQ(core::content_hash64(nullptr, 0), 0x077823C6B38AE15CULL);
+  EXPECT_EQ(core::content_hash64(bytes, sizeof(bytes)),
+            0x3E12E9CCD952126AULL);
+  EXPECT_EQ(base, 0x6068B5E7CEAFD1A8ULL);
+}
+
+TEST_F(SceneTest, CacheCollisionMissesThenOverwritesTheBucket) {
+  // Two different inputs filed under the same three keys: what a 64-bit
+  // content-hash collision looks like to the cache.
+  Tensor first(Shape{1, 3, 32, 32});
+  first.fill(0.25f);
+  Tensor second = first;
+  second[100] = 0.75f;
+  core::TileVerdict a;
+  a.label = 3;
+  core::TileVerdict b;
+  b.label = 7;
+  core::SceneStats stats;
+  core::TileResultCache cache(4);
+  cache.insert(1, 2, 3, first, a, stats);
+  ASSERT_EQ(stats.cache_insertions, 1);
+
+  EXPECT_EQ(cache.find(1, 2, 3, second, stats), nullptr);
+  EXPECT_EQ(stats.hash_collisions, 1);
+
+  // The miss's verdict overwrites the bucket in place.
+  cache.insert(1, 2, 3, second, b, stats);
+  EXPECT_EQ(stats.cache_insertions, 1);
+  EXPECT_EQ(stats.cache_evictions, 0);
+  EXPECT_EQ(cache.size(), 1);
+
+  EXPECT_EQ(cache.find(1, 2, 3, first, stats), nullptr);
+  EXPECT_EQ(stats.hash_collisions, 2);
+  const core::TileVerdict* hit = cache.find(1, 2, 3, second, stats);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->label, 7);
+  EXPECT_EQ(stats.hash_collisions, 2);
+
+  // Capacity 0 stores nothing and so never finds anything.
+  core::SceneStats off_stats;
+  core::TileResultCache off(0);
+  off.insert(1, 2, 3, first, a, off_stats);
+  EXPECT_EQ(off.size(), 0);
+  EXPECT_EQ(off.find(1, 2, 3, first, off_stats), nullptr);
+  EXPECT_EQ(off_stats.cache_insertions, 0);
+  EXPECT_EQ(off_stats.hash_collisions, 0);
 }
 
 // ---- serve integration -------------------------------------------------
