@@ -31,7 +31,7 @@ if build/tools/mpcnn_cli cpuinfo | grep -q 'avx2=1'; then
 fi
 for isa in $ISA_LEVELS; do
   MPCNN_ISA="$isa" ctest --test-dir build \
-    -R 'Gemm|Bitpack|PackedBnn|Partial|Dispatch|Determinism' \
+    -R 'Gemm|BitVector|BitMatrix|BitIm2col|CopyBits|SignBit|PackedBnn|Partial|Dispatch|Determinism' \
     --output-on-failure 2>&1 | tee "isa_${isa}_output.txt"
 done
 
@@ -114,7 +114,7 @@ MPCNN_THREADS=4 ctest --test-dir build-tsan \
 cmake -B build-asan -G Ninja -DMPCNN_SANITIZE=address
 cmake --build build-asan
 MPCNN_THREADS=4 ctest --test-dir build-asan \
-  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|Bitpack|Artifact|Checkpoint|Dispatch|Integrity|Canary' \
+  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|BitIm2col|CopyBits|SignBit|XnorGemm|Artifact|Checkpoint|Dispatch|Integrity|Canary' \
   --output-on-failure 2>&1 | tee asan_output.txt
 build-asan/tools/fuzz_artifact --iterations 1200 \
   2>&1 | tee -a asan_output.txt

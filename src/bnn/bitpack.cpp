@@ -262,17 +262,6 @@ bool BitMatrix::get(Dim r, Dim c) const {
          1ULL;
 }
 
-Dim BitMatrix::row_xnor_matches(Dim r, const BitVector& v) const {
-  MPCNN_CHECK(r >= 0 && r < rows_, "BitMatrix row " << r);
-  MPCNN_CHECK(v.size() == cols_, "row dot size mismatch");
-  return cols_ - static_cast<Dim>(detail::kernels().xor_pop(
-                     row_data(r), v.data(), words_per_row_));
-}
-
-std::int64_t BitMatrix::row_dot_bipolar(Dim r, const BitVector& v) const {
-  return 2 * static_cast<std::int64_t>(row_xnor_matches(r, v)) - cols_;
-}
-
 void copy_bits(const std::uint64_t* src, Dim src_bit, std::uint64_t* dst,
                Dim dst_bit, Dim count) {
   MPCNN_CHECK(src_bit >= 0 && dst_bit >= 0 && count >= 0,

@@ -13,7 +13,6 @@
 // last word of every row, which XOR cancels — no correction needed).
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -91,12 +90,6 @@ class BitMatrix {
     return words_.data() + static_cast<std::size_t>(r * words_per_row_);
   }
 
-  /// XNOR-popcount of row r against a vector of matching length.
-  Dim row_xnor_matches(Dim r, const BitVector& v) const;
-
-  /// Bipolar dot of row r against v.
-  std::int64_t row_dot_bipolar(Dim r, const BitVector& v) const;
-
  private:
   Dim rows_ = 0, cols_ = 0, words_per_row_ = 0;
   std::vector<std::uint64_t> words_;
@@ -104,35 +97,6 @@ class BitMatrix {
 
 /// Sign binarisation used everywhere: value >= 0 maps to bit 1 (+1).
 inline bool sign_bit(float v) { return v >= 0.0f; }
-
-/// Σ popcount(a[t] ^ b[t]) over `nwords` words — the mismatch count of
-/// two equally-padded packed rows (padding XORs to zero, so the result
-/// is exact without a correction term).
-inline Dim xor_popcount_words(const std::uint64_t* a, const std::uint64_t* b,
-                              Dim nwords) {
-  // Two accumulators keep independent popcount dependency chains in
-  // flight; rows are at most a few words, so no deeper unroll pays off.
-  Dim m0 = 0, m1 = 0;
-  Dim t = 0;
-  for (; t + 2 <= nwords; t += 2) {
-    m0 += std::popcount(a[t] ^ b[t]);
-    m1 += std::popcount(a[t + 1] ^ b[t + 1]);
-  }
-  if (t < nwords) m0 += std::popcount(a[t] ^ b[t]);
-  return m0 + m1;
-}
-
-/// Σ popcount(w[t]) over `nwords` words.
-inline Dim popcount_words(const std::uint64_t* w, Dim nwords) {
-  Dim c0 = 0, c1 = 0;
-  Dim t = 0;
-  for (; t + 2 <= nwords; t += 2) {
-    c0 += std::popcount(w[t]);
-    c1 += std::popcount(w[t + 1]);
-  }
-  if (t < nwords) c0 += std::popcount(w[t]);
-  return c0 + c1;
-}
 
 /// Copies `count` bits from src starting at bit `src_bit` into dst
 /// starting at bit `dst_bit`, using word reads/shifts/splices (no

@@ -16,12 +16,15 @@ namespace mpcnn::core::integrity {
 namespace {
 
 std::atomic<int> g_mode{-1};  // -1 = resolve from MPCNN_INTEGRITY
-std::atomic<double> g_tolerance_factor{8.0};
 std::atomic<std::uint64_t> g_checks_run{0};
 std::atomic<std::uint64_t> g_checks_failed{0};
 
 // float32 machine epsilon (2^-23).
 constexpr double kEps32 = 1.1920928955078125e-07;
+
+// Float-tolerance scale: tol = kToleranceFactor·eps32·(16 + √(K+rows))·mag,
+// with mag the elementwise-absolute checksum magnitude.
+constexpr double kToleranceFactor = 8.0;
 
 // Strict-IEEE double reductions are latency chains (one add every ~4
 // cycles); four independent lanes folded in a fixed order keep the sum
@@ -457,15 +460,6 @@ const char* mode_name(IntegrityMode mode) {
   return "?";
 }
 
-double tolerance_factor() {
-  return g_tolerance_factor.load(std::memory_order_relaxed);
-}
-
-void set_tolerance_factor(double factor) {
-  MPCNN_CHECK(factor > 0.0, "tolerance factor must be positive");
-  g_tolerance_factor.store(factor, std::memory_order_relaxed);
-}
-
 std::uint64_t checks_run() {
   return g_checks_run.load(std::memory_order_relaxed);
 }
@@ -599,11 +593,10 @@ void gemm_end(GemmGuard& guard, GemmLayout layout, std::int64_t M,
   // summation error grows ~√(length)·eps·mag, not linearly — a linear
   // bound would mask realistic flips on cancellation-heavy data.  The
   // NaN-robust `!(diff <= tol)` form flags non-finite poison too.
-  const double factor = tolerance_factor();
-  const double col_scale =
-      factor * kEps32 * (16.0 + std::sqrt(static_cast<double>(K + M)));
-  const double row_scale =
-      factor * kEps32 * (16.0 + std::sqrt(static_cast<double>(K + N)));
+  const double col_scale = kToleranceFactor * kEps32 *
+                           (16.0 + std::sqrt(static_cast<double>(K + M)));
+  const double row_scale = kToleranceFactor * kEps32 *
+                           (16.0 + std::sqrt(static_cast<double>(K + N)));
   for (std::int64_t n = 0; n < N; ++n) {
     const std::size_t un = static_cast<std::size_t>(n);
     const double tol = col_scale * col_mag[un] + 1e-30;

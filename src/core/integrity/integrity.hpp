@@ -12,7 +12,8 @@
 //     epilogue cross-checks row and column sums of C against references
 //     accumulated in double from A, B and the beta-carried old C.  Float
 //     arithmetic reorders under blocking/FMA, so the check is tolerance
-//     bounded (see tolerance_factor()).
+//     bounded by a random-walk rounding model with a fixed factor
+//     (DESIGN.md §16).
 //   * packed xnor_gemm (every popcount variant): ±1 arithmetic is exact
 //     integer math, so the column-sum identity
 //         Σ_r C[r][p] = Σ_j v[j]·b̃_p[j],   v[j] = 2·colcount_j − rows
@@ -139,12 +140,6 @@ class Scope {
 /// route its fused conv/dense loops through the checked xnor_gemm
 /// (identical integer accumulators, so outputs are bit-identical).
 bool instrumented();
-
-/// Float-tolerance scale: tol = factor·eps32·(16 + √(K+rows))·mag where
-/// mag is the elementwise-absolute checksum magnitude (the random-walk
-/// rounding model of DESIGN.md §16; default 8).
-double tolerance_factor();
-void set_tolerance_factor(double factor);
 
 // ---- process-global counters (relaxed; informational) ----
 std::uint64_t checks_run();      ///< kernel calls verified

@@ -67,8 +67,6 @@ class MultiPrecisionSystem {
   Decision classify_one(const Tensor& image) const;
 
   const MultiPrecisionConfig& config() const { return config_; }
-  void set_threshold(float threshold) { config_.dmu_threshold = threshold; }
-  void set_batch_size(Dim batch_size) { config_.batch_size = batch_size; }
 
   /// Optional: the host model's accuracy on the full test set (Table IV).
   /// When set, Eq. (2) is evaluated with it — reproducing the paper's

@@ -17,12 +17,6 @@ Tensor Dataset::batch(Dim start, Dim n) const {
   return out;
 }
 
-std::vector<int> Dataset::batch_labels(Dim start, Dim n) const {
-  MPCNN_CHECK(start >= 0 && n >= 0 && start + n <= size(),
-              "batch_labels out of range");
-  return std::vector<int>(labels.begin() + start, labels.begin() + start + n);
-}
-
 Dataset Dataset::subset(const std::vector<Dim>& indices) const {
   std::vector<Dim> dims = images.shape().dims();
   dims[0] = static_cast<Dim>(indices.size());
@@ -38,13 +32,6 @@ Dataset Dataset::subset(const std::vector<Dim>& indices) const {
   return out;
 }
 
-Dataset Dataset::take(Dim n) const {
-  MPCNN_CHECK(n <= size(), "take(" << n << ") of " << size());
-  std::vector<Dim> idx(static_cast<std::size_t>(n));
-  for (Dim i = 0; i < n; ++i) idx[static_cast<std::size_t>(i)] = i;
-  return subset(idx);
-}
-
 void Dataset::shuffle(Rng& rng) {
   const std::vector<std::size_t> order =
       rng.permutation(static_cast<std::size_t>(size()));
@@ -54,23 +41,6 @@ void Dataset::shuffle(Rng& rng) {
   Dataset shuffled = subset(idx);
   images = std::move(shuffled.images);
   labels = std::move(shuffled.labels);
-}
-
-void Dataset::append(const Dataset& other) {
-  if (size() == 0) {
-    *this = other;
-    return;
-  }
-  MPCNN_CHECK(images.numel() / size() == other.images.numel() / other.size(),
-              "append with mismatched item shapes");
-  std::vector<Dim> dims = images.shape().dims();
-  dims[0] = size() + other.size();
-  Tensor merged{Shape(dims)};
-  for (Dim i = 0; i < size(); ++i) merged.set_batch(i, images, i);
-  for (Dim i = 0; i < other.size(); ++i)
-    merged.set_batch(size() + i, other.images, i);
-  images = std::move(merged);
-  labels.insert(labels.end(), other.labels.begin(), other.labels.end());
 }
 
 std::vector<Dim> Dataset::class_histogram() const {

@@ -25,19 +25,12 @@ struct Dataset {
 
   /// Batched view: copies items [start, start+n) into a fresh tensor.
   Tensor batch(Dim start, Dim n) const;
-  std::vector<int> batch_labels(Dim start, Dim n) const;
 
   /// New dataset containing exactly the given items, in order.
   Dataset subset(const std::vector<Dim>& indices) const;
 
-  /// First n items.
-  Dataset take(Dim n) const;
-
   /// In-place deterministic shuffle.
   void shuffle(Rng& rng);
-
-  /// Appends another dataset (shapes must match).
-  void append(const Dataset& other);
 
   /// Per-class item counts (for balance checks).
   std::vector<Dim> class_histogram() const;

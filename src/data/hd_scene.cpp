@@ -1,7 +1,7 @@
 #include "data/hd_scene.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "tensor/error.hpp"
 
@@ -18,11 +18,12 @@ struct Axis {
   float scale;   // source pixels per output pixel
 };
 
-// The one resampler behind extract_tile, extract_roi and paste_object:
-// bilinearly samples the three (src_h × src_w) planes of `src` on the
-// ys × xs grid and writes plane c, row y, column x of the output to
+// The one resampler behind extract_tile and paste_object: bilinearly
+// samples the three (src_h × src_w) planes of `src` on the ys × xs grid
+// and writes plane c, row y, column x of the output to
 // dst[c * dst_plane + y * dst_row + x].  Coordinates are clamped to the
-// planes, so windows partly outside the source read its edge pixels.
+// planes, so a sample past a plane's edge (the outer half-pixel of an
+// upscaled window) reads the edge pixels.
 //
 // A sample's row taps depend only on y and its column taps only on x,
 // so both are tabulated once per call: the two source indices and the
@@ -71,72 +72,7 @@ void resample(const float* src, Dim src_h, Dim src_w, Axis ys, Axis xs,
   }
 }
 
-// Integral images over intensity and squared intensity: O(1) box sums
-// for the saliency scan.
-struct Integral {
-  Dim h = 0, w = 0;
-  std::vector<double> sum, sq;
-
-  explicit Integral(const Tensor& frame) {
-    h = frame.shape()[2];
-    w = frame.shape()[3];
-    sum.assign(static_cast<std::size_t>((h + 1) * (w + 1)), 0.0);
-    sq.assign(static_cast<std::size_t>((h + 1) * (w + 1)), 0.0);
-    const Dim plane = h * w;
-    for (Dim y = 0; y < h; ++y) {
-      for (Dim x = 0; x < w; ++x) {
-        // Luma: mean over the RGB channels.
-        const float v = (frame[0 * plane + y * w + x] +
-                         frame[1 * plane + y * w + x] +
-                         frame[2 * plane + y * w + x]) /
-                        3.0f;
-        const std::size_t idx =
-            static_cast<std::size_t>((y + 1) * (w + 1) + (x + 1));
-        sum[idx] = v + sum[idx - 1] +
-                   sum[idx - static_cast<std::size_t>(w + 1)] -
-                   sum[idx - static_cast<std::size_t>(w + 1) - 1];
-        sq[idx] = static_cast<double>(v) * v + sq[idx - 1] +
-                  sq[idx - static_cast<std::size_t>(w + 1)] -
-                  sq[idx - static_cast<std::size_t>(w + 1) - 1];
-      }
-    }
-  }
-
-  double box_sum(const std::vector<double>& table, Dim y, Dim x,
-                 Dim size) const {
-    const Dim y1 = std::min(y + size, h);
-    const Dim x1 = std::min(x + size, w);
-    auto at = [&](Dim yy, Dim xx) {
-      return table[static_cast<std::size_t>(yy * (w + 1) + xx)];
-    };
-    return at(y1, x1) - at(y, x1) - at(y1, x) + at(y, x);
-  }
-
-  // Variance of the box contents — high where structured objects sit on
-  // a smooth background.
-  double box_variance(Dim y, Dim x, Dim size) const {
-    const Dim y1 = std::min(y + size, h);
-    const Dim x1 = std::min(x + size, w);
-    const double count = static_cast<double>((y1 - y) * (x1 - x));
-    if (count <= 0.0) return 0.0;
-    const double mean = box_sum(sum, y, x, size) / count;
-    return box_sum(sq, y, x, size) / count - mean * mean;
-  }
-};
-
 }  // namespace
-
-double Roi::iou(const SceneObject& object) const {
-  const Dim ix0 = std::max(x, object.x);
-  const Dim iy0 = std::max(y, object.y);
-  const Dim ix1 = std::min(x + size, object.x + object.size);
-  const Dim iy1 = std::min(y + size, object.y + object.size);
-  if (ix1 <= ix0 || iy1 <= iy0) return 0.0;
-  const double inter = static_cast<double>((ix1 - ix0) * (iy1 - iy0));
-  const double uni = static_cast<double>(size * size) +
-                     static_cast<double>(object.size * object.size) - inter;
-  return inter / uni;
-}
 
 SceneGenerator::SceneGenerator(const CifarLikeGenerator& objects,
                                Config config)
@@ -223,82 +159,6 @@ void paste_object(Tensor& frame, const Tensor& render32,
   resample(render32.data(), 32, 32, Axis{object.size, 0.0f, scale},
            Axis{object.size, 0.0f, scale},
            frame.data() + object.y * W + object.x, W, H * W);
-}
-
-std::vector<Roi> propose_rois(const Tensor& frame, Dim max_rois,
-                              Dim min_size, Dim max_size) {
-  MPCNN_CHECK(frame.shape().rank() == 4 && frame.shape()[0] == 1 &&
-                  frame.shape()[1] == 3,
-              "propose_rois expects one RGB frame");
-  MPCNN_CHECK(max_rois >= 1 && min_size >= 8 && min_size <= max_size,
-              "bad ROI parameters");
-  const Integral integral(frame);
-  const Dim H = frame.shape()[2], W = frame.shape()[3];
-
-  // Scan a coarse grid at a few scales; stride = size/4 keeps the scan
-  // cheap while localising well enough for a 32x32 classifier crop.
-  std::vector<Roi> candidates;
-  for (Dim size = min_size; size <= max_size;
-       size = std::max(size + size / 2, size + 8)) {
-    const Dim stride = std::max<Dim>(4, size / 4);
-    for (Dim y = 0; y + size <= H; y += stride) {
-      for (Dim x = 0; x + size <= W; x += stride) {
-        Roi roi;
-        roi.x = x;
-        roi.y = y;
-        roi.size = size;
-        // Centre–surround contrast: a tight box over an object has high
-        // internal variance while its surround (background) stays flat;
-        // an oversized or off-centre box loses on both counts.
-        const double centre = integral.box_variance(y, x, size);
-        const Dim margin = size / 2;
-        const Dim sy = std::max<Dim>(0, y - margin);
-        const Dim sx = std::max<Dim>(0, x - margin);
-        const double surround = integral.box_variance(sy, sx, size * 2);
-        roi.saliency = static_cast<float>(centre - 0.9 * surround);
-        candidates.push_back(roi);
-      }
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Roi& a, const Roi& b) {
-              return a.saliency > b.saliency;
-            });
-
-  // Greedy non-maximum suppression on centre distance.
-  std::vector<Roi> picked;
-  for (const Roi& roi : candidates) {
-    if (static_cast<Dim>(picked.size()) >= max_rois) break;
-    bool suppressed = false;
-    for (const Roi& kept : picked) {
-      const double cx0 = roi.x + roi.size / 2.0;
-      const double cy0 = roi.y + roi.size / 2.0;
-      const double cx1 = kept.x + kept.size / 2.0;
-      const double cy1 = kept.y + kept.size / 2.0;
-      const double dist =
-          std::hypot(cx0 - cx1, cy0 - cy1);
-      if (dist < 0.6 * static_cast<double>(std::max(roi.size, kept.size))) {
-        suppressed = true;
-        break;
-      }
-    }
-    if (!suppressed) picked.push_back(roi);
-  }
-  return picked;
-}
-
-Tensor extract_roi(const Tensor& frame, const Roi& roi) {
-  MPCNN_CHECK(frame.shape().rank() == 4 && frame.shape()[0] == 1 &&
-                  frame.shape()[1] == 3,
-              "extract_roi expects one RGB frame");
-  MPCNN_CHECK(roi.size >= 1, "empty ROI");
-  const Dim H = frame.shape()[2], W = frame.shape()[3];
-  Tensor crop(Shape{1, 3, 32, 32});
-  const float scale = static_cast<float>(roi.size) / 32.0f;
-  resample(frame.data(), H, W, Axis{32, static_cast<float>(roi.y), scale},
-           Axis{32, static_cast<float>(roi.x), scale}, crop.data(), 32,
-           32 * 32);
-  return crop;
 }
 
 std::vector<TileGeometry> tile_grid(Dim height, Dim width, Dim tile,

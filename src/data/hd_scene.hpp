@@ -1,4 +1,4 @@
-// HD-frame scene synthesis and region-of-interest extraction.
+// HD-frame scene synthesis and tiling.
 //
 // §III-A motivates minimising the classifier's BRAM with exactly this
 // companion workload: "hardware that could extract regions of interest
@@ -7,15 +7,13 @@
 //
 //  * SceneGenerator composites CIFAR-like objects at random scales onto
 //    a textured HD background (ground truth retained);
-//  * propose_rois() is a saliency detector (local contrast over an
-//    integral-image pyramid with greedy non-maximum suppression) that
-//    recovers candidate boxes without knowing the ground truth;
-//  * extract_roi() bilinearly rescales any box to the classifier's
-//    32×32 input.
+//  * tile_grid() decomposes a frame into overlapping tiles, and
+//    extract_tile() bilinearly rescales a tile's halo rect to the
+//    classifier's 32×32 input.
 //
-// extract_roi(), extract_tile() and paste_object() share one sampling
-// routine: it tabulates each output row's and column's source taps and
-// weights once per call, then samples from the tables.
+// extract_tile() and paste_object() share one sampling routine: it
+// tabulates each output row's and column's source taps and weights once
+// per call, then samples from the tables.
 #pragma once
 
 #include "data/cifar_like.hpp"
@@ -33,15 +31,6 @@ struct SceneObject {
 struct Scene {
   Tensor frame;  ///< (1, 3, H, W), values in [0, 1]
   std::vector<SceneObject> objects;
-};
-
-/// Candidate box from the ROI detector.
-struct Roi {
-  Dim x = 0, y = 0, size = 0;
-  float saliency = 0.0f;
-
-  /// Intersection-over-union with a ground-truth object.
-  double iou(const SceneObject& object) const;
 };
 
 /// Composites scenes out of CifarLikeGenerator objects.
@@ -68,16 +57,6 @@ class SceneGenerator {
   const CifarLikeGenerator& objects_;
   Config config_;
 };
-
-/// Saliency-driven ROI proposal: returns up to `max_rois` boxes of
-/// extents within [min_size, max_size], strongest first, with overlaps
-/// suppressed (IoU-style centre-distance NMS).
-std::vector<Roi> propose_rois(const Tensor& frame, Dim max_rois,
-                              Dim min_size = 32, Dim max_size = 96);
-
-/// Crops `roi` from the frame and bilinearly resamples it to 32×32
-/// (the classifier input).  Out-of-frame boxes are clamped.
-Tensor extract_roi(const Tensor& frame, const Roi& roi);
 
 /// Pastes a 32×32 object render into `frame` at `object`'s box,
 /// bilinearly rescaled to the object's extent.  The box must lie inside
@@ -111,8 +90,8 @@ std::vector<TileGeometry> tile_grid(Dim height, Dim width, Dim tile,
                                     Dim halo);
 
 /// Crops the tile's halo rect and bilinearly resamples it to the 32×32
-/// classifier input — the per-tile analogue of extract_roi (for a square
-/// halo rect the two agree exactly).
+/// classifier input.  A non-square halo rect (a border tile) is scaled
+/// independently along each axis.
 Tensor extract_tile(const Tensor& frame, const TileGeometry& tile);
 
 }  // namespace mpcnn::data

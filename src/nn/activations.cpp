@@ -1,7 +1,5 @@
 #include "nn/activations.hpp"
 
-#include <cmath>
-
 namespace mpcnn::nn {
 
 Tensor ReLU::forward(const Tensor& in) {
@@ -23,26 +21,6 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   Tensor grad_in = grad_out;
   for (Dim i = 0; i < grad_in.numel(); ++i) {
     if (!mask_[static_cast<std::size_t>(i)]) grad_in[i] = 0.0f;
-  }
-  return grad_in;
-}
-
-Tensor Sigmoid::forward(const Tensor& in) {
-  Tensor out = in;
-  for (Dim i = 0; i < out.numel(); ++i) {
-    out[i] = 1.0f / (1.0f + std::exp(-out[i]));
-  }
-  cached_out_ = out;
-  return out;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  MPCNN_CHECK(grad_out.same_shape(cached_out_),
-              "Sigmoid backward before forward");
-  Tensor grad_in = grad_out;
-  for (Dim i = 0; i < grad_in.numel(); ++i) {
-    const float y = cached_out_[i];
-    grad_in[i] *= y * (1.0f - y);
   }
   return grad_in;
 }

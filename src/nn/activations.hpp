@@ -18,17 +18,4 @@ class ReLU final : public Layer {
   std::vector<bool> mask_;
 };
 
-/// Logistic sigmoid — used by the DMU's positive transfer function.
-class Sigmoid final : public Layer {
- public:
-  Sigmoid() = default;
-  Tensor forward(const Tensor& in) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::string name() const override { return "sigmoid"; }
-  Shape output_shape(const Shape& in) const override { return in; }
-
- private:
-  Tensor cached_out_;
-};
-
 }  // namespace mpcnn::nn

@@ -46,34 +46,4 @@ Tensor SoftmaxCrossEntropy::backward() const {
   return grad;
 }
 
-float BinaryCrossEntropy::forward(const Tensor& probs,
-                                  const std::vector<int>& labels) {
-  const Dim N = probs.numel();
-  MPCNN_CHECK(static_cast<Dim>(labels.size()) == N,
-              "labels size mismatch in BCE");
-  probs_ = probs;
-  labels_ = labels;
-  float loss = 0.0f;
-  for (Dim n = 0; n < N; ++n) {
-    const float p = std::clamp(probs[n], 1e-7f, 1.0f - 1e-7f);
-    const int y = labels[static_cast<std::size_t>(n)];
-    MPCNN_CHECK(y == 0 || y == 1, "BCE label must be 0/1, got " << y);
-    loss -= y ? std::log(p) : std::log(1.0f - p);
-  }
-  return loss / static_cast<float>(N);
-}
-
-Tensor BinaryCrossEntropy::backward() const {
-  MPCNN_CHECK(!labels_.empty(), "BCE backward before forward");
-  const Dim N = probs_.numel();
-  Tensor grad(probs_.shape());
-  const float inv_n = 1.0f / static_cast<float>(N);
-  for (Dim n = 0; n < N; ++n) {
-    const float p = std::clamp(probs_[n], 1e-7f, 1.0f - 1e-7f);
-    const int y = labels_[static_cast<std::size_t>(n)];
-    grad[n] = inv_n * (y ? -1.0f / p : 1.0f / (1.0f - p));
-  }
-  return grad;
-}
-
 }  // namespace mpcnn::nn

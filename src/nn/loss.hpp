@@ -23,16 +23,4 @@ class SoftmaxCrossEntropy {
   std::vector<int> labels_;
 };
 
-/// Binary cross-entropy on sigmoid(w·x+b) outputs — the DMU's loss.
-/// forward() takes probabilities in (0,1); backward() returns dLoss/dProb.
-class BinaryCrossEntropy {
- public:
-  float forward(const Tensor& probs, const std::vector<int>& labels);
-  Tensor backward() const;
-
- private:
-  Tensor probs_;
-  std::vector<int> labels_;
-};
-
 }  // namespace mpcnn::nn

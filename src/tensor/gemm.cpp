@@ -329,14 +329,4 @@ void gemm_naive(std::int64_t M, std::int64_t N, std::int64_t K, float alpha,
   }
 }
 
-void gemv(std::int64_t M, std::int64_t N, const float* A, const float* x,
-          float beta, float* y) {
-  for (std::int64_t i = 0; i < M; ++i) {
-    const float* a = A + i * N;
-    float acc = 0.0f;
-    for (std::int64_t j = 0; j < N; ++j) acc += a[j] * x[j];
-    y[i] = beta * y[i] + acc;
-  }
-}
-
 }  // namespace mpcnn

@@ -35,8 +35,4 @@ void gemm_bt(std::int64_t M, std::int64_t N, std::int64_t K, float alpha,
 void gemm_naive(std::int64_t M, std::int64_t N, std::int64_t K, float alpha,
                 const float* A, const float* B, float beta, float* C);
 
-/// y = A(MxN) * x + beta*y (matrix-vector product).
-void gemv(std::int64_t M, std::int64_t N, const float* A, const float* x,
-          float beta, float* y);
-
 }  // namespace mpcnn

@@ -109,16 +109,6 @@ float Tensor::mean() const {
   return sum() / static_cast<float>(data_.size());
 }
 
-void Tensor::axpy(float alpha, const Tensor& other) {
-  MPCNN_CHECK(same_shape(other), "axpy shape mismatch: "
-                                     << shape_.str() << " vs "
-                                     << other.shape_.str());
-  const float* src = other.data();
-  float* dst = data();
-  const std::size_t n = data_.size();
-  for (std::size_t i = 0; i < n; ++i) dst[i] += alpha * src[i];
-}
-
 void Tensor::scale(float alpha) {
   for (float& v : data_) v *= alpha;
 }

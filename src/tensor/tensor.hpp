@@ -67,9 +67,6 @@ class Tensor {
   float sum() const;
   float mean() const;
 
-  /// this += alpha * other  (shapes must match).
-  void axpy(float alpha, const Tensor& other);
-
   /// this *= alpha.
   void scale(float alpha);
 

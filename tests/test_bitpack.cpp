@@ -90,33 +90,12 @@ TEST(BitVector, EqualityOperator) {
   EXPECT_FALSE(a == c);
 }
 
-TEST(BitMatrix, RowDotMatchesVectorDot) {
-  Rng rng(31);
-  const Dim rows = 5, cols = 200;
-  BitMatrix m(rows, cols);
-  BitVector v(cols);
-  for (Dim c = 0; c < cols; ++c) v.set(c, rng.bernoulli(0.5));
-  for (Dim r = 0; r < rows; ++r) {
-    BitVector row(cols);
-    for (Dim c = 0; c < cols; ++c) {
-      const bool bit = rng.bernoulli(0.5);
-      m.set(r, c, bit);
-      row.set(c, bit);
-    }
-    EXPECT_EQ(m.row_dot_bipolar(r, v), row.dot_bipolar(v));
-    EXPECT_EQ(m.row_xnor_matches(r, v), row.xnor_matches(v));
-  }
-}
-
 TEST(BitMatrix, BoundsCheckedInDebugBuilds) {
   BitMatrix m(2, 10);
   if constexpr (kDebugChecksEnabled) {
     EXPECT_THROW(m.get(2, 0), Error);
     EXPECT_THROW(m.set(0, 10, true), Error);
   }
-  // Whole-row entry points stay checked in every build.
-  BitVector wrong(11);
-  EXPECT_THROW(m.row_xnor_matches(0, wrong), Error);
 }
 
 TEST(SignBit, ZeroMapsToPlusOne) {
@@ -152,7 +131,8 @@ TEST(CopyBits, MatchesPerBitReferenceAcrossOffsets) {
 }
 
 // Randomized packed-vs-scalar equivalence at tail-word hostile widths:
-// cols % 64 ∈ {0, 1, 63} plus small odd sizes.
+// cols % 64 ∈ {0, 1, 63} plus small odd sizes.  The reference is built
+// bit by bit from get(), so it shares no kernel with xnor_gemm.
 class XnorGemmShapes : public ::testing::TestWithParam<int> {};
 
 TEST_P(XnorGemmShapes, MatchesRowDotReference) {
@@ -170,10 +150,11 @@ TEST_P(XnorGemmShapes, MatchesRowDotReference) {
   xnor_gemm(a, b, out.data());
   for (Dim r = 0; r < rows; ++r) {
     for (Dim p = 0; p < positions; ++p) {
-      BitVector brow(cols);
-      for (Dim c = 0; c < cols; ++c) brow.set(c, b.get(p, c));
-      EXPECT_EQ(out[static_cast<std::size_t>(r * positions + p)],
-                a.row_dot_bipolar(r, brow))
+      std::int32_t want = 0;
+      for (Dim c = 0; c < cols; ++c) {
+        want += a.get(r, c) == b.get(p, c) ? 1 : -1;
+      }
+      EXPECT_EQ(out[static_cast<std::size_t>(r * positions + p)], want)
           << "cols=" << cols << " r=" << r << " p=" << p;
     }
   }

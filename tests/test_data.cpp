@@ -1,12 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-
-#include "data/augment.hpp"
 #include "data/cifar_like.hpp"
-#include "data/cifar_reader.hpp"
 
 namespace mpcnn::data {
 namespace {
@@ -17,8 +11,6 @@ TEST(Dataset, BatchingAndLabels) {
   EXPECT_EQ(set.size(), 20);
   const Tensor batch = set.batch(5, 10);
   EXPECT_EQ(batch.shape(), Shape({10, 3, 32, 32}));
-  const auto labels = set.batch_labels(5, 10);
-  EXPECT_EQ(labels.size(), 10u);
   EXPECT_THROW(set.batch(15, 10), Error);
 }
 
@@ -32,18 +24,7 @@ TEST(Dataset, SubsetAndTake) {
   for (Dim i = 0; i < 3 * 32 * 32; ++i) {
     EXPECT_EQ(sub.images[i], set.images[3 * 3 * 32 * 32 + i]);
   }
-  EXPECT_EQ(set.take(4).size(), 4);
-  EXPECT_THROW(set.take(11), Error);
   EXPECT_THROW(set.subset({10}), Error);
-}
-
-TEST(Dataset, AppendConcatenates) {
-  CifarLikeGenerator gen{SyntheticConfig{}};
-  Dataset a = gen.generate(10, 3);
-  const Dataset b = gen.generate(6, 4);
-  a.append(b);
-  EXPECT_EQ(a.size(), 16);
-  EXPECT_EQ(a.labels.size(), 16u);
 }
 
 TEST(Dataset, ShuffleKeepsPairsTogether) {
@@ -134,77 +115,6 @@ TEST(CifarLike, RejectsBadLabel) {
   Rng rng(1);
   EXPECT_THROW(gen.render(10, rng), Error);
   EXPECT_THROW(gen.render(-1, rng), Error);
-}
-
-TEST(CifarReader, RoundTripThroughBinaryFormat) {
-  // Write a file in the real CIFAR-10 binary layout and read it back.
-  namespace fs = std::filesystem;
-  const std::string path =
-      (fs::temp_directory_path() / "mpcnn_cifar_batch.bin").string();
-  {
-    std::ofstream os(path, std::ios::binary);
-    for (int rec = 0; rec < 3; ++rec) {
-      const unsigned char label = static_cast<unsigned char>(rec * 3);
-      os.put(static_cast<char>(label));
-      for (int p = 0; p < 3072; ++p) {
-        os.put(static_cast<char>((rec + p) % 256));
-      }
-    }
-  }
-  const Dataset set = read_cifar10_batch(path);
-  EXPECT_EQ(set.size(), 3);
-  EXPECT_EQ(set.labels[0], 0);
-  EXPECT_EQ(set.labels[1], 3);
-  EXPECT_EQ(set.labels[2], 6);
-  EXPECT_NEAR(set.images[0], 0.0f, 1e-6f);          // pixel 0 of record 0
-  EXPECT_NEAR(set.images[1], 1.0f / 255.0f, 1e-6f);  // pixel 1
-  fs::remove(path);
-}
-
-TEST(CifarReader, RejectsMalformedFile) {
-  namespace fs = std::filesystem;
-  const std::string path =
-      (fs::temp_directory_path() / "mpcnn_cifar_bad.bin").string();
-  {
-    std::ofstream os(path, std::ios::binary);
-    os.write("short", 5);
-  }
-  EXPECT_THROW(read_cifar10_batch(path), Error);
-  fs::remove(path);
-}
-
-TEST(CifarReader, MissingDirectoryReturnsNullopt) {
-  EXPECT_FALSE(load_cifar10("/definitely/not/here").has_value());
-}
-
-TEST(Augment, HorizontalFlipIsInvolution) {
-  CifarLikeGenerator gen{SyntheticConfig{}};
-  Rng rng(21);
-  const Tensor img = gen.render(4, rng);
-  const Tensor twice = hflip(hflip(img));
-  for (Dim i = 0; i < img.numel(); ++i) {
-    ASSERT_FLOAT_EQ(img[i], twice[i]);
-  }
-}
-
-TEST(Augment, CropKeepsShapeAndRange) {
-  CifarLikeGenerator gen{SyntheticConfig{}};
-  Rng rng(23);
-  const Tensor img = gen.render(2, rng);
-  Rng crop_rng(24);
-  const Tensor cropped = random_crop(img, 3, crop_rng);
-  EXPECT_EQ(cropped.shape(), img.shape());
-  EXPECT_GE(cropped.min(), 0.0f);
-  EXPECT_LE(cropped.max(), 1.0f);
-}
-
-TEST(Augment, DatasetAugmentationPreservesLabels) {
-  CifarLikeGenerator gen{SyntheticConfig{}};
-  const Dataset set = gen.generate(20, 25);
-  AugmentConfig config;
-  const Dataset aug = augment(set, config);
-  EXPECT_EQ(aug.size(), set.size());
-  EXPECT_EQ(aug.labels, set.labels);
 }
 
 }  // namespace

@@ -148,17 +148,5 @@ TEST(Gemm, AccumulateBetaOne) {
   }
 }
 
-TEST(Gemv, MatchesGemmColumn) {
-  const Dim M = 17, N = 23;
-  Rng rng(13);
-  const auto A = random_matrix(M, N, rng);
-  const auto x = random_matrix(N, 1, rng);
-  std::vector<float> y(static_cast<std::size_t>(M), 0.0f);
-  std::vector<float> y_ref(static_cast<std::size_t>(M), 0.0f);
-  gemv(M, N, A.data(), x.data(), 0.0f, y.data());
-  gemm_naive(M, 1, N, 1.0f, A.data(), x.data(), 0.0f, y_ref.data());
-  expect_close(y, y_ref, 1e-4f);
-}
-
 }  // namespace
 }  // namespace mpcnn

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <set>
 
@@ -18,7 +17,7 @@ CifarLikeGenerator& objects() {
 // ---- per-sample oracle for the table-driven resampler -----------------
 //
 // Every output sample clamps, truncates and weights its own coordinates.
-// The table-driven resampler behind the three public functions must stay
+// The table-driven resampler behind the two public functions must stay
 // byte-identical to these loops.
 
 float oracle_bilinear(const float* plane, Dim h, Dim w, float y, float x) {
@@ -53,17 +52,6 @@ Tensor oracle_extract_tile(const Tensor& frame, const TileGeometry& tile) {
     }
   }
   return crop;
-}
-
-// extract_roi samples a square box with exactly the arithmetic
-// extract_tile applies to a halo rect, so one oracle serves both.
-Tensor oracle_extract_roi(const Tensor& frame, const Roi& roi) {
-  TileGeometry box;
-  box.hx = roi.x;
-  box.hy = roi.y;
-  box.hw = roi.size;
-  box.hh = roi.size;
-  return oracle_extract_tile(frame, box);
 }
 
 void oracle_paste_object(Tensor& frame, const Tensor& render32,
@@ -126,11 +114,10 @@ TEST(SceneGenerator, ObjectsStayInFrameAndDisjoint) {
   }
   for (std::size_t i = 0; i < scene.objects.size(); ++i) {
     for (std::size_t j = i + 1; j < scene.objects.size(); ++j) {
-      Roi as_roi;
-      as_roi.x = scene.objects[i].x;
-      as_roi.y = scene.objects[i].y;
-      as_roi.size = scene.objects[i].size;
-      EXPECT_EQ(as_roi.iou(scene.objects[j]), 0.0);
+      const SceneObject& a = scene.objects[i];
+      const SceneObject& b = scene.objects[j];
+      EXPECT_TRUE(a.x + a.size <= b.x || b.x + b.size <= a.x ||
+                  a.y + a.size <= b.y || b.y + b.size <= a.y);
     }
   }
 }
@@ -140,145 +127,6 @@ TEST(SceneGenerator, RejectsTinyFrames) {
   config.height = 40;
   config.width = 40;
   EXPECT_THROW(SceneGenerator(objects(), config), Error);
-}
-
-TEST(Roi, IouKnownValues) {
-  Roi roi;
-  roi.x = 0;
-  roi.y = 0;
-  roi.size = 10;
-  SceneObject same;
-  same.x = 0;
-  same.y = 0;
-  same.size = 10;
-  EXPECT_NEAR(roi.iou(same), 1.0, 1e-12);
-  SceneObject half;
-  half.x = 5;
-  half.y = 0;
-  half.size = 10;
-  EXPECT_NEAR(roi.iou(half), 50.0 / 150.0, 1e-12);
-  SceneObject apart;
-  apart.x = 50;
-  apart.y = 50;
-  apart.size = 10;
-  EXPECT_EQ(roi.iou(apart), 0.0);
-}
-
-TEST(ProposeRois, FindsPlantedObjects) {
-  SceneGenerator::Config config;
-  config.height = 240;
-  config.width = 320;
-  config.background_noise = 0.01f;
-  SceneGenerator gen(objects(), config);
-  Rng rng(7);
-  const Scene scene = gen.generate(4, rng);
-  ASSERT_GE(scene.objects.size(), 2u);
-  const auto rois = propose_rois(scene.frame, 12, 32, 96);
-  ASSERT_FALSE(rois.empty());
-  // Every planted object should be hit by at least one proposal.
-  Dim found = 0;
-  for (const SceneObject& object : scene.objects) {
-    for (const Roi& roi : rois) {
-      if (roi.iou(object) > 0.2) {
-        ++found;
-        break;
-      }
-    }
-  }
-  EXPECT_GE(found, static_cast<Dim>(scene.objects.size()) - 1)
-      << "detector missed too many objects";
-}
-
-TEST(ProposeRois, OrderedBySaliencyAndSuppressed) {
-  SceneGenerator::Config config;
-  config.height = 180;
-  config.width = 320;
-  SceneGenerator gen(objects(), config);
-  Rng rng(9);
-  const Scene scene = gen.generate(3, rng);
-  const auto rois = propose_rois(scene.frame, 8, 32, 96);
-  for (std::size_t i = 1; i < rois.size(); ++i) {
-    EXPECT_LE(rois[i].saliency, rois[i - 1].saliency);
-  }
-  // No two picked boxes share (almost) the same centre.
-  for (std::size_t i = 0; i < rois.size(); ++i) {
-    for (std::size_t j = i + 1; j < rois.size(); ++j) {
-      const double dx = (rois[i].x + rois[i].size / 2.0) -
-                        (rois[j].x + rois[j].size / 2.0);
-      const double dy = (rois[i].y + rois[i].size / 2.0) -
-                        (rois[j].y + rois[j].size / 2.0);
-      EXPECT_GT(std::hypot(dx, dy), 1.0);
-    }
-  }
-}
-
-TEST(ProposeRois, ValidatesArguments) {
-  Tensor frame(Shape{1, 3, 64, 64});
-  EXPECT_THROW(propose_rois(frame, 0), Error);
-  EXPECT_THROW(propose_rois(frame, 4, 64, 32), Error);
-  EXPECT_THROW(propose_rois(Tensor(Shape{1, 1, 64, 64}), 4), Error);
-}
-
-TEST(ExtractRoi, IdentityAt32) {
-  // A 32-pixel ROI over a 32-aligned region reproduces the pixels.
-  Tensor frame(Shape{1, 3, 64, 64});
-  Rng rng(11);
-  frame.fill_uniform(rng, 0.0f, 1.0f);
-  Roi roi;
-  roi.x = 16;
-  roi.y = 8;
-  roi.size = 32;
-  const Tensor crop = extract_roi(frame, roi);
-  EXPECT_EQ(crop.shape(), Shape({1, 3, 32, 32}));
-  for (Dim c = 0; c < 3; ++c) {
-    for (Dim y = 0; y < 32; ++y) {
-      for (Dim x = 0; x < 32; ++x) {
-        ASSERT_NEAR(crop.at4(0, c, y, x), frame.at4(0, c, y + 8, x + 16),
-                    1e-5f);
-      }
-    }
-  }
-}
-
-TEST(ExtractRoi, DownscalePreservesMean) {
-  // Bilinear downscale of a constant region stays constant.
-  Tensor frame(Shape{1, 3, 128, 128});
-  frame.fill(0.7f);
-  Roi roi;
-  roi.x = 10;
-  roi.y = 10;
-  roi.size = 96;
-  const Tensor crop = extract_roi(frame, roi);
-  for (Dim i = 0; i < crop.numel(); ++i) {
-    ASSERT_NEAR(crop[i], 0.7f, 1e-5f);
-  }
-}
-
-TEST(ExtractRoi, RoundTripClassifiable) {
-  // Paste one object, extract the ground-truth box, and check the crop
-  // resembles the original render (correlation well above chance).
-  SceneGenerator::Config config;
-  config.height = 180;
-  config.width = 320;
-  config.background_noise = 0.0f;
-  SceneGenerator gen(objects(), config);
-  Rng rng(13);
-  const Scene scene = gen.generate(1, rng);
-  ASSERT_EQ(scene.objects.size(), 1u);
-  const SceneObject& object = scene.objects[0];
-  Roi roi;
-  roi.x = object.x;
-  roi.y = object.y;
-  roi.size = object.size;
-  const Tensor crop = extract_roi(scene.frame, roi);
-  // The crop's variance must be object-like (not flat background).
-  float mean = crop.mean();
-  float var = 0.0f;
-  for (Dim i = 0; i < crop.numel(); ++i) {
-    var += (crop[i] - mean) * (crop[i] - mean);
-  }
-  var /= static_cast<float>(crop.numel());
-  EXPECT_GT(var, 1e-3f);
 }
 
 // ---- tiling geometry (core/scene_stream rides on these) ---------------
@@ -366,27 +214,6 @@ TEST(TileGrid, ValidatesArguments) {
   EXPECT_THROW(tile_grid(64, 0, 32, 0), Error);
 }
 
-TEST(ExtractTile, AgreesWithExtractRoiOnSquareHalo) {
-  Tensor frame(Shape{1, 3, 128, 128});
-  Rng rng(17);
-  frame.fill_uniform(rng, 0.0f, 1.0f);
-  // Interior tile of a 32-grid with halo 8: square 48x48 halo rect.
-  const auto grid = tile_grid(128, 128, 32, 8);
-  const TileGeometry& g = grid[5];  // row 1, col 1 — interior
-  ASSERT_EQ(g.hw, 48);
-  ASSERT_EQ(g.hh, 48);
-  const Tensor tile = extract_tile(frame, g);
-  EXPECT_EQ(tile.shape(), Shape({1, 3, 32, 32}));
-  Roi roi;
-  roi.x = g.hx;
-  roi.y = g.hy;
-  roi.size = g.hw;
-  const Tensor crop = extract_roi(frame, roi);
-  for (Dim i = 0; i < tile.numel(); ++i) {
-    ASSERT_EQ(tile[i], crop[i]) << "tile and roi sampling diverge at " << i;
-  }
-}
-
 TEST(ExtractTile, ShortBorderTileResamplesCleanly) {
   // The 2-pixel-wide border tile of the 100x130 grid still produces a
   // full 32x32 classifier input within range.
@@ -399,8 +226,7 @@ TEST(ExtractTile, ShortBorderTileResamplesCleanly) {
 }
 
 TEST(ExtractTile, ResamplersMatchThePerSampleOracleBitForBit) {
-  // 300 seeded random frames: every tile of the frame's grid, plus ROIs
-  // of random extent that may hang off any edge of the frame.
+  // 300 seeded random frames: every tile of the frame's grid.
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     Rng rng(seed);
     const Dim H = draw(rng, 1, 300), W = draw(rng, 1, 300);
@@ -414,16 +240,6 @@ TEST(ExtractTile, ResamplersMatchThePerSampleOracleBitForBit) {
           << tile << ", halo " << halo << ", tile index " << g.index
           << " (halo rect " << g.hx << "," << g.hy << " " << g.hw << "x"
           << g.hh << ")";
-    }
-    for (int k = 0; k < 4; ++k) {
-      Roi roi;
-      roi.size = draw(rng, 1, 160);
-      roi.x = draw(rng, -roi.size / 2, W - 1 + roi.size / 2);
-      roi.y = draw(rng, -roi.size / 2, H - 1 + roi.size / 2);
-      ASSERT_TRUE(same_bytes(extract_roi(frame, roi),
-                             oracle_extract_roi(frame, roi)))
-          << "seed " << seed << ": " << H << "x" << W << " frame, roi "
-          << roi.x << "," << roi.y << " size " << roi.size;
     }
   }
   // paste_object at every object extent the scene generators could ask

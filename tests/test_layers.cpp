@@ -11,7 +11,6 @@
 #include "nn/lrn.hpp"
 #include "nn/pool.hpp"
 #include "nn/scale.hpp"
-#include "nn/softmax.hpp"
 #include "tensor/gradcheck.hpp"
 
 namespace mpcnn::nn {
@@ -241,14 +240,6 @@ TEST(ReLU, ForwardAndGradient) {
   EXPECT_FLOAT_EQ(gi[2], 1.0f);
 }
 
-TEST(Sigmoid, ForwardAndGradient) {
-  Sigmoid sigmoid;
-  Tensor in(Shape{1, 1}, {0.0f});
-  EXPECT_FLOAT_EQ(sigmoid.forward(in)[0], 0.5f);
-  const Tensor in2 = random_input(Shape{2, 5}, 29);
-  check_input_gradient(sigmoid, in2, 1e-2f);
-}
-
 TEST(Scale, ForwardBackward) {
   Scale scale(0.25f);
   Tensor in(Shape{2}, {4, 8});
@@ -324,40 +315,6 @@ TEST(BatchNorm, GradientsMatchNumeric) {
   const Tensor in = random_input(Shape{6, 4}, 43);
   check_input_gradient(bn, in, 2e-2f);
   check_param_gradients(bn, in, 2e-2f);
-}
-
-// --------------------------------------------------------------- Softmax
-
-TEST(Softmax, RowsSumToOne) {
-  Softmax softmax;
-  const Tensor in = random_input(Shape{4, 10}, 47);
-  const Tensor out = softmax.forward(in);
-  for (Dim n = 0; n < 4; ++n) {
-    float sum = 0.0f;
-    for (Dim c = 0; c < 10; ++c) sum += out[n * 10 + c];
-    EXPECT_NEAR(sum, 1.0f, 1e-5f);
-  }
-}
-
-TEST(Softmax, NumericallyStableForLargeLogits) {
-  Softmax softmax;
-  Tensor in(Shape{1, 3}, {1000.0f, 1000.0f, 0.0f});
-  const Tensor out = softmax.forward(in);
-  EXPECT_NEAR(out[0], 0.5f, 1e-4f);
-  EXPECT_FALSE(std::isnan(out[2]));
-}
-
-TEST(Softmax, GradientsMatchNumeric) {
-  Softmax softmax;
-  const Tensor in = random_input(Shape{3, 6}, 53);
-  check_input_gradient(softmax, in, 1e-2f);
-}
-
-TEST(SoftmaxFree, MatchesLayer) {
-  const std::vector<float> scores = {1.0f, 2.0f, 3.0f};
-  const auto probs = softmax(scores);
-  EXPECT_NEAR(probs[0] + probs[1] + probs[2], 1.0f, 1e-6f);
-  EXPECT_GT(probs[2], probs[1]);
 }
 
 // --------------------------------------------------------------- Dropout

@@ -57,32 +57,5 @@ TEST(SoftmaxCrossEntropy, RejectsBadLabels) {
   EXPECT_THROW(loss.forward(logits, {0, 1}), Error);
 }
 
-TEST(BinaryCrossEntropy, KnownValues) {
-  BinaryCrossEntropy loss;
-  Tensor probs(Shape{2}, {0.5f, 0.5f});
-  EXPECT_NEAR(loss.forward(probs, {1, 0}), std::log(2.0f), 1e-5f);
-}
-
-TEST(BinaryCrossEntropy, GradientMatchesNumeric) {
-  BinaryCrossEntropy loss;
-  Tensor probs(Shape{4}, {0.2f, 0.8f, 0.35f, 0.6f});
-  const std::vector<int> labels = {0, 1, 1, 0};
-  (void)loss.forward(probs, labels);
-  const Tensor analytic = loss.backward();
-  const Tensor numeric = numeric_gradient(
-      [&](const Tensor& p) {
-        BinaryCrossEntropy probe;
-        return probe.forward(p, labels);
-      },
-      probs, 1e-4f);
-  EXPECT_LT(max_relative_error(analytic, numeric), 1e-2f);
-}
-
-TEST(BinaryCrossEntropy, RejectsNonBinaryLabels) {
-  BinaryCrossEntropy loss;
-  Tensor probs(Shape{1}, {0.5f});
-  EXPECT_THROW(loss.forward(probs, {2}), Error);
-}
-
 }  // namespace
 }  // namespace mpcnn::nn

@@ -97,14 +97,8 @@ TEST(Tensor, Reductions) {
 
 TEST(Tensor, AxpyAndScale) {
   Tensor a(Shape{3}, {1, 2, 3});
-  Tensor b(Shape{3}, {10, 20, 30});
-  a.axpy(0.5f, b);
-  EXPECT_FLOAT_EQ(a[0], 6.0f);
-  EXPECT_FLOAT_EQ(a[2], 18.0f);
   a.scale(2.0f);
-  EXPECT_FLOAT_EQ(a[1], 24.0f);
-  Tensor c(Shape{2});
-  EXPECT_THROW(a.axpy(1.0f, c), Error);
+  EXPECT_FLOAT_EQ(a[1], 4.0f);
 }
 
 TEST(Tensor, FillDistributions) {

@@ -85,6 +85,8 @@
 // Everything rides on the shared Workbench cache, so `train` once and
 // the other commands are instant.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -110,6 +112,31 @@ using namespace mpcnn;
 
 namespace {
 
+// Strict numeric parsing of a flag's value: the whole token must parse,
+// and a real must also be finite.  The error names the flag and the
+// token, e.g. "--fps: expected a number, got '400abc'".
+template <typename Int>
+Int parse_integer(const std::string& flag, const std::string& token) {
+  Int value = 0;
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw Error("--" + flag + ": expected an integer, got '" + token + "'");
+  }
+  return value;
+}
+
+template <typename Real>
+Real parse_real(const std::string& flag, const std::string& token) {
+  Real value = 0;
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    throw Error("--" + flag + ": expected a number, got '" + token + "'");
+  }
+  return value;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -119,6 +146,15 @@ struct Args {
   std::string get(const std::string& key, const std::string& fallback) const {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
+  }
+  /// The flag's value parsed strictly, or `fallback` when it is absent.
+  template <typename Int>
+  Int integer(const std::string& key, Int fallback) const {
+    return has(key) ? parse_integer<Int>(key, options.at(key)) : fallback;
+  }
+  template <typename Real>
+  Real real(const std::string& key, Real fallback) const {
+    return has(key) ? parse_real<Real>(key, options.at(key)) : fallback;
   }
 };
 
@@ -156,9 +192,15 @@ core::WorkbenchConfig config_from(const Args& args) {
     config.deep_float_epochs = 2;
     config.bnn_epochs = 2;
   }
-  config.checkpoint_every = std::stol(args.get("checkpoint-every", "0"));
+  config.checkpoint_every = args.integer("checkpoint-every", Dim{0});
   config.resume_training = args.has("resume");
   return config;
+}
+
+// --threshold, else the workbench's operating point.
+float threshold_from(const Args& args, core::Workbench& wb) {
+  return args.has("threshold") ? args.real("threshold", 0.0f)
+                               : wb.operating_threshold();
 }
 
 int usage() {
@@ -256,10 +298,14 @@ core::FaultPlan parse_fault_plan(const std::string& spec) {
     } else {
       MPCNN_CHECK(false, "unknown fault kind '" << kind << "'");
     }
-    window.first_dispatch = std::stol(fields[1]);
-    window.last_dispatch = std::stol(fields[2]);
-    if (fields.size() >= 4) window.magnitude = std::stod(fields[3]);
-    if (fields.size() >= 5) window.count = std::stol(fields[4]);
+    window.first_dispatch = parse_integer<Dim>("faults", fields[1]);
+    window.last_dispatch = parse_integer<Dim>("faults", fields[2]);
+    if (fields.size() >= 4) {
+      window.magnitude = parse_real<double>("faults", fields[3]);
+    }
+    if (fields.size() >= 5) {
+      window.count = parse_integer<Dim>("faults", fields[4]);
+    }
     plan.add(window);
   }
   return plan;
@@ -302,11 +348,9 @@ int cmd_eval(const Args& args) {
 int cmd_cascade(const Args& args) {
   core::Workbench wb(config_from(args));
   const char which = args.get("model", "A")[0];
-  const float threshold = args.has("threshold")
-                              ? std::stof(args.get("threshold", "0.5"))
-                              : wb.operating_threshold();
-  const Dim batch = std::stol(args.get("batch", "100"));
+  const Dim batch = args.integer("batch", Dim{100});
   const bool arm = args.has("arm");
+  const float threshold = threshold_from(args, wb);
   core::MultiPrecisionSystem system =
       wb.make_system(which, threshold, batch, arm);
   const core::MultiPrecisionReport report = system.run(wb.test_set());
@@ -434,17 +478,13 @@ int cmd_cpuinfo(const Args&) {
 int cmd_stream(const Args& args) {
   core::Workbench wb(config_from(args));
   const char which = args.get("model", "A")[0];
-  const float threshold = args.has("threshold")
-                              ? std::stof(args.get("threshold", "0.5"))
-                              : wb.operating_threshold();
   core::StreamSession::Config config;
-  config.batch_size = std::stol(args.get("batch", "16"));
-  config.dmu_threshold = threshold;
-  config.scrub_interval = std::stol(args.get("scrub", "0"));
+  config.batch_size = args.integer("batch", Dim{16});
+  config.scrub_interval = args.integer("scrub", Dim{0});
   config.integrity =
       core::integrity::parse_mode(args.get("integrity", "off").c_str());
-  config.canary_interval = std::stol(args.get("canary", "0"));
-  config.queue_capacity = std::stol(args.get("capacity", "0"));
+  config.canary_interval = args.integer("canary", Dim{0});
+  config.queue_capacity = args.integer("capacity", Dim{0});
   const std::string policy = args.get("policy", "block");
   if (policy == "drop") {
     config.overload = core::OverloadPolicy::kDropOldest;
@@ -457,8 +497,12 @@ int cmd_stream(const Args& args) {
 
   // --seed feeds the fault injector: the same seed + --faults spec
   // replays a bit-identical fault sequence.
-  const std::uint64_t seed = std::stoull(args.get("seed", "1"));
+  const std::uint64_t seed = args.integer("seed", std::uint64_t{1});
   const core::FaultPlan plan = parse_fault_plan(args.get("faults", ""));
+  const Dim requested_images = args.integer("images", Dim{200});
+  // Every option is read before the first call that trains models.
+  const float threshold = threshold_from(args, wb);
+  config.dmu_threshold = threshold;
   core::FaultInjector injector(seed, plan);
   const bool faulted = !plan.empty() || config.scrub_interval > 0;
   core::StreamSession session =
@@ -481,9 +525,7 @@ int cmd_stream(const Args& args) {
     }
   }
 
-  const Dim images =
-      std::min<Dim>(std::stol(args.get("images", "200")),
-                    wb.test_set().size());
+  const Dim images = std::min<Dim>(requested_images, wb.test_set().size());
   // Arrivals at the fabric's steady-state rate: the stream keeps the
   // pipeline loaded without free idle gaps.
   const double interval = wb.operating_design().steady_seconds_per_image();
@@ -579,11 +621,11 @@ data::SceneTraceConfig scene_trace_config(const Args& args,
                                           const std::string& pattern_key) {
   data::SceneTraceConfig config;
   config.pattern = parse_scene_pattern(args.get(pattern_key, "motion"));
-  config.frames = std::stol(args.get("frames", "16"));
-  config.seed = std::stoull(args.get("seed", "1"));
-  config.change_rate = std::stod(args.get("change-rate", "0.05"));
-  config.scene.height = std::stol(args.get("height", "180"));
-  config.scene.width = std::stol(args.get("width", "320"));
+  config.frames = args.integer("frames", Dim{16});
+  config.seed = args.integer("seed", std::uint64_t{1});
+  config.change_rate = args.real("change-rate", 0.05);
+  config.scene.height = args.integer("height", Dim{180});
+  config.scene.width = args.integer("width", Dim{320});
   return config;
 }
 
@@ -611,7 +653,7 @@ core::FleetFaultPlan parse_fleet_faults(const std::string& spec,
         plan.rack_burst(0, replicas - 1, window);
       }
     } else {
-      const Dim r = std::stol(target);
+      const Dim r = parse_integer<Dim>("faults", target);
       MPCNN_CHECK(r >= 0 && r < replicas,
                   "fault replica " << r << " of " << replicas);
       for (const core::FaultWindow& window : windows.windows) {
@@ -625,20 +667,17 @@ core::FleetFaultPlan parse_fleet_faults(const std::string& spec,
 int cmd_fleet(const Args& args) {
   core::Workbench wb(config_from(args));
   const char which = args.get("model", "A")[0];
-  const float threshold = args.has("threshold")
-                              ? std::stof(args.get("threshold", "0.5"))
-                              : wb.operating_threshold();
 
   // Scenario = plan file (if any) overridden by explicit flags, so a
   // saved chaos run replays exactly and any knob can still be turned.
   core::FleetPlanFile plan;
   if (args.has("plan")) plan = core::load_fleet_plan(args.get("plan", ""));
-  if (args.has("replicas")) plan.replicas = std::stol(args.get("replicas", "4"));
-  if (args.has("hosts")) plan.host_workers = std::stol(args.get("hosts", "1"));
-  if (args.has("batch")) plan.batch_size = std::stol(args.get("batch", "16"));
-  if (args.has("seed")) plan.seed = std::stoull(args.get("seed", "1"));
-  if (args.has("rate")) plan.rate_hz = std::stod(args.get("rate", "0"));
-  if (args.has("duration")) plan.duration_s = std::stod(args.get("duration", "1"));
+  plan.replicas = args.integer("replicas", plan.replicas);
+  plan.host_workers = args.integer("hosts", plan.host_workers);
+  plan.batch_size = args.integer("batch", plan.batch_size);
+  plan.seed = args.integer("seed", plan.seed);
+  plan.rate_hz = args.real("rate", plan.rate_hz);
+  plan.duration_s = args.real("duration", plan.duration_s);
   MPCNN_CHECK(plan.replicas >= 1, "--replicas must be >= 1");
   if (args.has("faults")) {
     plan.faults = parse_fleet_faults(args.get("faults", ""), plan.replicas);
@@ -646,12 +685,12 @@ int cmd_fleet(const Args& args) {
   if (args.has("kill")) {
     // Permanent fabric stall: the replica times out every dispatch from
     // --kill-at on, degrades, and only probes touch it afterwards.
-    const Dim victim = std::stol(args.get("kill", "0"));
+    const Dim victim = args.integer("kill", Dim{0});
     MPCNN_CHECK(victim >= 0 && victim < plan.replicas,
                 "--kill replica " << victim << " of " << plan.replicas);
     core::FaultWindow window;
     window.kind = core::FaultKind::kFabricStall;
-    window.first_dispatch = std::stol(args.get("kill-at", "4"));
+    window.first_dispatch = args.integer("kill-at", Dim{4});
     window.last_dispatch = Dim{1} << 40;
     plan.faults.add(victim, window);
   }
@@ -664,11 +703,11 @@ int cmd_fleet(const Args& args) {
   core::FleetConfig fleet_config;
   fleet_config.batch_size = plan.batch_size;
   fleet_config.host_workers = plan.host_workers;
-  fleet_config.hedge_factor = std::stod(args.get("hedge", "3"));
-  fleet_config.probe_interval = std::stol(args.get("probe-interval", "4"));
+  fleet_config.hedge_factor = args.real("hedge", 3.0);
+  fleet_config.probe_interval = args.integer("probe-interval", Dim{4});
 
   core::StreamSession::Config session;
-  session.dmu_threshold = threshold;
+  session.dmu_threshold = threshold_from(args, wb);
 
   std::vector<core::FaultInjector> injectors;
   std::vector<const core::FaultInjector*> injector_ptrs;
@@ -780,17 +819,13 @@ void print_tenant_row(const core::TenantReport& t) {
 int cmd_serve(const Args& args) {
   core::Workbench wb(config_from(args));
   const char which = args.get("model", "A")[0];
-  const float threshold = args.has("threshold")
-                              ? std::stof(args.get("threshold", "0.5"))
-                              : wb.operating_threshold();
 
   core::ServeConfig config;
-  config.batch_size = std::stol(args.get("batch", "16"));
-  config.max_wait_s = 1e-3 * std::stod(args.get("window", "5"));
-  config.queue_capacity = std::stol(args.get("capacity", "0"));
+  config.batch_size = args.integer("batch", Dim{16});
+  config.max_wait_s = 1e-3 * args.real("window", 5.0);
+  config.queue_capacity = args.integer("capacity", Dim{0});
   config.fairness = !args.has("no-fairness");
-  config.session.dmu_threshold = threshold;
-  config.session.scrub_interval = std::stol(args.get("scrub", "0"));
+  config.session.scrub_interval = args.integer("scrub", Dim{0});
   const std::string policy = args.get("policy", "block");
   if (policy == "drop") {
     config.overload = core::OverloadPolicy::kDropOldest;
@@ -811,21 +846,20 @@ int cmd_serve(const Args& args) {
                     << slo_policy);
   }
 
-  const Dim num_tenants = std::stol(args.get("tenants", "4"));
+  const Dim num_tenants = args.integer("tenants", Dim{4});
   MPCNN_CHECK(num_tenants >= 1, "--tenants must be >= 1");
-  const Dim pipelines = std::stol(args.get("pipelines", "1"));
-  const double duration = std::stod(args.get("duration", "1"));
+  const Dim pipelines = args.integer("pipelines", Dim{1});
+  const double duration = args.real("duration", 1.0);
   // Default rate: split ~1.2× the fabric's steady throughput across the
   // tenants, so the front-end runs just past saturation.
   const double capacity_hz =
       1.0 / wb.operating_design().steady_seconds_per_image();
-  const double rate =
-      args.has("rate") ? std::stod(args.get("rate", "0"))
-                       : 1.2 * capacity_hz / static_cast<double>(num_tenants);
-  const double slo_s = 1e-3 * std::stod(args.get("slo", "0"));
-  const double admit = std::stod(args.get("admit", "0"));
-  const double burst = std::stod(args.get("burst", "4"));
-  const std::uint64_t seed = std::stoull(args.get("seed", "1"));
+  const double rate = args.real(
+      "rate", 1.2 * capacity_hz / static_cast<double>(num_tenants));
+  const double slo_s = 1e-3 * args.real("slo", 0.0);
+  const double admit = args.real("admit", 0.0);
+  const double burst = args.real("burst", 4.0);
+  const std::uint64_t seed = args.integer("seed", std::uint64_t{1});
 
   const std::string pattern_name = args.get("pattern", "poisson");
   core::TracePattern pattern = core::TracePattern::kPoisson;
@@ -884,8 +918,8 @@ int cmd_serve(const Args& args) {
   if (workload == "scene") {
     scene_trace = data::generate_scene_trace(
         wb.objects(), scene_trace_config(args, "scene-pattern"));
-    feed.emplace(scene_trace, std::stol(args.get("tile", "64")),
-                 std::stol(args.get("halo", "8")));
+    feed.emplace(scene_trace, args.integer("tile", Dim{64}),
+                 args.integer("halo", Dim{8}));
   } else {
     MPCNN_CHECK(workload == "images",
                 "--workload must be images|scene, got " << workload);
@@ -895,6 +929,15 @@ int cmd_serve(const Args& args) {
     if (feed) return feed->at(tenant * 31 + seq);
     return set.images.slice_batch((tenant * 31 + seq) % set.size());
   };
+
+  // Fleet-mode options, read with the others before the first call that
+  // trains models.
+  const Dim replicas = args.integer("replicas", Dim{2});
+  core::FleetConfig fleet;
+  fleet.host_workers = args.integer("hosts", Dim{1});
+  fleet.hedge_factor = args.real("hedge", 3.0);
+  fleet.probe_interval = args.integer("probe-interval", Dim{4});
+  config.session.dmu_threshold = threshold_from(args, wb);
 
   core::ServeReport report;
   if (args.has("baseline")) {
@@ -908,11 +951,6 @@ int cmd_serve(const Args& args) {
     // Fleet mode: health-cost routing, peer drain and host-worker last
     // resort behind the same front-end.  The one injector (pure function
     // of the dispatch index) arms every replica identically.
-    const Dim replicas = std::stol(args.get("replicas", "2"));
-    core::FleetConfig fleet;
-    fleet.host_workers = std::stol(args.get("hosts", "1"));
-    fleet.hedge_factor = std::stod(args.get("hedge", "3"));
-    fleet.probe_interval = std::stol(args.get("probe-interval", "4"));
     const std::vector<const core::FaultInjector*> injectors(
         static_cast<std::size_t>(std::max<Dim>(replicas, 0)),
         faulted ? &injector : nullptr);
@@ -1030,17 +1068,13 @@ void print_scene_report(const core::SceneReport& report, bool per_frame) {
 int cmd_scene(const Args& args) {
   core::Workbench wb(config_from(args));
   const char which = args.get("model", "A")[0];
-  const float threshold = args.has("threshold")
-                              ? std::stof(args.get("threshold", "0.5"))
-                              : wb.operating_threshold();
 
   core::SceneStreamSession::Config config;
-  config.tile = std::stol(args.get("tile", "64"));
-  config.halo = std::stol(args.get("halo", "8"));
-  config.batch_size = std::stol(args.get("batch", "16"));
-  config.dmu_threshold = threshold;
+  config.tile = args.integer("tile", Dim{64});
+  config.halo = args.integer("halo", Dim{8});
+  config.batch_size = args.integer("batch", Dim{16});
   config.cache_enabled = !args.has("no-cache");
-  config.cache_capacity = std::stol(args.get("cache-capacity", "4096"));
+  config.cache_capacity = args.integer("cache-capacity", Dim{4096});
 
   data::SceneTrace trace;
   if (args.has("trace")) {
@@ -1050,6 +1084,8 @@ int cmd_scene(const Args& args) {
                                        scene_trace_config(args, "pattern"));
   }
   if (args.has("save")) data::save_scene_trace(trace, args.get("save", ""));
+  const float threshold = threshold_from(args, wb);
+  config.dmu_threshold = threshold;
 
   std::printf("scene %c&FINN  (pattern %s, %zu frames of %lldx%lld, tile "
               "%lld halo %lld, cache %s, threshold %.3f, seed %llu)\n",
@@ -1082,7 +1118,7 @@ int cmd_scene(const Args& args) {
 }
 
 int cmd_design(const Args& args) {
-  const double fps = std::stod(args.get("fps", "400"));
+  const double fps = args.real("fps", 400.0);
   const finn::Device device = args.get("device", "zc702") == "zc706"
                                   ? finn::zc706()
                                   : finn::zc702();
@@ -1111,9 +1147,9 @@ int cmd_design(const Args& args) {
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
-  // Every failure path — contract violations (mpcnn::Error) and standard
-  // exceptions from option parsing (std::stol and friends) — exits with
-  // a clean one-line message and a nonzero code instead of a terminate.
+  // Every failure path — contract violations and malformed option values
+  // (mpcnn::Error) and standard exceptions — exits with a clean one-line
+  // message and a nonzero code instead of a terminate.
   try {
     if (args.command == "train") return cmd_train(args);
     if (args.command == "eval") return cmd_eval(args);
