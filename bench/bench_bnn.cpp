@@ -7,7 +7,7 @@
 // via MPCNN_ISA + refresh_isa outside the timed loop: the packed engine
 // (BM_BnnReferencePackedIsa/<isa>, thread-swept BM_BnnBatchPackedIsa),
 // and a wide fixed-point byte-conv net (BM_BnnFixedConvIsa) that
-// isolates the SAD kernel dispatch at its partial-binarisation shape.
+// isolates the byte-conv kernel dispatch at a wide first-stage shape.
 // The JSON context is stamped with core::cpu_signature() for the
 // regression gate in run_all.sh.
 #include <benchmark/benchmark.h>
@@ -50,10 +50,10 @@ BnnFixture& fixture() {
   return fx;
 }
 
-// Partial-binarisation operating point: a wide 8-bit fixed-point conv
-// (128→256 channels, 1152-byte patches) feeding an output dense.  This
-// is the byte-conv (SAD) kernel's natural shape — per-ISA rows isolate
-// the PSADBW-vs-VPSADBW dispatch choice rather than whole-net plumbing.
+// A wide 8-bit fixed-point conv (128→256 channels, 1152-byte patches)
+// feeding an output dense.  The first stage dominates, so per-ISA rows
+// isolate the portable-vs-VPMADDUBSW byte-conv dispatch choice rather
+// than whole-net plumbing.
 struct ByteConvFixture {
   bnn::CompiledBnn net;
   Tensor image{Shape{1, 128, 16, 16}};

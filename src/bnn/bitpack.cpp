@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <mutex>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 #include "bnn/kernels.hpp"
 #include "bnn/kernels_impl.hpp"
@@ -19,85 +14,75 @@ namespace mpcnn::bnn {
 namespace detail {
 namespace {
 
-#if defined(__SSE2__)
-// SSE2 byte sums for the fixed-point first stage (PSADBW against zero =
-// horizontal byte sum).  Baseline x86-64 always has SSE2, so these live
-// in the ordinary TU; the AVX2 widening lives in bitpack_avx2.cpp.
-std::int64_t byte_sum_sse2(const std::uint8_t* p, std::int64_t nbytes) {
-  __m128i total = _mm_setzero_si128();
-  for (std::int64_t i = 0; i + 16 <= nbytes; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    total = _mm_add_epi64(total, _mm_sad_epu8(v, _mm_setzero_si128()));
-  }
-  return _mm_cvtsi128_si64(total) +
-         _mm_cvtsi128_si64(_mm_unpackhi_epi64(total, total));
+// Σ of the eight bytes of v: pairwise into 16-bit lanes (≤ 510 each),
+// then one multiply folds the four lanes into the top 16 bits.
+std::int64_t byte_sum64(std::uint64_t v) {
+  constexpr std::uint64_t kLow = 0x00FF00FF00FF00FFULL;
+  v = (v & kLow) + ((v >> 8) & kLow);
+  return static_cast<std::int64_t>((v * 0x0001000100010001ULL) >> 48);
 }
 
-std::int64_t masked_byte_sum_sse2(const std::uint8_t* p,
-                                  const std::uint8_t* w,
-                                  std::int64_t nbytes) {
-  __m128i acc = _mm_setzero_si128();
-  for (std::int64_t i = 0; i + 16 <= nbytes; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const __m128i m =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-    acc = _mm_add_epi64(
-        acc, _mm_sad_epu8(_mm_and_si128(v, m), _mm_setzero_si128()));
+// Portable byte_conv: SWAR byte sums, one channel at a time.  A +1
+// weight byte (0x01) marks a pixel to add; a patch is zero past its end,
+// so Σ x·w = 2·Σ_{w=+1} x − Σ x.
+void byte_conv_portable(const std::uint64_t* w, std::int64_t cstride,
+                        const std::int64_t* bound, const std::uint64_t* flip,
+                        std::int64_t channels, const std::uint64_t* patches,
+                        std::int64_t rows, std::int64_t nwords,
+                        std::uint64_t* out) {
+  constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
+  for (std::int64_t p = 0; p < rows; ++p) {
+    const std::uint64_t* patch = patches + p * nwords;
+    std::int64_t total = 0;
+    for (std::int64_t t = 0; t < nwords; ++t) total += byte_sum64(patch[t]);
+    for (std::int64_t c0 = 0; c0 < channels; c0 += 64) {
+      const std::int64_t n = std::min<std::int64_t>(64, channels - c0);
+      std::uint64_t bits = 0;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const std::uint64_t* wc = w + c0 + j;
+        std::int64_t plus = 0;
+        for (std::int64_t t = 0; t < nwords; ++t) {
+          const std::uint64_t wt = wc[t * cstride];
+          const std::uint64_t add = (wt & ~(wt >> 7) & kLowBits) * 0xFF;
+          plus += byte_sum64(patch[t] & add);
+        }
+        bits |= static_cast<std::uint64_t>(2 * plus - total > bound[c0 + j])
+                << j;
+      }
+      or_field(out, p * channels + c0, bits ^ flip[c0 >> 6]);
+    }
   }
-  return _mm_cvtsi128_si64(acc) +
-         _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc));
 }
-#endif  // __SSE2__
 
 const BnnKernels& scalar_table() {
-  static const BnnKernels t = {"scalar",      "none",
-                               &xor_pop_impl, &xor_pop4_impl,
-                               nullptr,       nullptr,
-                               nullptr};
+  static const BnnKernels t = {"scalar",        "portable",
+                               &xor_pop_impl,   &xor_pop4_impl,
+                               &xnor_conv_impl, &byte_conv_portable};
   return t;
 }
 
-const BnnKernels& sse2_table(bool with_popcnt) {
-#if defined(__SSE2__)
-  static const BnnKernels plain = {"scalar",       "sse2",
-                                   &xor_pop_impl,  &xor_pop4_impl,
-                                   &byte_sum_sse2, &masked_byte_sum_sse2,
-                                   nullptr};
-  static const BnnKernels popcnt = {
-      "popcnt",
-      "sse2",
-      kBnnPopPopcnt.xor_pop != nullptr ? kBnnPopPopcnt.xor_pop
-                                       : &xor_pop_impl,
-      kBnnPopPopcnt.xor_pop4 != nullptr ? kBnnPopPopcnt.xor_pop4
-                                        : &xor_pop4_impl,
-      &byte_sum_sse2,
-      &masked_byte_sum_sse2,
-      nullptr};
-  return with_popcnt && kBnnPopPopcnt.xor_pop != nullptr ? popcnt : plain;
-#else
-  (void)with_popcnt;
-  return scalar_table();
-#endif
+const BnnKernels& popcnt_table() {
+  if (kBnnPopPopcnt.xor_pop == nullptr) return scalar_table();
+  static const BnnKernels t = {"popcnt",
+                               "portable",
+                               kBnnPopPopcnt.xor_pop,
+                               kBnnPopPopcnt.xor_pop4,
+                               kBnnPopPopcnt.xnor_conv,
+                               &byte_conv_portable};
+  return t;
 }
 
 const BnnKernels& avx2_table() {
-#if defined(__SSE2__)
-  if (kBnnPopAvx2.xor_pop == nullptr || kBnnSumAvx2.byte_sum == nullptr) {
-    return sse2_table(true);
+  if (kBnnPopAvx2.xor_pop == nullptr || kByteConvAvx2 == nullptr) {
+    return popcnt_table();
   }
   static const BnnKernels t = {"avx2",
                                "avx2",
                                kBnnPopAvx2.xor_pop,
                                kBnnPopAvx2.xor_pop4,
-                               kBnnSumAvx2.byte_sum,
-                               kBnnSumAvx2.masked_byte_sum,
-                               kBnnSumAvx2.masked_byte_sum4};
+                               kBnnPopAvx2.xnor_conv,
+                               kByteConvAvx2};
   return t;
-#else
-  return scalar_table();
-#endif
 }
 
 }  // namespace
@@ -117,7 +102,7 @@ const BnnKernels& kernels() {
         k = &scalar_table();
         break;
       case core::Isa::kSse2:
-        k = &sse2_table(core::cpu_features().popcnt);
+        k = core::cpu_features().popcnt ? &popcnt_table() : &scalar_table();
         break;
       case core::Isa::kAvx2:
         k = &avx2_table();
@@ -132,13 +117,15 @@ const BnnKernels& kernels() {
 namespace {
 
 const char* bnn_pop_variant() { return kernels().pop_name; }
-const char* bnn_sum_variant() { return kernels().sum_name; }
+const char* bnn_byte_variant() { return kernels().byte_name; }
 [[maybe_unused]] const bool kPopSlotRegistered =
     core::register_kernel_slot("bnn.xor_popcount", &bnn_pop_variant);
 [[maybe_unused]] const bool kPop4SlotRegistered =
     core::register_kernel_slot("bnn.xor_popcount4", &bnn_pop_variant);
-[[maybe_unused]] const bool kSumSlotRegistered =
-    core::register_kernel_slot("bnn.byte_conv", &bnn_sum_variant);
+[[maybe_unused]] const bool kXnorConvSlotRegistered =
+    core::register_kernel_slot("bnn.xnor_conv", &bnn_pop_variant);
+[[maybe_unused]] const bool kByteConvSlotRegistered =
+    core::register_kernel_slot("bnn.byte_conv", &bnn_byte_variant);
 
 }  // namespace
 }  // namespace detail
@@ -146,45 +133,6 @@ const char* bnn_sum_variant() { return kernels().sum_name; }
 namespace {
 
 Dim words_for(Dim nbits) { return (nbits + 63) / 64; }
-
-// All-ones mask of the low n bits, n in [0, 64].
-inline std::uint64_t mask_n(Dim n) {
-  return n >= 64 ? ~0ULL : (1ULL << n) - 1ULL;
-}
-
-// Reads `count` (1..64) bits starting at `bit`; result in the low bits.
-inline std::uint64_t extract_word(const std::uint64_t* words, Dim bit,
-                                  Dim count) {
-  const std::size_t wi = static_cast<std::size_t>(bit >> 6);
-  const Dim off = bit & 63;
-  std::uint64_t v = words[wi] >> off;
-  if (off + count > 64) v |= words[wi + 1] << (64 - off);
-  return v & mask_n(count);
-}
-
-// Overwrites `count` (1..64) bits starting at `bit` with the low bits
-// of v (which must carry no bits above `count`).
-inline void deposit_word(std::uint64_t* words, Dim bit, std::uint64_t v,
-                         Dim count) {
-  const std::size_t wi = static_cast<std::size_t>(bit >> 6);
-  const Dim off = bit & 63;
-  const std::uint64_t m = mask_n(count);
-  words[wi] = (words[wi] & ~(m << off)) | (v << off);
-  if (off + count > 64) {
-    const Dim spill = off + count - 64;
-    words[wi + 1] = (words[wi + 1] & ~mask_n(spill)) | (v >> (64 - off));
-  }
-}
-
-// OR-only deposit for writers into known-zero destinations (fresh
-// BitMatrix rows): saves the clearing pass of deposit_word.
-inline void deposit_word_or(std::uint64_t* words, Dim bit, std::uint64_t v,
-                            Dim count) {
-  const std::size_t wi = static_cast<std::size_t>(bit >> 6);
-  const Dim off = bit & 63;
-  words[wi] |= v << off;
-  if (off + count > 64) words[wi + 1] |= v >> (64 - off);
-}
 
 }  // namespace
 
@@ -209,10 +157,6 @@ bool BitVector::get(Dim i) const {
   return (words_[static_cast<std::size_t>(i >> 6)] >> (i & 63)) & 1ULL;
 }
 
-void BitVector::clear() {
-  std::fill(words_.begin(), words_.end(), 0ULL);
-}
-
 Dim BitVector::xnor_matches(const BitVector& other) const {
   MPCNN_CHECK(nbits_ == other.nbits_, "xnor size mismatch: "
                                           << nbits_ << " vs "
@@ -225,12 +169,6 @@ Dim BitVector::xnor_matches(const BitVector& other) const {
 
 std::int64_t BitVector::dot_bipolar(const BitVector& other) const {
   return 2 * static_cast<std::int64_t>(xnor_matches(other)) - nbits_;
-}
-
-Dim BitVector::popcount() const {
-  Dim count = 0;
-  for (std::uint64_t w : words_) count += std::popcount(w);
-  return count;
 }
 
 BitMatrix::BitMatrix(Dim rows, Dim cols)
@@ -262,70 +200,37 @@ bool BitMatrix::get(Dim r, Dim c) const {
          1ULL;
 }
 
-void copy_bits(const std::uint64_t* src, Dim src_bit, std::uint64_t* dst,
-               Dim dst_bit, Dim count) {
-  MPCNN_CHECK(src_bit >= 0 && dst_bit >= 0 && count >= 0,
-              "copy_bits negative argument");
-  while (count > 0) {
-    const Dim n = std::min<Dim>(count, 64);
-    deposit_word(dst, dst_bit, extract_word(src, src_bit, n), n);
-    src_bit += n;
-    dst_bit += n;
-    count -= n;
-  }
-}
-
-BitMatrix bit_im2col(const std::uint64_t* planes, Dim plane_words, Dim ch,
-                     Dim h, Dim w, Dim kernel) {
-  MPCNN_CHECK(ch > 0 && h > 0 && w > 0, "bit_im2col empty image");
-  MPCNN_CHECK(kernel > 0 && kernel <= h && kernel <= w && kernel <= 64,
+BitMatrix bit_im2col(const std::uint64_t* map, Dim ch, Dim h, Dim w,
+                     Dim kernel) {
+  MPCNN_CHECK(ch > 0 && h > 0 && w > 0, "bit_im2col empty map");
+  MPCNN_CHECK(kernel > 0 && kernel <= h && kernel <= w,
               "bit_im2col kernel " << kernel << " for " << h << "x" << w);
-  MPCNN_CHECK(plane_words >= words_for(h * w),
-              "plane stride " << plane_words << " too small for " << h << "x"
-                              << w);
   const Dim out_h = h - kernel + 1;
   const Dim out_w = w - kernel + 1;
-  const Dim positions = out_h * out_w;
-  BitMatrix patches(positions, ch * kernel * kernel);
+  const Dim run = kernel * ch;  // map bits of one kernel row of a patch
+  BitMatrix patches(out_h * out_w, run * kernel);
   const Dim wpr = patches.words_per_row();
-  const std::uint64_t kmask = mask_n(kernel);
-  // Sweep each (output row, channel, kernel row) lane once: the window
-  // slides one source bit per output column, so a rolling 64-bit buffer
-  // turns every splice into mask / shifted-OR / shift — all destination
-  // offsets are loop-invariant per lane (dst_bit doesn't depend on ow).
-  // Chunks own whole rows of `patches` (word-aligned), so parallel
-  // writers never share a word.
-  core::parallel_for(0, out_h, 1, [&](Dim oh0, Dim oh1) {
-    for (Dim oh = oh0; oh < oh1; ++oh) {
-      std::uint64_t* rowbase = patches.row_data(oh * out_w);
-      for (Dim c = 0; c < ch; ++c) {
-        const std::uint64_t* plane = planes + c * plane_words;
-        for (Dim kh = 0; kh < kernel; ++kh) {
-          const Dim dst_bit = (c * kernel + kh) * kernel;
-          const Dim off = dst_bit & 63;
-          const bool spill = off + kernel > 64;
-          const Dim src0 = (oh + kh) * w;
-          std::uint64_t* dst = rowbase + (dst_bit >> 6);
-          std::uint64_t buf = 0;
-          Dim bitpos = src0;
-          Dim avail = 0;
-          for (Dim ow = 0; ow < out_w; ++ow, dst += wpr) {
-            if (avail < kernel) {
-              const Dim take = std::min<Dim>(64, src0 + w - bitpos);
-              buf = extract_word(plane, bitpos, take);
-              avail = take;
-            }
-            const std::uint64_t window = buf & kmask;
-            dst[0] |= window << off;
-            if (spill) dst[1] |= window >> (64 - off);
-            buf >>= 1;
-            --avail;
-            ++bitpos;
-          }
+  // One pass per ≤64-bit chunk of each kernel row: its destination word
+  // and shift are the same in every patch row, so the inner loop is one
+  // field read and one or two ORs per position.
+  for (Dim kh = 0; kh < kernel; ++kh) {
+    for (Dim b = 0; b < run; b += 64) {
+      const Dim n = std::min<Dim>(64, run - b);
+      const Dim dst = kh * run + b;
+      const int off = static_cast<int>(dst & 63);
+      const bool spill = off + n > 64;
+      std::uint64_t* words = patches.row_data(0);
+      Dim at = dst >> 6;  // the chunk's word in the current patch row
+      for (Dim oh = 0; oh < out_h; ++oh) {
+        Dim src = ((oh + kh) * w) * ch + b;
+        for (Dim ow = 0; ow < out_w; ++ow, src += ch, at += wpr) {
+          const std::uint64_t v = detail::read_field(map, src, n);
+          words[at] |= v << off;
+          if (spill) words[at + 1] |= v >> (64 - off);
         }
       }
     }
-  });
+  }
   return patches;
 }
 

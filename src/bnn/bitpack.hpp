@@ -5,12 +5,15 @@
 // is then  2·popcount(xnor(a, b)) − n  — the datapath a FINN engine
 // implements in LUTs.
 //
-// Bit-layout contract: every kernel below indexes patch columns in the
-// pack_weights order  bit = (c·K + kh)·K + kw  (channel-major, then
-// kernel row, then kernel column).  bit_im2col emits patch rows in that
-// order, so a BitMatrix of packed weights and a BitMatrix of packed
-// patches share column indices and padding (zero bits past `cols` in the
-// last word of every row, which XOR cancels — no correction needed).
+// Bit-layout contract: feature maps are channels-last.  Pixel (y, x) of
+// an h×w map with C channels holds its channel bits at bit
+// (y·w + x)·C + c, and one spare word follows the last pixel so that
+// field reads and writes may touch the word after a field.  Conv weight
+// rows store taps in the matching order (kh·K + kw)·C + c
+// (bnn::tap_column in compile.hpp), so a patch row is K contiguous runs
+// of K·C map bits and bit_im2col's rows share column indices and padding
+// with the packed weight rows (zero bits past `cols` in the last word of
+// every row, which XOR cancels — no correction needed).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +37,6 @@ class BitVector {
   /// inner loops should prefer whole-word access via data()/word().
   void set(Dim i, bool v);
   bool get(Dim i) const;
-  void clear();
 
   /// Unchecked word access (debug-asserted) for word-parallel kernels.
   std::uint64_t word(Dim w) const {
@@ -51,9 +53,6 @@ class BitVector {
 
   /// Bipolar dot product: 2·matches − n.
   std::int64_t dot_bipolar(const BitVector& other) const;
-
-  /// Number of set bits.
-  Dim popcount() const;
 
   bool operator==(const BitVector& other) const {
     return nbits_ == other.nbits_ && words_ == other.words_;
@@ -98,21 +97,13 @@ class BitMatrix {
 /// Sign binarisation used everywhere: value >= 0 maps to bit 1 (+1).
 inline bool sign_bit(float v) { return v >= 0.0f; }
 
-/// Copies `count` bits from src starting at bit `src_bit` into dst
-/// starting at bit `dst_bit`, using word reads/shifts/splices (no
-/// per-bit loop).  Ranges must not overlap within the same buffer.
-void copy_bits(const std::uint64_t* src, Dim src_bit, std::uint64_t* dst,
-               Dim dst_bit, Dim count);
-
-/// Bit-level im2col: packs every K×K sliding patch (stride 1, no pad) of
-/// a C-plane bit image into the rows of a BitMatrix
-/// [out_h·out_w, C·K·K].  Plane c starts at word c·plane_words; within a
-/// plane, pixel (y, x) is bit y·w + x.  Patch columns follow the
-/// pack_weights order (c·K + kh)·K + kw, so the result rows dot directly
-/// against packed weight rows.  Parallel over output positions (rows are
-/// word-aligned, so chunked writers never share a word).
-BitMatrix bit_im2col(const std::uint64_t* planes, Dim plane_words, Dim ch,
-                     Dim h, Dim w, Dim kernel);
+/// Bit-level im2col over a channels-last bit map (layout contract
+/// above): row oh·out_w + ow of the result [out_h·out_w, K·K·ch] is the
+/// K×K patch at (oh, ow) (stride 1, no pad), columns in tap order
+/// (kh·K + kw)·ch + c — one copy of K·ch contiguous bits per kernel row —
+/// so rows dot directly against packed conv weight rows.
+BitMatrix bit_im2col(const std::uint64_t* map, Dim ch, Dim h, Dim w,
+                     Dim kernel);
 
 /// Blocked binary GEMM: C[r·B.rows() + p] = bipolar dot of A.row(r) and
 /// B.row(p)  (= cols − 2·mismatches).  A.cols() must equal B.cols().

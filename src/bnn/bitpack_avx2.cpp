@@ -5,18 +5,20 @@
 //
 // Popcount uses the VPSHUFB nibble-LUT (Muła): split each byte into two
 // nibbles, look both up in a 16-entry in-register table of nibble
-// popcounts, add.  One 256-bit step digests four row words.  The VPSADBW
-// fold into 64-bit lanes is *deferred*: per-byte counts (≤ 8 per step)
-// accumulate in an epi8 register for up to 28 steps (≤ 224 < 256, no
-// overflow) before one SAD drains them — the fold is the expensive part,
-// so deferring it is most of the win over hardware POPCNT.  All integer
-// arithmetic — results are exactly the SWAR/POPCNT values, just wider,
-// so dispatch can never perturb an accumulator.
+// popcounts, add.  The VPSADBW fold of the per-byte counts into 64-bit
+// lanes is *deferred*: byte counts accumulate in an epi8 register for as
+// many steps as cannot overflow before one SAD drains them — the fold is
+// the expensive part, so deferring it is most of the win over hardware
+// POPCNT.  The stage kernels use output channels as the 64-bit lanes.
+// All integer arithmetic — results are exactly the SWAR/POPCNT values,
+// just wider, so dispatch can never perturb an accumulator.
 #include "bnn/kernels.hpp"
 
 #if defined(__AVX2__) && defined(__POPCNT__)
 
 #include <immintrin.h>
+
+#include "bnn/kernels_impl.hpp"
 
 namespace mpcnn::bnn::detail {
 namespace {
@@ -65,7 +67,8 @@ std::int64_t xor_pop_avx2(const std::uint64_t* a, const std::uint64_t* b,
     acc = _mm256_add_epi64(
         acc, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
   }
-  std::int64_t m = hsum_epi64(acc);
+  // Rows shorter than one vector step (3-word conv rows) skip the fold.
+  std::int64_t m = vec_end > 0 ? hsum_epi64(acc) : 0;
   for (; t < nwords; ++t) {
     m += static_cast<std::int64_t>(_mm_popcnt_u64(a[t] ^ b[t]));
   }
@@ -122,10 +125,13 @@ void xor_pop4_avx2(const std::uint64_t* w, std::int64_t wstride,
     a2 = _mm256_add_epi64(a2, _mm256_sad_epu8(b2, zero));
     a3 = _mm256_add_epi64(a3, _mm256_sad_epu8(b3, zero));
   }
-  std::int64_t m0 = hsum_epi64(a0);
-  std::int64_t m1 = hsum_epi64(a1);
-  std::int64_t m2 = hsum_epi64(a2);
-  std::int64_t m3 = hsum_epi64(a3);
+  std::int64_t m0 = 0, m1 = 0, m2 = 0, m3 = 0;
+  if (vec_end > 0) {  // rows shorter than one vector step skip the folds
+    m0 = hsum_epi64(a0);
+    m1 = hsum_epi64(a1);
+    m2 = hsum_epi64(a2);
+    m3 = hsum_epi64(a3);
+  }
   for (; t < nwords; ++t) {
     const std::uint64_t pv = p[t];
     m0 += static_cast<std::int64_t>(_mm_popcnt_u64(w0[t] ^ pv));
@@ -139,125 +145,171 @@ void xor_pop4_avx2(const std::uint64_t* w, std::int64_t wstride,
   m[3] = m3;
 }
 
-std::int64_t byte_sum_avx2(const std::uint8_t* p, std::int64_t nbytes) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t i = 0;
-  for (; i + 32 <= nbytes; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, _mm256_setzero_si256()));
-  }
-  std::int64_t sum = hsum_epi64(acc);
-  for (; i + 16 <= nbytes; i += 16) {  // stride is a multiple of 16
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const __m128i s = _mm_sad_epu8(v, _mm_setzero_si128());
-    sum += _mm_cvtsi128_si64(s) +
-           _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
-  }
-  return sum;
-}
+// ---- stage kernels: output channels as 64-bit lanes ---------------------
+//
+// Lane j of the vector at w + t·cstride + c holds word t of channel
+// c + j (kernels.hpp), so a broadcast patch word meets four channels per
+// instruction.  Each lane's count ends in one 64-bit compare against
+// the channel's bound, and VMOVMSKPD packs four verdicts into the pixel.
 
-std::int64_t masked_byte_sum_avx2(const std::uint8_t* p,
-                                  const std::uint8_t* w,
-                                  std::int64_t nbytes) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t i = 0;
-  for (; i + 32 <= nbytes; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    const __m256i m =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(_mm256_and_si256(v, m),
-                                                _mm256_setzero_si256()));
-  }
-  std::int64_t sum = hsum_epi64(acc);
-  for (; i + 16 <= nbytes; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const __m128i m =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-    const __m128i s =
-        _mm_sad_epu8(_mm_and_si128(v, m), _mm_setzero_si128());
-    sum += _mm_cvtsi128_si64(s) +
-           _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
-  }
-  return sum;
-}
+// Words of one row whose per-byte popcounts (≤ 8 each) fit an epi8
+// accumulator: 31 · 8 = 248 < 256.
+constexpr std::int64_t kFoldWords = 31;
 
-void masked_byte_sum4_avx2(const std::uint8_t* p, const std::uint8_t* w,
-                           std::int64_t wstride, std::int64_t nbytes,
-                           std::int64_t sums[4]) {
-  const std::uint8_t* w0 = w;
-  const std::uint8_t* w1 = w + wstride;
-  const std::uint8_t* w2 = w + 2 * wstride;
-  const std::uint8_t* w3 = w + 3 * wstride;
+// Mismatch verdicts (m < bound) of 4·G adjacent channels for one row.
+template <int G>
+inline std::uint64_t xnor_lanes(const std::uint64_t* w, std::int64_t cstride,
+                                const std::int64_t* bound,
+                                const std::uint64_t* row, std::int64_t wpr) {
   const __m256i zero = _mm256_setzero_si256();
-  __m256i a0 = zero;
-  __m256i a1 = zero;
-  __m256i a2 = zero;
-  __m256i a3 = zero;
-  std::int64_t i = 0;
-  for (; i + 32 <= nbytes; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    a0 = _mm256_add_epi64(
-        a0, _mm256_sad_epu8(
-                _mm256_and_si256(
-                    v, _mm256_loadu_si256(
-                           reinterpret_cast<const __m256i*>(w0 + i))),
-                zero));
-    a1 = _mm256_add_epi64(
-        a1, _mm256_sad_epu8(
-                _mm256_and_si256(
-                    v, _mm256_loadu_si256(
-                           reinterpret_cast<const __m256i*>(w1 + i))),
-                zero));
-    a2 = _mm256_add_epi64(
-        a2, _mm256_sad_epu8(
-                _mm256_and_si256(
-                    v, _mm256_loadu_si256(
-                           reinterpret_cast<const __m256i*>(w2 + i))),
-                zero));
-    a3 = _mm256_add_epi64(
-        a3, _mm256_sad_epu8(
-                _mm256_and_si256(
-                    v, _mm256_loadu_si256(
-                           reinterpret_cast<const __m256i*>(w3 + i))),
-                zero));
+  __m256i count[G];
+  for (int g = 0; g < G; ++g) count[g] = zero;
+  for (std::int64_t t = 0; t < wpr;) {
+    const std::int64_t lim = t + kFoldWords < wpr ? t + kFoldWords : wpr;
+    __m256i bytes[G];
+    for (int g = 0; g < G; ++g) bytes[g] = zero;
+    for (; t < lim; ++t) {
+      const __m256i pv = _mm256_set1_epi64x(static_cast<long long>(row[t]));
+      const std::uint64_t* wt = w + t * cstride;
+      for (int g = 0; g < G; ++g) {
+        const __m256i wv =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wt + 4 * g));
+        bytes[g] = _mm256_add_epi8(
+            bytes[g], popcount_epi8(_mm256_xor_si256(wv, pv)));
+      }
+    }
+    for (int g = 0; g < G; ++g) {
+      count[g] = _mm256_add_epi64(count[g], _mm256_sad_epu8(bytes[g], zero));
+    }
   }
-  sums[0] = hsum_epi64(a0);
-  sums[1] = hsum_epi64(a1);
-  sums[2] = hsum_epi64(a2);
-  sums[3] = hsum_epi64(a3);
-  for (; i + 16 <= nbytes; i += 16) {  // stride is a multiple of 16
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const std::uint8_t* const rows[4] = {w0, w1, w2, w3};
-    for (int r = 0; r < 4; ++r) {
-      const __m128i m =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[r] + i));
-      const __m128i s =
-          _mm_sad_epu8(_mm_and_si128(v, m), _mm_setzero_si128());
-      sums[r] += _mm_cvtsi128_si64(s) +
-                 _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
+  std::uint64_t bits = 0;
+  for (int g = 0; g < G; ++g) {
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bound + 4 * g));
+    const int fired = _mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpgt_epi64(b, count[g])));
+    bits |= static_cast<std::uint64_t>(fired) << (4 * g);
+  }
+  return bits;
+}
+
+void xnor_conv_avx2(const std::uint64_t* w, std::int64_t cstride,
+                    const std::int64_t* bound, const std::uint64_t* flip,
+                    std::int64_t channels, const std::uint64_t* patches,
+                    std::int64_t rows, std::int64_t wpr,
+                    std::uint64_t* out) {
+  for (std::int64_t p = 0; p < rows; ++p) {
+    const std::uint64_t* row = patches + p * wpr;
+    for (std::int64_t c0 = 0; c0 < channels; c0 += 64) {
+      const std::int64_t n = channels - c0 < 64 ? channels - c0 : 64;
+      std::uint64_t bits = 0;
+      std::int64_t c = 0;
+      for (; c + 16 <= n; c += 16) {
+        bits |= xnor_lanes<4>(w + c0 + c, cstride, bound + c0 + c, row, wpr)
+                << c;
+      }
+      for (; c < n; c += 4) {
+        bits |= xnor_lanes<1>(w + c0 + c, cstride, bound + c0 + c, row, wpr)
+                << c;
+      }
+      if (n < 64) bits &= (std::uint64_t{1} << n) - 1;  // padding lanes
+      or_field(out, p * channels + c0, bits ^ flip[c0 >> 6]);
+    }
+  }
+}
+
+// Words whose VPMADDUBSW pair sums (|x·w + x'·w'| ≤ 510) fit int16
+// lanes: 64 · 510 = 32640 < 32768.
+constexpr std::int64_t kFoldBytePairs = 64;
+
+// Accumulator verdicts (Σ patch·weight > bound) of 4·G adjacent
+// channels.  VPMADDUBSW multiplies the unsigned pixel bytes by the ±1
+// weight bytes and adds neighbours into int16 lanes; VPMADDWD folds
+// those into two int32 halves of each channel's 64-bit lane, whose sum
+// the low dword compare reads.
+template <int G>
+inline std::uint64_t byte_lanes(const std::uint64_t* patch,
+                                std::int64_t nwords, const std::uint64_t* w,
+                                std::int64_t cstride,
+                                const std::int64_t* bound) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i ones = _mm256_set1_epi16(1);
+  __m256i acc[G];
+  for (int g = 0; g < G; ++g) acc[g] = zero;
+  for (std::int64_t t = 0; t < nwords;) {
+    const std::int64_t lim =
+        t + kFoldBytePairs < nwords ? t + kFoldBytePairs : nwords;
+    __m256i pairs[G];
+    for (int g = 0; g < G; ++g) pairs[g] = zero;
+    for (; t < lim; ++t) {
+      const __m256i pv =
+          _mm256_set1_epi64x(static_cast<long long>(patch[t]));
+      const std::uint64_t* wt = w + t * cstride;
+      for (int g = 0; g < G; ++g) {
+        const __m256i wv =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wt + 4 * g));
+        pairs[g] = _mm256_add_epi16(pairs[g], _mm256_maddubs_epi16(pv, wv));
+      }
+    }
+    for (int g = 0; g < G; ++g) {
+      acc[g] = _mm256_add_epi32(acc[g], _mm256_madd_epi16(pairs[g], ones));
+    }
+  }
+  std::uint64_t bits = 0;
+  for (int g = 0; g < G; ++g) {
+    const __m256i sum =
+        _mm256_add_epi32(acc[g], _mm256_srli_epi64(acc[g], 32));
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bound + 4 * g));
+    const __m256i fired =
+        _mm256_slli_epi64(_mm256_cmpgt_epi32(sum, b), 32);
+    bits |= static_cast<std::uint64_t>(
+                _mm256_movemask_pd(_mm256_castsi256_pd(fired)))
+            << (4 * g);
+  }
+  return bits;
+}
+
+void byte_conv_avx2(const std::uint64_t* w, std::int64_t cstride,
+                    const std::int64_t* bound, const std::uint64_t* flip,
+                    std::int64_t channels, const std::uint64_t* patches,
+                    std::int64_t rows, std::int64_t nwords,
+                    std::uint64_t* out) {
+  for (std::int64_t p = 0; p < rows; ++p) {
+    const std::uint64_t* patch = patches + p * nwords;
+    for (std::int64_t c0 = 0; c0 < channels; c0 += 64) {
+      const std::int64_t n = channels - c0 < 64 ? channels - c0 : 64;
+      std::uint64_t bits = 0;
+      std::int64_t c = 0;
+      for (; c + 16 <= n; c += 16) {
+        bits |= byte_lanes<4>(patch, nwords, w + c0 + c, cstride,
+                              bound + c0 + c)
+                << c;
+      }
+      for (; c < n; c += 4) {
+        bits |= byte_lanes<1>(patch, nwords, w + c0 + c, cstride,
+                              bound + c0 + c)
+                << c;
+      }
+      if (n < 64) bits &= (std::uint64_t{1} << n) - 1;  // padding lanes
+      or_field(out, p * channels + c0, bits ^ flip[c0 >> 6]);
     }
   }
 }
 
 }  // namespace
 
-const BnnPopFns kBnnPopAvx2 = {&xor_pop_avx2, &xor_pop4_avx2};
-const BnnSumFns kBnnSumAvx2 = {&byte_sum_avx2, &masked_byte_sum_avx2,
-                               &masked_byte_sum4_avx2};
+const BnnPopFns kBnnPopAvx2 = {&xor_pop_avx2, &xor_pop4_avx2,
+                               &xnor_conv_avx2};
+const StageKernelFn kByteConvAvx2 = &byte_conv_avx2;
 
 }  // namespace mpcnn::bnn::detail
 
 #else  // non-x86 build or missing per-file flags: never bound.
 
 namespace mpcnn::bnn::detail {
-const BnnPopFns kBnnPopAvx2 = {nullptr, nullptr};
-const BnnSumFns kBnnSumAvx2 = {nullptr, nullptr, nullptr};
+const BnnPopFns kBnnPopAvx2 = {nullptr, nullptr, nullptr};
+const StageKernelFn kByteConvAvx2 = nullptr;
 }  // namespace mpcnn::bnn::detail
 
 #endif

@@ -11,14 +11,15 @@
 
 namespace mpcnn::bnn::detail {
 
-const BnnPopFns kBnnPopPopcnt = {&xor_pop_impl, &xor_pop4_impl};
+const BnnPopFns kBnnPopPopcnt = {&xor_pop_impl, &xor_pop4_impl,
+                                 &xnor_conv_impl};
 
 }  // namespace mpcnn::bnn::detail
 
 #else  // non-x86 build or missing per-file flag: never bound.
 
 namespace mpcnn::bnn::detail {
-const BnnPopFns kBnnPopPopcnt = {nullptr, nullptr};
+const BnnPopFns kBnnPopPopcnt = {nullptr, nullptr, nullptr};
 }  // namespace mpcnn::bnn::detail
 
 #endif

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "bnn/binary_layers.hpp"
 #include "bnn/kernels.hpp"
+#include "bnn/kernels_impl.hpp"
 #include "core/integrity/integrity.hpp"
 #include "core/threadpool.hpp"
 #include "nn/batchnorm.hpp"
@@ -50,17 +50,18 @@ std::pair<std::int32_t, bool> fold_threshold(float gamma, float beta,
   return {static_cast<std::int32_t>(std::floor(tau)) + 1, true};
 }
 
-// Packs a float ±1 weight matrix (rows x cols) into bits.
-BitMatrix pack_weights(const Tensor& shadow, Dim rows, Dim cols) {
-  MPCNN_CHECK(shadow.shape() == Shape({rows, cols}),
+// Packs a float ±1 weight matrix (out_ch x cols, logical column order)
+// into the stage's bits, each column at its stored_column.
+void pack_weights(CompiledStage& stage, const Tensor& shadow, Dim cols) {
+  MPCNN_CHECK(shadow.shape() == Shape({stage.out_ch, cols}),
               "weight shape mismatch while packing");
-  BitMatrix bits(rows, cols);
-  for (Dim r = 0; r < rows; ++r) {
+  stage.weights = BitMatrix(stage.out_ch, cols);
+  for (Dim r = 0; r < stage.out_ch; ++r) {
     for (Dim c = 0; c < cols; ++c) {
-      bits.set(r, c, sign_bit(shadow[r * cols + c]));
+      stage.weights.set(r, stored_column(stage, c),
+                        sign_bit(shadow[r * cols + c]));
     }
   }
-  return bits;
 }
 
 // Level boundary v_k in the batch-norm output domain: level q ≥ k iff
@@ -138,9 +139,8 @@ CompiledBnn compile_bnn(nn::Net& net) {
       stage.out_w = stage.in_w - stage.kernel + 1;
       stage.in_levels = carried_levels;
       stage.out_levels = levels;
-      stage.weights =
-          pack_weights(conv->weight().value, stage.out_ch,
-                       stage.in_ch * stage.kernel * stage.kernel);
+      pack_weights(stage, conv->weight().value,
+                   stage.in_ch * stage.kernel * stage.kernel);
       // First stage: float input was k/levels (unsigned); inner stages:
       // the value of level q is (2q − (L−1))/(L−1), so the integer
       // accumulator is (L−1)× the float one.
@@ -193,8 +193,6 @@ CompiledBnn compile_bnn(nn::Net& net) {
       stage.out_h = stage.out_w = 1;
       stage.kernel = 0;
       stage.in_levels = carried_levels;
-      stage.weights =
-          pack_weights(dense->weight().value, stage.out_ch, in_features);
       // Trailing Scale layers are positive monotone maps of the logits
       // and vanish in the integer lowering.
       std::size_t after = i + 1;
@@ -203,8 +201,9 @@ CompiledBnn compile_bnn(nn::Net& net) {
         ++after;
       }
       const bool is_last = (after == layers.size());
+      stage.kind = is_last ? StageKind::kOutputDense : StageKind::kBinaryDense;
+      pack_weights(stage, dense->weight().value, in_features);
       if (is_last) {
-        stage.kind = StageKind::kOutputDense;
         stage.out_levels = 2;  // unused; scores are raw integers
         out.classes = stage.out_ch;
         out.stages.push_back(std::move(stage));
@@ -216,7 +215,6 @@ CompiledBnn compile_bnn(nn::Net& net) {
       const int levels = activation_levels(layers[i + 2].get());
       MPCNN_CHECK(bn && levels > 0,
                   "hidden dense must have BatchNorm + activation");
-      stage.kind = StageKind::kBinaryDense;
       stage.out_levels = levels;
       fill_thresholds(stage, *bn,
                       static_cast<double>(carried_levels - 1));
@@ -237,516 +235,372 @@ namespace {
 // ------------------- packed word-parallel engine ----------------------
 //
 // The generic oracle further down sums every accumulator one element at
-// a time; for fully-binary nets this engine works on whole 64-bit words
-// instead:
+// a time; for fully-binary nets this engine works on whole words of
+// channels-last bit maps (bitpack.hpp).  A pixel's channel bits are one
+// contiguous field and conv weight rows store taps in the matching
+// (kh, kw, c) order (tap_column), so a patch row is K runs of K·C map
+// bits.  Each stage makes one dispatched kernel call (kernels.hpp) that
+// computes every output channel of a position as one C-bit pixel field:
 //
-//   1. bit_im2col packs all conv patches of a layer into a word-aligned
-//      BitMatrix with shifts and word splices,
-//   2. a blocked XNOR-popcount GEMM dots packed weight rows against
-//      packed patch rows with the per-channel threshold/negate compare
-//      fused into the epilogue (output bits are accumulated into words
-//      and stored 64 at a time),
-//   3. the first fixed-point stage is evaluated over bit-planes of the
-//      8-bit image:  acc = 2·Σ_k 2^k·popcount(w ∧ plane_k) − Σ patch,
-//      replacing the per-pixel weights.get() test with word AND+popcount.
+//   1. the first stage multiplies byte patches of the channels-last
+//      pixels by ±1 weight bytes and sums them;
+//   2. binary convs run bit_im2col, then the all-channel XNOR-popcount
+//      kernel with the threshold compare fused in;
+//   3. 2×2 max-pool ORs the four pixel fields of each window;
+//   4. dense stages read the map gathered into the CHW order their
+//      weights keep.
 //
-// Feature maps live in channel planes padded to word boundaries, so a
-// parallel chunk of output channels owns a disjoint word range — results
-// are bit-identical from 1 to N threads by construction.
+// Several positions share an output word, so one image runs serially;
+// callers fan out over images.  All arithmetic is integer, so scores are
+// bit-identical to the oracle at every ISA level and thread count.
 
 bool fire_binary(const CompiledStage& s, Dim oc, std::int64_t acc) {
   return (acc >= s.threshold(oc, 0)) !=
          (s.negate[static_cast<std::size_t>(oc)] != 0);
 }
 
-// Packed activation map: channel c's out_h·out_w bits start at word
-// c·plane_words (bit y·w + x within the plane).
-struct PlanedBitMap {
-  Dim ch = 0, h = 0, w = 0, plane_words = 0;
+// Channels-last bit map: pixel (y, x) holds its `ch` channel bits at bit
+// (y·w + x)·ch + c, and the spare word past the last pixel keeps the
+// field helpers' whole-word reads and writes in bounds.
+struct ChannelsLastMap {
+  Dim ch = 0, h = 0, w = 0;
   std::vector<std::uint64_t> words;
 
-  PlanedBitMap() = default;
-  PlanedBitMap(Dim ch_, Dim h_, Dim w_)
-      : ch(ch_), h(h_), w(w_), plane_words((h_ * w_ + 63) / 64),
-        words(static_cast<std::size_t>(ch_ * plane_words), 0) {}
+  ChannelsLastMap(Dim ch_, Dim h_, Dim w_)
+      : ch(ch_), h(h_), w(w_),
+        words(static_cast<std::size_t>((ch_ * h_ * w_ + 63) / 64 + 1), 0) {}
 
-  const std::uint64_t* plane(Dim c) const {
-    return words.data() + static_cast<std::size_t>(c * plane_words);
+  bool get(Dim bit) const {
+    return (words[static_cast<std::size_t>(bit >> 6)] >> (bit & 63)) & 1ULL;
   }
-  std::uint64_t* plane(Dim c) {
-    return words.data() + static_cast<std::size_t>(c * plane_words);
-  }
-  bool get(Dim c, Dim y, Dim x) const {
-    const Dim bit = y * w + x;
-    return (plane(c)[bit >> 6] >> (bit & 63)) & 1ULL;
+  void set(Dim bit) {
+    words[static_cast<std::size_t>(bit >> 6)] |= 1ULL << (bit & 63);
   }
 };
 
-// Threshold epilogue for one output channel: accumulates fired bits into
-// a word and flushes every 64 positions (single writer per plane word).
-struct BitPackEpilogue {
-  std::uint64_t* dst;
-  std::uint64_t accw = 0;
-
-  void push(Dim pos, bool fire) {
-    accw |= static_cast<std::uint64_t>(fire) << (pos & 63);
-    if ((pos & 63) == 63) {
-      dst[pos >> 6] = accw;
-      accw = 0;
-    }
+// A loaded artifact is CRC-checked but not cross-checked, so every stage
+// checks the geometry it indexes with against its input before touching
+// memory.
+void check_stage(const CompiledStage& s, Dim in_ch, Dim in_h, Dim in_w) {
+  bool ok = true;
+  switch (s.kind) {
+    case StageKind::kFixedPointConv:
+    case StageKind::kBinaryConv:
+      ok = in_ch == s.in_ch && in_h == s.in_h && in_w == s.in_w &&
+           s.kernel >= 1 && s.kernel <= in_h && s.kernel <= in_w &&
+           s.out_h == in_h - s.kernel + 1 &&
+           s.out_w == in_w - s.kernel + 1 &&
+           s.weights.cols() == in_ch * s.kernel * s.kernel;
+      break;
+    case StageKind::kMaxPoolBinary:
+      ok = in_ch == s.in_ch && s.out_ch == in_ch && s.out_h == in_h / 2 &&
+           s.out_w == in_w / 2;
+      break;
+    case StageKind::kBinaryDense:
+    case StageKind::kOutputDense:
+      ok = s.in_ch == in_ch * in_h * in_w && s.weights.cols() == s.in_ch;
+      break;
   }
-  void flush(Dim positions) {
-    if (positions & 63) dst[positions >> 6] = accw;
+  if (s.kind != StageKind::kMaxPoolBinary) {
+    ok = ok && s.weights.rows() == s.out_ch;
   }
-};
-
-// Reads `count` (1..64) bits starting at `bit`; result in the low bits.
-inline std::uint64_t take_bits(const std::uint64_t* words, Dim bit,
-                               Dim count) {
-  const std::size_t wi = static_cast<std::size_t>(bit >> 6);
-  const Dim off = bit & 63;
-  std::uint64_t v = words[wi] >> off;
-  if (off + count > 64) v |= words[wi + 1] << (64 - off);
-  return count >= 64 ? v : v & ((1ULL << count) - 1ULL);
+  if (s.kind != StageKind::kMaxPoolBinary &&
+      s.kind != StageKind::kOutputDense) {
+    ok = ok && s.thresholds.size() == static_cast<std::size_t>(s.out_ch) &&
+         s.negate.size() == static_cast<std::size_t>(s.out_ch);
+  }
+  MPCNN_CHECK(ok, "compiled stage does not fit its " << in_ch << "x" << in_h
+                                                     << "x" << in_w
+                                                     << " input");
 }
 
-// ORs the low `count` bits of v into a known-zero destination range.
-inline void or_bits(std::uint64_t* words, Dim bit, std::uint64_t v,
-                    Dim count) {
-  const std::size_t wi = static_cast<std::size_t>(bit >> 6);
-  const Dim off = bit & 63;
-  words[wi] |= v << off;
-  if (off + count > 64) words[wi + 1] |= v >> (64 - off);
-}
+// Per-call operands of a thresholded stage for the stage kernels
+// (kernels.hpp): weight words transposed to (word, channel) order with
+// the channel axis padded to the 4 lanes of a 256-bit vector, one bound
+// per channel, and the negate flags one bit per channel.  They are
+// rebuilt from CompiledStage on every call, never cached, so SEU flips
+// and scrub repairs reach the engine exactly as they reach the weights.
+struct StageOperands {
+  Dim cstride;
+  std::vector<std::uint64_t> w;
+  std::vector<std::int64_t> bound;
+  std::vector<std::uint64_t> flip;
 
-// Byte-SAD first stage: patches as byte vectors, weights as 0x00/0xFF
-// byte masks, Σ_{w=1} x via masked byte sums (PSADBW on SSE2, VPSADBW on
-// AVX2 — whichever the dispatch table bound).  Pure integer arithmetic,
-// so the accumulators are bit-identical to the plane path and the generic
-// oracle; pixels must fit a byte (input_levels ≤ 256).
-PlanedBitMap exec_fixed_point_conv_sad(const CompiledStage& s,
-                                       const std::vector<int>& px,
-                                       const detail::BnnKernels& kern) {
-  const Dim positions = s.out_h * s.out_w;
-  const Dim patch = s.in_ch * s.kernel * s.kernel;
-  const Dim vecs = (patch + 15) / 16;
-  const Dim stride = vecs * 16;
-
-  // Narrow the integer image to bytes once (pixels fit: levels ≤ 256),
-  // so the patch assembly below is pure byte copies instead of per-patch
-  // int→byte narrowing.
-  std::vector<std::uint8_t> img(px.size());
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    img[i] = static_cast<std::uint8_t>(px[i]);
-  }
-
-  // Byte-level im2col (zero padding past `patch` contributes nothing to
-  // either masked or unmasked sums).
-  std::vector<std::uint8_t> patches(
-      static_cast<std::size_t>(positions * stride), 0);
-  core::parallel_for(0, positions, 16, [&](Dim p0, Dim p1) {
-    for (Dim pos = p0; pos < p1; ++pos) {
-      const Dim oh = pos / s.out_w;
-      const Dim ow = pos % s.out_w;
-      std::uint8_t* dst = patches.data() + pos * stride;
-      for (Dim c = 0; c < s.in_ch; ++c) {
-        for (Dim kh = 0; kh < s.kernel; ++kh, dst += s.kernel) {
-          const std::uint8_t* row =
-              img.data() + ((c * s.in_h + oh + kh) * s.in_w + ow);
-          std::memcpy(dst, row, static_cast<std::size_t>(s.kernel));
-        }
+  StageOperands(const CompiledStage& s, Dim words)
+      : cstride((s.out_ch + 3) / 4 * 4),
+        w(static_cast<std::size_t>(words * cstride), 0),
+        bound(static_cast<std::size_t>(cstride), 0),
+        flip(static_cast<std::size_t>((s.out_ch + 63) / 64), 0) {
+    for (Dim oc = 0; oc < s.out_ch; ++oc) {
+      if (s.negate[static_cast<std::size_t>(oc)] != 0) {
+        flip[static_cast<std::size_t>(oc >> 6)] |= 1ULL << (oc & 63);
       }
     }
-  });
+  }
+};
 
-  // Weight rows as byte masks in the same column order, expanded eight
-  // bits at a time through a byte→mask-word LUT (bit k of weight byte v
-  // becomes mask byte k).  Zero padding bits past `patch` expand to zero
-  // mask bytes, so the masked sums need no correction.
-  static constexpr std::array<std::uint64_t, 256> kMaskLut = [] {
+// xnor_conv operands.  Before negation a channel fires when
+// acc = cols − 2m ≥ τ, i.e. when m < ⌊(cols − τ)/2⌋ + 1.  τ may be
+// INT32_MIN or INT32_MAX (γ = 0 folding), so the bound is clamped to the
+// reachable [0, cols + 1].
+StageOperands xnor_operands(const CompiledStage& s) {
+  const Dim wpr = s.weights.words_per_row();
+  const Dim cols = s.weights.cols();
+  StageOperands op(s, wpr);
+  for (Dim oc = 0; oc < s.out_ch; ++oc) {
+    const std::uint64_t* row = s.weights.row_data(oc);
+    for (Dim t = 0; t < wpr; ++t) {
+      op.w[static_cast<std::size_t>(t * op.cstride + oc)] = row[t];
+    }
+    op.bound[static_cast<std::size_t>(oc)] = std::clamp<std::int64_t>(
+        ((cols - s.threshold(oc, 0)) >> 1) + 1, 0, cols + 1);
+  }
+  return op;
+}
+
+// byte_conv operands: weight bit 8t + k becomes signed byte k of word
+// t, +1 when set and −1 when clear, and before negation a channel fires
+// when acc = Σ x·w > τ − 1.  The bound is clamped to the reachable
+// [−255·cols − 1, 255·cols], which the caller keeps inside int32.
+StageOperands byte_operands(const CompiledStage& s, Dim nwords) {
+  static constexpr std::array<std::uint64_t, 256> kSignLut = [] {
     std::array<std::uint64_t, 256> t{};
     for (int v = 0; v < 256; ++v) {
-      std::uint64_t m = 0;
+      std::uint64_t bytes = 0;
       for (int k = 0; k < 8; ++k) {
-        if ((v >> k) & 1) m |= std::uint64_t{0xFF} << (8 * k);
+        bytes |= std::uint64_t{(v >> k) & 1 ? 0x01u : 0xFFu} << (8 * k);
       }
-      t[static_cast<std::size_t>(v)] = m;
+      t[static_cast<std::size_t>(v)] = bytes;
     }
     return t;
   }();
-  std::vector<std::uint8_t> wmask(
-      static_cast<std::size_t>(s.out_ch * stride), 0);
-  const Dim groups = (patch + 7) / 8;  // 8·groups ≤ stride (16-aligned)
+  const Dim reach = 255 * s.weights.cols();
+  StageOperands op(s, nwords);
   for (Dim oc = 0; oc < s.out_ch; ++oc) {
-    std::uint8_t* row = wmask.data() + oc * stride;
-    const std::uint64_t* wrow = s.weights.row_data(oc);
-    for (Dim g = 0; g < groups; ++g) {
-      const std::uint64_t m =
-          kMaskLut[(wrow[g >> 3] >> ((g & 7) * 8)) & 0xFF];
-      std::memcpy(row + g * 8, &m, 8);
+    const std::uint64_t* row = s.weights.row_data(oc);
+    for (Dim t = 0; t < nwords; ++t) {
+      op.w[static_cast<std::size_t>(t * op.cstride + oc)] =
+          kSignLut[(row[t >> 3] >> ((t & 7) * 8)) & 0xFF];
     }
+    op.bound[static_cast<std::size_t>(oc)] = std::clamp<std::int64_t>(
+        std::int64_t{s.threshold(oc, 0)} - 1, -reach - 1, reach);
   }
-
-  PlanedBitMap out(s.out_ch, s.out_h, s.out_w);
-  core::parallel_for(0, positions, 64, [&](Dim p0, Dim p1) {
-    std::vector<std::uint64_t> accw(static_cast<std::size_t>(s.out_ch), 0);
-    for (Dim pos = p0; pos < p1; ++pos) {
-      const std::uint8_t* pb = patches.data() + pos * stride;
-      const std::int64_t sum = kern.byte_sum(pb, stride);
-      Dim oc = 0;
-      if (kern.masked_byte_sum4 != nullptr) {
-        for (; oc + 4 <= s.out_ch; oc += 4) {
-          std::int64_t s4[4];
-          kern.masked_byte_sum4(pb, wmask.data() + oc * stride, stride,
-                                stride, s4);
-          for (Dim r = 0; r < 4; ++r) {
-            accw[static_cast<std::size_t>(oc + r)] |=
-                static_cast<std::uint64_t>(
-                    fire_binary(s, oc + r, 2 * s4[r] - sum))
-                << (pos & 63);
-          }
-        }
-      }
-      for (; oc < s.out_ch; ++oc) {
-        const std::uint8_t* wb = wmask.data() + oc * stride;
-        const std::int64_t s1 = kern.masked_byte_sum(pb, wb, stride);
-        accw[static_cast<std::size_t>(oc)] |=
-            static_cast<std::uint64_t>(fire_binary(s, oc, 2 * s1 - sum))
-            << (pos & 63);
-      }
-      if ((pos & 63) == 63) {
-        const Dim wi = pos >> 6;
-        for (Dim oc = 0; oc < s.out_ch; ++oc) {
-          out.plane(oc)[wi] = accw[static_cast<std::size_t>(oc)];
-          accw[static_cast<std::size_t>(oc)] = 0;
-        }
-      }
-    }
-    if (p1 & 63) {  // grain 64: a ragged end only happens at `positions`
-      const Dim wi = p1 >> 6;
-      for (Dim oc = 0; oc < s.out_ch; ++oc) {
-        out.plane(oc)[wi] = accw[static_cast<std::size_t>(oc)];
-      }
-    }
-  });
-  return out;
+  return op;
 }
 
-PlanedBitMap exec_fixed_point_conv_packed(const CompiledStage& s,
-                                          const std::vector<int>& px,
-                                          int input_levels) {
-  const detail::BnnKernels& kern = detail::kernels();
-  // The byte path needs the SAD kernels (absent at the scalar level,
-  // where the bit-plane stage below is the dispatched variant).
-  if (kern.masked_byte_sum != nullptr && input_levels <= 256) {
-    return exec_fixed_point_conv_sad(s, px, kern);
+// Quantises an NCHW image (NaN already rejected) to levels 0..`levels`
+// in channels-last order, plus 8 zero elements of slack for word-sized
+// copies.  For a float v ≥ 0, ⌊double(v) + 0.5⌋ equals the oracle's
+// std::lround(v) — the float sum v + 0.5f does not (0.49999997f would
+// round up) — and truncation is that floor.
+template <typename T>
+std::vector<T> quantise_channels_last(const Tensor& image, int levels) {
+  const Dim ch = image.shape()[1];
+  const Dim hw = image.shape()[2] * image.shape()[3];
+  const float scale = static_cast<float>(levels);
+  const float* src = image.data();
+  std::vector<T> px(static_cast<std::size_t>(ch * hw + 8), 0);
+  for (Dim c = 0; c < ch; ++c) {
+    for (Dim i = 0; i < hw; ++i) {
+      const float v = std::clamp(src[c * hw + i], 0.0f, 1.0f) * scale;
+      px[static_cast<std::size_t>(i * ch + c)] = static_cast<T>(
+          static_cast<std::int32_t>(static_cast<double>(v) + 0.5));
+    }
   }
-  const Dim positions = s.out_h * s.out_w;
-  const Dim patch = s.in_ch * s.kernel * s.kernel;
-  const Dim wpr = (patch + 63) / 64;
-  const int planes = std::bit_width(static_cast<unsigned>(input_levels));
+  return px;
+}
 
-  // Slice the integer image into bit-planes (plane k of channel c holds
-  // bit k of every pixel), then word-splice each bit-plane through the
-  // same bit_im2col the binary convs use: plane_mats[k] row `pos` is bit
-  // k of every patch pixel of output position pos, columns in
-  // pack_weights order.
-  const Dim in_plane_words = (s.in_h * s.in_w + 63) / 64;
-  std::vector<std::uint64_t> in_planes(
-      static_cast<std::size_t>(planes * s.in_ch * in_plane_words), 0);
-  core::parallel_for(0, s.in_ch, 1, [&](Dim cc0, Dim cc1) {
-    for (Dim c = cc0; c < cc1; ++c) {
-      const int* chan = px.data() + c * s.in_h * s.in_w;
-      for (Dim i = 0; i < s.in_h * s.in_w; ++i) {
-        const std::uint32_t x = static_cast<std::uint32_t>(chan[i]);
-        const Dim wi = i >> 6;
-        const Dim sh = i & 63;
-        for (int k = 0; k < planes; ++k) {
-          in_planes[static_cast<std::size_t>(
-              (k * s.in_ch + c) * in_plane_words + wi)] |=
-              static_cast<std::uint64_t>((x >> k) & 1U) << sh;
+ChannelsLastMap exec_fixed_point_conv(const CompiledStage& s,
+                                      const Tensor& image,
+                                      int input_levels) {
+  check_stage(s, image.shape()[1], image.shape()[2], image.shape()[3]);
+  ChannelsLastMap out(s.out_ch, s.out_h, s.out_w);
+  const Dim run = s.kernel * s.in_ch;  // bytes of one kernel row
+  // The byte kernels sum in 32-bit lanes: |acc| ≤ 255·cols must fit.
+  if (input_levels <= 255 && run * s.kernel < (Dim{1} << 23)) {
+    // A patch is K runs of `run` contiguous pixel bytes, copied a word at
+    // a time (the pixel bytes carry slack for the reads).  A run's last
+    // word is cut to the run, so the zeros it spills are overwritten by
+    // the next run or left as the patch's zero padding; the matrix keeps
+    // a spare word for the last patch's spill.
+    const std::vector<std::uint8_t> px =
+        quantise_channels_last<std::uint8_t>(image, input_levels);
+    const Dim nwords = (run * s.kernel + 7) / 8;
+    std::vector<std::uint64_t> patches(
+        static_cast<std::size_t>(s.out_h * s.out_w * nwords + 1), 0);
+    auto* dst = reinterpret_cast<unsigned char*>(patches.data());
+    for (Dim oh = 0; oh < s.out_h; ++oh) {
+      for (Dim ow = 0; ow < s.out_w; ++ow, dst += 8 * nwords) {
+        for (Dim kh = 0; kh < s.kernel; ++kh) {
+          const std::uint8_t* src =
+              px.data() + ((oh + kh) * s.in_w + ow) * s.in_ch;
+          for (Dim b = 0; b < run; b += 8) {
+            std::uint64_t v;
+            std::memcpy(&v, src + b, 8);
+            if (run - b < 8) v &= ~0ULL >> (8 * (8 - (run - b)));
+            std::memcpy(dst + kh * run + b, &v, 8);
+          }
         }
       }
     }
-  });
-  std::vector<BitMatrix> plane_mats;
-  plane_mats.reserve(static_cast<std::size_t>(planes));
-  for (int k = 0; k < planes; ++k) {
-    plane_mats.push_back(bit_im2col(
-        in_planes.data() +
-            static_cast<std::size_t>(k * s.in_ch * in_plane_words),
-        in_plane_words, s.in_ch, s.in_h, s.in_w, s.kernel));
+    const StageOperands op = byte_operands(s, nwords);
+    detail::kernels().byte_conv(op.w.data(), op.cstride, op.bound.data(),
+                                op.flip.data(), s.out_ch, patches.data(),
+                                s.out_h * s.out_w, nwords, out.words.data());
+    return out;
   }
-  // Contiguous copy of the weight rows so the hot loop streams one dense
-  // buffer instead of recomputing row addresses per (oc, pos, plane).
-  std::vector<std::uint64_t> wbuf(static_cast<std::size_t>(s.out_ch * wpr));
-  for (Dim oc = 0; oc < s.out_ch; ++oc) {
-    std::copy_n(s.weights.row_data(oc), wpr, wbuf.data() + oc * wpr);
-  }
-  std::vector<const std::uint64_t*> bases(static_cast<std::size_t>(planes));
-  for (int k = 0; k < planes; ++k) {
-    bases[static_cast<std::size_t>(k)] =
-        plane_mats[static_cast<std::size_t>(k)].row_data(0);
-  }
-
-  // Position-outer accumulation: the patch's plane words are loaded once
-  // per position and reused by every output channel; Σ patch falls out of
-  // the same loads as Σ_k 2^k·popcount(plane_k row).  The parallel grain
-  // of 64 positions puts chunk boundaries on output-word edges, so each
-  // chunk owns a disjoint word range of every output plane (bit-identical
-  // at any thread count).  acc = 2·Σ_{w=1} x − Σ x, exact vs the
-  // oracle's Σ (w ? x : −x).
-  PlanedBitMap out(s.out_ch, s.out_h, s.out_w);
-  core::parallel_for(0, positions, 64, [&](Dim p0, Dim p1) {
-    std::vector<std::uint64_t> accw(static_cast<std::size_t>(s.out_ch), 0);
-    std::vector<std::uint64_t> pk(static_cast<std::size_t>(planes * wpr));
-    for (Dim pos = p0; pos < p1; ++pos) {
-      std::int32_t sum = 0;
-      if (wpr == 1) {
-        // First-layer patches (in_ch·K² bits) almost always fit one word:
-        // a register-resident inner loop with no word indexing.
-        for (int k = 0; k < planes; ++k) {
-          const std::uint64_t v = bases[static_cast<std::size_t>(k)][pos];
-          pk[static_cast<std::size_t>(k)] = v;
-          sum += static_cast<std::int32_t>(std::popcount(v)) << k;
-        }
-        for (Dim oc = 0; oc < s.out_ch; ++oc) {
-          const std::uint64_t w = wbuf[static_cast<std::size_t>(oc)];
-          std::int64_t s1 = 0;
-          for (int k = 0; k < planes; ++k) {
-            s1 += static_cast<std::int64_t>(std::popcount(
-                      w & pk[static_cast<std::size_t>(k)]))
-                  << k;
-          }
-          accw[static_cast<std::size_t>(oc)] |=
-              static_cast<std::uint64_t>(fire_binary(s, oc, 2 * s1 - sum))
-              << (pos & 63);
-        }
-      } else {
-        for (int k = 0; k < planes; ++k) {
-          const std::uint64_t* prow =
-              bases[static_cast<std::size_t>(k)] + pos * wpr;
-          Dim cnt = 0;
-          for (Dim t = 0; t < wpr; ++t) {
-            pk[static_cast<std::size_t>(k * wpr + t)] = prow[t];
-            cnt += std::popcount(prow[t]);
-          }
-          sum += static_cast<std::int32_t>(cnt) << k;
-        }
-        for (Dim oc = 0; oc < s.out_ch; ++oc) {
-          const std::uint64_t* w = wbuf.data() + oc * wpr;
-          std::int64_t s1 = 0;
-          for (int k = 0; k < planes; ++k) {
-            Dim cnt = 0;
-            for (Dim t = 0; t < wpr; ++t) {
-              cnt += std::popcount(
-                  w[t] & pk[static_cast<std::size_t>(k * wpr + t)]);
+  // Pixels wider than a byte (QuantizeInput allows 16 bits) or patches
+  // too long for 32-bit sums: a portable integer loop over the same taps.
+  const std::vector<std::int32_t> px =
+      quantise_channels_last<std::int32_t>(image, input_levels);
+  for (Dim oh = 0; oh < s.out_h; ++oh) {
+    for (Dim ow = 0; ow < s.out_w; ++ow) {
+      for (Dim oc = 0; oc < s.out_ch; ++oc) {
+        std::int64_t acc = 0;
+        for (Dim kh = 0; kh < s.kernel; ++kh) {
+          for (Dim kw = 0; kw < s.kernel; ++kw) {
+            const std::int32_t* pixel =
+                px.data() + ((oh + kh) * s.in_w + ow + kw) * s.in_ch;
+            for (Dim c = 0; c < s.in_ch; ++c) {
+              acc += s.weights.get(oc, tap_column(s, c, kh, kw)) ? pixel[c]
+                                                                 : -pixel[c];
             }
-            s1 += static_cast<std::int64_t>(cnt) << k;
           }
-          accw[static_cast<std::size_t>(oc)] |=
-              static_cast<std::uint64_t>(fire_binary(s, oc, 2 * s1 - sum))
-              << (pos & 63);
         }
-      }
-      if ((pos & 63) == 63) {
-        const Dim wi = pos >> 6;
-        for (Dim oc = 0; oc < s.out_ch; ++oc) {
-          out.plane(oc)[wi] = accw[static_cast<std::size_t>(oc)];
-          accw[static_cast<std::size_t>(oc)] = 0;
+        if (fire_binary(s, oc, acc)) {
+          out.set((oh * s.out_w + ow) * s.out_ch + oc);
         }
       }
     }
-    if (p1 & 63) {  // grain 64: a ragged end only happens at `positions`
-      const Dim wi = p1 >> 6;
-      for (Dim oc = 0; oc < s.out_ch; ++oc) {
-        out.plane(oc)[wi] = accw[static_cast<std::size_t>(oc)];
-      }
-    }
-  });
+  }
   return out;
 }
 
-PlanedBitMap exec_binary_conv_packed(const CompiledStage& s,
-                                     const PlanedBitMap& in) {
-  const BitMatrix patches = bit_im2col(in.words.data(), in.plane_words,
-                                       s.in_ch, s.in_h, s.in_w, s.kernel);
-  const Dim positions = s.out_h * s.out_w;
-  const Dim cols = s.weights.cols();
-  const Dim wpr = patches.words_per_row();
-  PlanedBitMap out(s.out_ch, s.out_h, s.out_w);
-  // Register blocking: the dispatched quad kernel counts four weight
-  // rows per pass so they share every patch-row load (POPCNT or AVX2
-  // nibble-LUT under the hood).  Grain 4 keeps parallel chunk boundaries
-  // on block edges; per-channel results are independent, so blocking
-  // cannot change any accumulator.
-  const detail::BnnKernels& kern = detail::kernels();
-  const Dim wstride = s.weights.words_per_row();
-  core::parallel_for(0, s.out_ch, 4, [&](Dim c0, Dim c1) {
-    Dim oc = c0;
-    for (; oc + 4 <= c1; oc += 4) {
-      const std::uint64_t* w0 = s.weights.row_data(oc);
-      BitPackEpilogue ep0{out.plane(oc)};
-      BitPackEpilogue ep1{out.plane(oc + 1)};
-      BitPackEpilogue ep2{out.plane(oc + 2)};
-      BitPackEpilogue ep3{out.plane(oc + 3)};
-      for (Dim pos = 0; pos < positions; ++pos) {
-        std::int64_t m[4];
-        kern.xor_pop4(w0, wstride, patches.row_data(pos), wpr, m);
-        ep0.push(pos, fire_binary(s, oc, cols - 2 * m[0]));
-        ep1.push(pos, fire_binary(s, oc + 1, cols - 2 * m[1]));
-        ep2.push(pos, fire_binary(s, oc + 2, cols - 2 * m[2]));
-        ep3.push(pos, fire_binary(s, oc + 3, cols - 2 * m[3]));
-      }
-      ep0.flush(positions);
-      ep1.flush(positions);
-      ep2.flush(positions);
-      ep3.flush(positions);
-    }
-    for (; oc < c1; ++oc) {
-      const std::uint64_t* wrow = s.weights.row_data(oc);
-      BitPackEpilogue ep{out.plane(oc)};
-      for (Dim pos = 0; pos < positions; ++pos) {
-        const std::int64_t acc =
-            cols - 2 * kern.xor_pop(wrow, patches.row_data(pos), wpr);
-        ep.push(pos, fire_binary(s, oc, acc));
-      }
-      ep.flush(positions);
-    }
-  });
-  return out;
-}
-
-// ABFT-instrumented conv: materialise the whole accumulator matrix
-// through the checked xnor_gemm — the integer accumulators are
-// bit-identical to the fused quad path's (both compute cols − 2·
-// mismatches per (channel, position)), so outputs never depend on which
-// path ran; only the checked path exposes them to the checksum epilogue
-// and to armed compute faults.  Taken only when core/integrity is
-// active for this thread (see run_reference_packed).
-PlanedBitMap exec_binary_conv_checked(const CompiledStage& s,
-                                      const PlanedBitMap& in) {
-  const BitMatrix patches = bit_im2col(in.words.data(), in.plane_words,
-                                       s.in_ch, s.in_h, s.in_w, s.kernel);
-  const Dim positions = s.out_h * s.out_w;
-  std::vector<std::int32_t> acc(
-      static_cast<std::size_t>(s.out_ch * positions));
-  xnor_gemm(s.weights, patches, acc.data());
-  PlanedBitMap out(s.out_ch, s.out_h, s.out_w);
-  core::parallel_for(0, s.out_ch, 4, [&](Dim c0, Dim c1) {
-    for (Dim oc = c0; oc < c1; ++oc) {
-      const std::int32_t* arow = acc.data() + oc * positions;
-      BitPackEpilogue ep{out.plane(oc)};
-      for (Dim pos = 0; pos < positions; ++pos) {
-        ep.push(pos, fire_binary(s, oc, arow[pos]));
-      }
-      ep.flush(positions);
-    }
-  });
-  return out;
-}
-
-PlanedBitMap exec_maxpool_packed(const CompiledStage& s,
-                                 const PlanedBitMap& in) {
-  // Binary max is OR, so a whole 2×2 pooling row folds word-at-a-time:
-  // OR the two source rows, OR adjacent column pairs, then compress the
-  // surviving even bits with the Morton-decode SWAR ladder.  Chunks of
-  // ≤32 output bits keep the 2× source read inside one take_bits call.
-  PlanedBitMap out(s.out_ch, s.out_h, s.out_w);
-  core::parallel_for(0, s.out_ch, 1, [&](Dim c0, Dim c1) {
-    for (Dim c = c0; c < c1; ++c) {
-      const std::uint64_t* src = in.plane(c);
-      std::uint64_t* dst = out.plane(c);
-      for (Dim oh = 0; oh < s.out_h; ++oh) {
-        for (Dim ow0 = 0; ow0 < s.out_w; ow0 += 32) {
-          const Dim n = std::min<Dim>(32, s.out_w - ow0);
-          const std::uint64_t a =
-              take_bits(src, (2 * oh) * in.w + 2 * ow0, 2 * n);
-          const std::uint64_t b =
-              take_bits(src, (2 * oh + 1) * in.w + 2 * ow0, 2 * n);
-          std::uint64_t x = a | b;
-          x = (x | (x >> 1)) & 0x5555555555555555ULL;
-          x = (x | (x >> 1)) & 0x3333333333333333ULL;
-          x = (x | (x >> 2)) & 0x0F0F0F0F0F0F0F0FULL;
-          x = (x | (x >> 4)) & 0x00FF00FF00FF00FFULL;
-          x = (x | (x >> 8)) & 0x0000FFFF0000FFFFULL;
-          x = (x | (x >> 16)) & 0x00000000FFFFFFFFULL;
-          or_bits(dst, oh * s.out_w + ow0, x, n);
+// Thresholds every patch row against every output channel in one
+// all-channel kernel call; row p's pixel lands at bit p·out_ch of `out`.
+// The ABFT-instrumented path (core/integrity active for this thread)
+// materialises the accumulator matrix through the checked xnor_gemm
+// instead: its (channel, position) indexing keeps armed accumulator
+// faults and detections as they were, and the same integer accumulators
+// make the same pixel bits.
+void xnor_stage(const CompiledStage& s, const BitMatrix& patches,
+                ChannelsLastMap& out) {
+  const Dim rows = patches.rows();
+  if (core::integrity::instrumented()) {
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(s.out_ch * rows));
+    xnor_gemm(s.weights, patches, acc.data());
+    for (Dim oc = 0; oc < s.out_ch; ++oc) {
+      for (Dim p = 0; p < rows; ++p) {
+        if (fire_binary(s, oc, acc[static_cast<std::size_t>(oc * rows + p)])) {
+          out.set(p * s.out_ch + oc);
         }
       }
     }
-  });
+    return;
+  }
+  const StageOperands op = xnor_operands(s);
+  detail::kernels().xnor_conv(op.w.data(), op.cstride, op.bound.data(),
+                              op.flip.data(), s.out_ch, patches.row_data(0),
+                              rows, patches.words_per_row(),
+                              out.words.data());
+}
+
+ChannelsLastMap exec_binary_conv(const CompiledStage& s,
+                                 const ChannelsLastMap& in) {
+  check_stage(s, in.ch, in.h, in.w);
+  const BitMatrix patches =
+      bit_im2col(in.words.data(), in.ch, in.h, in.w, s.kernel);
+  ChannelsLastMap out(s.out_ch, s.out_h, s.out_w);
+  xnor_stage(s, patches, out);
   return out;
 }
 
-// Compacts the plane-padded map into the contiguous (c·H + y)·W + x bit
-// order dense weights were packed against.
-BitVector flatten_planes(const PlanedBitMap& in) {
-  const Dim per_plane = in.h * in.w;
-  BitVector flat(in.ch * per_plane);
+// Binary max is OR: each output pixel ORs the four fields of its 2×2
+// window, up to 64 channels per word.
+ChannelsLastMap exec_maxpool(const CompiledStage& s,
+                             const ChannelsLastMap& in) {
+  check_stage(s, in.ch, in.h, in.w);
+  ChannelsLastMap out(s.out_ch, s.out_h, s.out_w);
+  const Dim ch = in.ch;
+  for (Dim oh = 0; oh < out.h; ++oh) {
+    for (Dim ow = 0; ow < out.w; ++ow) {
+      const Dim top = (2 * oh * in.w + 2 * ow) * ch;
+      const Dim bottom = top + in.w * ch;
+      const Dim dst = (oh * out.w + ow) * ch;
+      for (Dim c0 = 0; c0 < ch; c0 += 64) {
+        const Dim n = std::min<Dim>(64, ch - c0);
+        const std::uint64_t* src = in.words.data();
+        detail::or_field(out.words.data(), dst + c0,
+                         detail::read_field(src, top + c0, n) |
+                             detail::read_field(src, top + ch + c0, n) |
+                             detail::read_field(src, bottom + c0, n) |
+                             detail::read_field(src, bottom + ch + c0, n));
+      }
+    }
+  }
+  return out;
+}
+
+// Dense weights keep the CHW flatten order of the float graph, so a
+// dense stage reads its input map gathered into that order — a plain
+// copy for a 1×1 map, which is every dense input of CNV.
+BitMatrix gather_chw(const ChannelsLastMap& in) {
+  const Dim hw = in.h * in.w;
+  BitMatrix flat(1, in.ch * hw);
+  if (hw == 1) {
+    std::copy_n(in.words.data(), flat.words_per_row(), flat.row_data(0));
+    return flat;
+  }
   for (Dim c = 0; c < in.ch; ++c) {
-    copy_bits(in.plane(c), 0, flat.data(), c * per_plane, per_plane);
+    for (Dim i = 0; i < hw; ++i) {
+      if (in.get(i * in.ch + c)) flat.set(0, c * hw + i, true);
+    }
   }
   return flat;
 }
 
+// Integer class scores cols − 2·mismatches; the checked path runs them
+// through the ABFT'd xnor_gemm as a one-row product.
+std::vector<std::int32_t> output_scores(const CompiledStage& s,
+                                        const BitMatrix& act) {
+  std::vector<std::int32_t> scores(static_cast<std::size_t>(s.out_ch));
+  if (core::integrity::instrumented()) {
+    xnor_gemm(s.weights, act, scores.data());
+    return scores;
+  }
+  const detail::XorPopFn xor_pop = detail::kernels().xor_pop;
+  for (Dim oc = 0; oc < s.out_ch; ++oc) {
+    scores[static_cast<std::size_t>(oc)] = static_cast<std::int32_t>(
+        s.weights.cols() - 2 * xor_pop(s.weights.row_data(oc),
+                                       act.row_data(0),
+                                       act.words_per_row()));
+  }
+  return scores;
+}
+
 std::vector<std::int32_t> run_reference_packed(const CompiledBnn& net,
-                                               const std::vector<int>& px) {
-  PlanedBitMap fmap =
-      exec_fixed_point_conv_packed(net.stages.front(), px, net.input_levels);
-  BitVector flat;
-  bool flat_valid = false;
+                                               const Tensor& image) {
+  ChannelsLastMap fmap =
+      exec_fixed_point_conv(net.stages.front(), image, net.input_levels);
   for (std::size_t s = 1; s < net.stages.size(); ++s) {
     const CompiledStage& stage = net.stages[s];
     switch (stage.kind) {
       case StageKind::kBinaryConv:
-        MPCNN_CHECK(!flat_valid, "conv stage after dense");
-        fmap = core::integrity::instrumented()
-                   ? exec_binary_conv_checked(stage, fmap)
-                   : exec_binary_conv_packed(stage, fmap);
+        fmap = exec_binary_conv(stage, fmap);
         break;
       case StageKind::kMaxPoolBinary:
-        MPCNN_CHECK(!flat_valid, "pool stage after dense");
-        fmap = exec_maxpool_packed(stage, fmap);
+        fmap = exec_maxpool(stage, fmap);
         break;
-      case StageKind::kBinaryDense:
-      case StageKind::kOutputDense: {
-        if (!flat_valid) {
-          flat = flatten_planes(fmap);
-          flat_valid = true;
-        }
-        MPCNN_CHECK(flat.size() == stage.in_ch,
-                    "dense stage input width mismatch");
-        const Dim cols = stage.weights.cols();
-        const Dim wpr = stage.weights.words_per_row();
-        const detail::BnnKernels& kern = detail::kernels();
-        std::vector<std::int32_t> accs(
-            static_cast<std::size_t>(stage.out_ch));
-        if (core::integrity::instrumented()) {
-          // Checked path: the activation vector becomes a 1-row packed
-          // matrix so the dense product flows through the ABFT'd
-          // xnor_gemm.  Same accumulators, now checksum-verified.
-          BitMatrix act(1, stage.in_ch);
-          std::copy(flat.data(), flat.data() + wpr, act.row_data(0));
-          xnor_gemm(stage.weights, act, accs.data());
-        } else {
-          core::parallel_for(0, stage.out_ch, 8, [&](Dim c0, Dim c1) {
-            for (Dim oc = c0; oc < c1; ++oc) {
-              accs[static_cast<std::size_t>(oc)] = static_cast<std::int32_t>(
-                  cols - 2 * kern.xor_pop(stage.weights.row_data(oc),
-                                          flat.data(), wpr));
-            }
-          });
-        }
-        if (stage.kind == StageKind::kOutputDense) return accs;
-        BitVector next(stage.out_ch);
-        for (Dim oc = 0; oc < stage.out_ch; ++oc) {
-          next.set(oc, fire_binary(stage, oc,
-                                   accs[static_cast<std::size_t>(oc)]));
-        }
-        flat = std::move(next);
+      case StageKind::kBinaryDense: {
+        check_stage(stage, fmap.ch, fmap.h, fmap.w);
+        ChannelsLastMap next(stage.out_ch, 1, 1);
+        xnor_stage(stage, gather_chw(fmap), next);
+        fmap = std::move(next);
         break;
       }
+      case StageKind::kOutputDense:
+        check_stage(stage, fmap.ch, fmap.h, fmap.w);
+        return output_scores(stage, gather_chw(fmap));
       case StageKind::kFixedPointConv:
         MPCNN_CHECK(false, "fixed-point conv must be the first stage");
     }
@@ -806,13 +660,14 @@ std::vector<std::int32_t> run_reference_generic(const CompiledBnn& net,
     for (Dim ow = 0; ow < first.out_w; ++ow) {
       for (Dim oc = 0; oc < first.out_ch; ++oc) {
         std::int64_t acc = 0;
-        Dim bit = 0;
         for (Dim c = 0; c < first.in_ch; ++c) {
           for (Dim kh = 0; kh < first.kernel; ++kh) {
-            for (Dim kw = 0; kw < first.kernel; ++kw, ++bit) {
+            for (Dim kw = 0; kw < first.kernel; ++kw) {
               const int x = px[static_cast<std::size_t>(
                   (c * first.in_h + oh + kh) * first.in_w + ow + kw)];
-              acc += first.weights.get(oc, bit) ? x : -x;
+              acc += first.weights.get(oc, tap_column(first, c, kh, kw))
+                         ? x
+                         : -x;
             }
           }
         }
@@ -831,13 +686,14 @@ std::vector<std::int32_t> run_reference_generic(const CompiledBnn& net,
           for (Dim ow = 0; ow < stage.out_w; ++ow) {
             for (Dim oc = 0; oc < stage.out_ch; ++oc) {
               std::int64_t acc = 0;
-              Dim bit = 0;
               for (Dim c = 0; c < stage.in_ch; ++c) {
                 for (Dim kh = 0; kh < stage.kernel; ++kh) {
-                  for (Dim kw = 0; kw < stage.kernel; ++kw, ++bit) {
+                  for (Dim kw = 0; kw < stage.kernel; ++kw) {
                     const std::int64_t x =
                         fmap.encoded(c, oh + kh, ow + kw);
-                    acc += stage.weights.get(oc, bit) ? x : -x;
+                    acc += stage.weights.get(oc, tap_column(stage, c, kh, kw))
+                               ? x
+                               : -x;
                   }
                 }
               }
@@ -926,20 +782,28 @@ std::vector<std::int32_t> run_reference(const CompiledBnn& net,
                   image.shape()[2] == first.in_h &&
                   image.shape()[3] == first.in_w,
               "image shape " << image.shape().str());
-
-  // Quantise to integers 0..levels.
+  MPCNN_CHECK(net.input_levels >= 1 && net.input_levels <= 65535,
+              "input level count " << net.input_levels);
+  // std::clamp saturates ±Inf to 1 and 0 but passes NaN through, and no
+  // integer conversion of NaN is defined.
+  for (Dim i = 0; i < image.numel(); ++i) {
+    MPCNN_CHECK(!std::isnan(image[i]), "pixel " << i << " is NaN");
+  }
+  const bool binary = net.fully_binary();
+  MPCNN_CHECK(binary || exec != BnnExec::kPacked,
+              "packed engine requires a fully binarised net");
+  if (binary && exec != BnnExec::kOracle) {
+    return run_reference_packed(net, image);
+  }
+  // The oracle quantises to integers 0..levels with std::lround, apart
+  // from the packed engine's own rounding.
   std::vector<int> pixels(static_cast<std::size_t>(image.numel()));
   const float levels = static_cast<float>(net.input_levels);
   for (Dim i = 0; i < image.numel(); ++i) {
     pixels[static_cast<std::size_t>(i)] = static_cast<int>(
         std::lround(std::clamp(image[i], 0.0f, 1.0f) * levels));
   }
-  const bool binary = net.fully_binary();
-  MPCNN_CHECK(binary || exec != BnnExec::kPacked,
-              "packed engine requires a fully binarised net");
-  return binary && exec != BnnExec::kOracle
-             ? run_reference_packed(net, pixels)
-             : run_reference_generic(net, pixels);
+  return run_reference_generic(net, pixels);
 }
 
 std::vector<std::vector<std::int32_t>> run_reference_batch(
@@ -950,8 +814,7 @@ std::vector<std::vector<std::int32_t>> run_reference_batch(
   std::vector<std::vector<std::int32_t>> scores(static_cast<std::size_t>(n));
   // Per-image fan-out over the shared pool: run_reference only reads the
   // compiled net (integer arithmetic, so even the order is moot) and
-  // each image writes its own scores slot.  The engine's internal
-  // parallelism nests inline under this region.
+  // each image writes its own scores slot.
   core::parallel_for(0, n, 1, [&](Dim i0, Dim i1) {
     for (Dim i = i0; i < i1; ++i) {
       scores[static_cast<std::size_t>(i)] =

@@ -41,7 +41,8 @@ struct CompiledStage {
   Dim out_ch = 0, out_h = 0, out_w = 0;
   Dim kernel = 0;  ///< conv K or pool window (2)
   /// Binary weights: rows = out_ch, cols = patch size (K·K·in_ch for conv,
-  /// in features for dense).  Bit 1 encodes weight +1.
+  /// in features for dense).  Bit 1 encodes weight +1.  Conv columns are
+  /// stored in tap_column order; dense columns follow the CHW flatten.
   BitMatrix weights;
   /// Activation level count of this stage's output (2 = binary).
   int out_levels = 2;
@@ -63,6 +64,28 @@ struct CompiledStage {
         channel * (out_levels - 1) + level_boundary)];
   }
 };
+
+/// Stored weight column of the logical conv tap (c, kh, kw).  Conv
+/// stages store taps channels-last, (kh·K + kw)·C + c — the order of a
+/// patch row of a channels-last map (bitpack.hpp) — while the float
+/// graph, MPBN files and SEU targeting use the logical order
+/// (c·K + kh)·K + kw.  Every tap address goes through this function.
+inline Dim tap_column(const CompiledStage& s, Dim c, Dim kh, Dim kw) {
+  return (kh * s.kernel + kw) * s.in_ch + c;
+}
+
+/// Stored column of logical column `logical` of any parameterised stage:
+/// a conv tap's (c·K + kh)·K + kw maps through tap_column; a dense
+/// feature stays where it is.
+inline Dim stored_column(const CompiledStage& s, Dim logical) {
+  if (s.kind != StageKind::kFixedPointConv &&
+      s.kind != StageKind::kBinaryConv) {
+    return logical;
+  }
+  const Dim taps = s.kernel * s.kernel;
+  return tap_column(s, logical / taps, logical % taps / s.kernel,
+                    logical % s.kernel);
+}
 
 /// The full compiled network: pure integer arithmetic from here on.
 struct CompiledBnn {
@@ -90,10 +113,13 @@ CompiledBnn compile_bnn(nn::Net& net);
 ///
 ///  - kAuto:   the packed engine for fully-binary nets, the oracle for
 ///    partially-binarised ones.  The default.
-///  - kPacked: the word-parallel engine — bit-level im2col, blocked
-///    XNOR-popcount GEMM with the threshold comparison fused into the
-///    epilogue, and a byte-SAD or bit-plane first stage.  Throws on a
-///    multi-bit net.
+///  - kPacked: the word-parallel engine over channels-last bit maps —
+///    one dispatched kernel call per stage computes every output channel
+///    of every position, a position's channels as one pixel field (byte
+///    patches times ±1 weight bytes for the first stage, bit-level
+///    im2col plus all-channel XNOR-popcount for binary convs, each with
+///    the threshold compare fused in).  One image runs serially.
+///    Throws on a multi-bit net.
 ///  - kOracle: the generic L-level interpreter, one accumulator per
 ///    (channel, position) summed element by element; the fully-binary
 ///    net is its L = 2 case.  The correctness reference for kPacked.
@@ -102,14 +128,15 @@ CompiledBnn compile_bnn(nn::Net& net);
 enum class BnnExec { kAuto, kPacked, kOracle };
 
 /// Bit-exact integer reference execution of one image (NCHW batch 1,
-/// floats in [0,1]); returns the `classes` output scores.
+/// floats in [0,1]; ±Inf saturate to 1 and 0, NaN throws Error);
+/// returns the `classes` output scores.
 std::vector<std::int32_t> run_reference(const CompiledBnn& net,
                                         const Tensor& image,
                                         BnnExec exec = BnnExec::kAuto);
 
 /// Scores for every image of an NCHW batch: per-image fan-out over the
-/// shared pool (nested engine parallelism runs inline), one score vector
-/// per image in batch order.
+/// shared pool (each image runs serially inside), one score vector per
+/// image in batch order.
 std::vector<std::vector<std::int32_t>> run_reference_batch(
     const CompiledBnn& net, const Tensor& images,
     BnnExec exec = BnnExec::kAuto);

@@ -31,14 +31,19 @@ void save_compiled(const CompiledBnn& net, const std::string& path) {
     writer.pod(static_cast<std::int32_t>(stage.in_levels));
     writer.pod(static_cast<std::int32_t>(stage.out_levels));
     // Weights: re-pack row by row so the on-disk format is independent
-    // of BitMatrix's internal word stride.
+    // of BitMatrix's internal word stride.  Columns are written in the
+    // logical order (c·K + kh)·K + kw of the float graph, not the stored
+    // tap order, so version 2 files stay valid whatever layout the
+    // engine keeps in memory.
     writer.pod(static_cast<std::int64_t>(stage.weights.rows()));
     writer.pod(static_cast<std::int64_t>(stage.weights.cols()));
     for (Dim r = 0; r < stage.weights.rows(); ++r) {
       std::uint64_t word = 0;
       int used = 0;
       for (Dim c = 0; c < stage.weights.cols(); ++c) {
-        if (stage.weights.get(r, c)) word |= 1ULL << used;
+        if (stage.weights.get(r, stored_column(stage, c))) {
+          word |= 1ULL << used;
+        }
         if (++used == 64) {
           writer.pod(word);
           word = 0;
@@ -96,6 +101,17 @@ CompiledBnn load_compiled(const std::string& path) {
                          static_cast<std::size_t>(row_words(cols)) *
                              sizeof(std::uint64_t),
                          "weight row");
+    // Conv columns are mapped through stored_column, which indexes by
+    // the stage's tap geometry: it must cover the columns exactly.
+    const bool conv = stage.kind == StageKind::kFixedPointConv ||
+                      stage.kind == StageKind::kBinaryConv;
+    MPCNN_CHECK(!conv || (stage.kernel >= 1 && stage.kernel <= 64 &&
+                          stage.in_ch >= 1 && stage.in_ch <= cols &&
+                          cols == stage.in_ch * stage.kernel * stage.kernel),
+                "conv weight columns " << cols << " do not match "
+                                       << stage.in_ch << "x" << stage.kernel
+                                       << "x" << stage.kernel << " taps in "
+                                       << path);
     stage.weights = BitMatrix(rows, cols);
     for (Dim r = 0; r < rows; ++r) {
       std::uint64_t word = 0;
@@ -105,7 +121,7 @@ CompiledBnn load_compiled(const std::string& path) {
           word = reader.pod<std::uint64_t>();
           used = 0;
         }
-        stage.weights.set(r, c, (word >> used) & 1ULL);
+        stage.weights.set(r, stored_column(stage, c), (word >> used) & 1ULL);
         ++used;
       }
     }

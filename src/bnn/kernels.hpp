@@ -1,13 +1,21 @@
 // Internal BNN kernel dispatch table — not part of the public API.
 //
-// The packed XNOR engine's inner loops (xor-popcount rows, quad-row
-// register blocks, PSADBW byte sums for the fixed-point first stage) are
-// bound through this table so the same binary can run the portable SWAR
-// loops on a baseline CPU, hardware-POPCNT loops where POPCNT exists,
-// and 256-bit VPSHUFB nibble-LUT popcounts under AVX2.  Everything here
-// is exact integer arithmetic, so *every* variant returns identical
-// values — the dispatch tests compare whole-network outputs across
-// forced ISA levels.
+// The packed XNOR engine's inner loops are bound through this table so
+// the same binary can run portable SWAR loops on a baseline CPU,
+// hardware-POPCNT loops where POPCNT exists, and 256-bit kernels under
+// AVX2.  Two slots run whole engine stages over channels-last data: one
+// call per stage computes every output channel of every position, each
+// position's channels as one C-bit pixel field.  The xor-popcount pair
+// serves xnor_gemm and its ABFT reference.  Everything here is exact
+// integer arithmetic, so *every* variant returns identical values — the
+// dispatch tests compare whole-network outputs across forced ISA levels.
+//
+// Stage kernels share one weight layout, rebuilt by the engine on every
+// call from CompiledStage: word t of output channel c sits at
+// w[t·cstride + c] (channels as the fast axis, cstride a multiple of 4,
+// zero past `channels`), so four adjacent channels fill one 256-bit
+// vector.  They write pixel fields into a channels-last bit map that is
+// zero where they write and has one spare word past its last pixel.
 //
 // Keep this header dependency-free (<cstdint> only): it is included by
 // ISA-flagged TUs (bitpack_popcnt.cpp, bitpack_avx2.cpp), and any inline
@@ -32,41 +40,42 @@ using XorPop4Fn = void (*)(const std::uint64_t* w, std::int64_t wstride,
                            const std::uint64_t* p, std::int64_t nwords,
                            std::int64_t m[4]);
 
-/// Σ p[i] over nbytes bytes (byte-image horizontal sum).
-using ByteSumFn = std::int64_t (*)(const std::uint8_t* p,
-                                   std::int64_t nbytes);
-
-/// Σ (p[i] & w[i]) over nbytes bytes, w being a 0x00/0xFF mask row.
-using MaskedByteSumFn = std::int64_t (*)(const std::uint8_t* p,
-                                         const std::uint8_t* w,
-                                         std::int64_t nbytes);
-
-/// Quad-channel masked sums: sums[r] = Σ (p[i] & w_r[i]) for the four
-/// mask rows starting at w with stride wstride bytes.  The four rows
-/// share every patch-byte load, so the byte-conv stage runs one patch
-/// pass per four output channels instead of four.
-using MaskedByteSum4Fn = void (*)(const std::uint8_t* p,
-                                  const std::uint8_t* w,
-                                  std::int64_t wstride, std::int64_t nbytes,
-                                  std::int64_t sums[4]);
+/// A stage kernel thresholds every patch row against every output
+/// channel in one call: patch row p is `nwords` words at
+/// patches + p·nwords, and its pixel — bit c fires when channel c's
+/// verdict differs from negate bit c of `flip` (one word per 64
+/// channels) — goes to bits [p·channels, (p+1)·channels) of `out`.
+///
+///  - xnor_conv (binary conv or dense): the verdict is m < bound[c], with
+///    m = Σ_t popcount(w[t·cstride + c] ^ row[t]) the mismatch count.
+///  - byte_conv (fixed-point first stage): each row holds the pixel
+///    bytes of one patch (byte k of word t is patch byte 8t + k, zero
+///    past the patch); byte k of w[t·cstride + c] is +1 when weight
+///    column 8t + k is set and −1 otherwise; the verdict is
+///    Σ pixel byte · weight byte > bound[c].  The sum and every bound
+///    must fit int32 (AVX2 compares 32-bit lanes).
+using StageKernelFn = void (*)(const std::uint64_t* w, std::int64_t cstride,
+                               const std::int64_t* bound,
+                               const std::uint64_t* flip,
+                               std::int64_t channels,
+                               const std::uint64_t* patches,
+                               std::int64_t rows, std::int64_t nwords,
+                               std::uint64_t* out);
 
 struct BnnKernels {
-  const char* pop_name;  ///< popcount variant: "scalar", "popcnt", "avx2"
-  const char* sum_name;  ///< byte-conv variant: "none", "sse2", "avx2"
+  const char* pop_name;   ///< xor_pop/xor_pop4/xnor_conv: "scalar",
+                          ///< "popcnt", "avx2"
+  const char* byte_name;  ///< byte_conv: "portable", "avx2"
   XorPopFn xor_pop;
   XorPop4Fn xor_pop4;
-  ByteSumFn byte_sum;            ///< null when sum_name == "none"
-  MaskedByteSumFn masked_byte_sum;  ///< null when sum_name == "none"
-  /// Null where the ISA lacks the registers to carry four wide
-  /// accumulators (scalar, SSE2); the executor then loops channels
-  /// one at a time.
-  MaskedByteSum4Fn masked_byte_sum4;
+  StageKernelFn xnor_conv;
+  StageKernelFn byte_conv;
 };
 
 /// Table bound to the active ISA level (rebinds after core::refresh_isa).
-/// scalar → SWAR everything, byte-conv disabled (bit-plane first stage);
-/// sse2   → PSADBW byte conv, POPCNT popcounts when the CPU has POPCNT;
-/// avx2   → 256-bit popcount + SAD paths.
+/// scalar → SWAR popcounts and the portable byte conv;
+/// sse2   → POPCNT popcounts when the CPU has POPCNT, portable byte conv;
+/// avx2   → 256-bit nibble-LUT popcounts and the VPMADDUBSW byte conv.
 const BnnKernels& kernels();
 
 /// ISA-TU exports.  Function pointers are null when the TU was built
@@ -74,15 +83,11 @@ const BnnKernels& kernels();
 struct BnnPopFns {
   XorPopFn xor_pop;
   XorPop4Fn xor_pop4;
-};
-struct BnnSumFns {
-  ByteSumFn byte_sum;
-  MaskedByteSumFn masked_byte_sum;
-  MaskedByteSum4Fn masked_byte_sum4;
+  StageKernelFn xnor_conv;
 };
 
 extern const BnnPopFns kBnnPopPopcnt;  ///< bitpack_popcnt.cpp (-mpopcnt)
 extern const BnnPopFns kBnnPopAvx2;    ///< bitpack_avx2.cpp (-mavx2)
-extern const BnnSumFns kBnnSumAvx2;    ///< bitpack_avx2.cpp (-mavx2)
+extern const StageKernelFn kByteConvAvx2;  ///< bitpack_avx2.cpp (-mavx2)
 
 }  // namespace mpcnn::bnn::detail

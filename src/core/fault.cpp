@@ -148,8 +148,11 @@ Dim FaultInjector::apply_seu(bnn::CompiledBnn& fabric, Dim dispatch) const {
             static_cast<std::int64_t>(stage.weights.rows()) *
             stage.weights.cols();
         if (target < weight_bits) {
+          // The index runs over logical columns, so a (seed, dispatch)
+          // flips the same logical weight whatever the stored layout.
           const Dim r = static_cast<Dim>(target / stage.weights.cols());
-          const Dim c = static_cast<Dim>(target % stage.weights.cols());
+          const Dim c = bnn::stored_column(
+              stage, static_cast<Dim>(target % stage.weights.cols()));
           stage.weights.set(r, c, !stage.weights.get(r, c));
           ++flips;
           break;

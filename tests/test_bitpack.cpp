@@ -21,11 +21,9 @@ TEST(BitVector, SetGetClear) {
   EXPECT_TRUE(v.get(64));
   EXPECT_TRUE(v.get(99));
   EXPECT_FALSE(v.get(1));
-  EXPECT_EQ(v.popcount(), 4);
   v.set(63, false);
   EXPECT_FALSE(v.get(63));
-  v.clear();
-  EXPECT_EQ(v.popcount(), 0);
+  EXPECT_TRUE(v.get(64));
 }
 
 TEST(BitVector, BoundsCheckedInDebugBuilds) {
@@ -104,32 +102,6 @@ TEST(SignBit, ZeroMapsToPlusOne) {
   EXPECT_FALSE(sign_bit(-1e-9f));
 }
 
-TEST(CopyBits, MatchesPerBitReferenceAcrossOffsets) {
-  Rng rng(97);
-  const Dim n = 4 * 64;
-  BitVector src(n);
-  for (Dim i = 0; i < n; ++i) src.set(i, rng.bernoulli(0.5));
-  for (const Dim count : {Dim{1}, Dim{3}, Dim{17}, Dim{63}, Dim{64},
-                          Dim{65}, Dim{127}, Dim{130}}) {
-    for (const Dim src_off : {Dim{0}, Dim{1}, Dim{13}, Dim{63}}) {
-      for (const Dim dst_off : {Dim{0}, Dim{5}, Dim{62}}) {
-        if (src_off + count > n) continue;
-        BitVector dst(dst_off + count + 64);
-        // Pre-set noise the copy must overwrite or preserve exactly.
-        for (Dim i = 0; i < dst.size(); ++i) dst.set(i, rng.bernoulli(0.5));
-        BitVector expected = dst;
-        for (Dim i = 0; i < count; ++i) {
-          expected.set(dst_off + i, src.get(src_off + i));
-        }
-        copy_bits(src.data(), src_off, dst.data(), dst_off, count);
-        EXPECT_TRUE(dst == expected)
-            << "count=" << count << " src_off=" << src_off
-            << " dst_off=" << dst_off;
-      }
-    }
-  }
-}
-
 // Randomized packed-vs-scalar equivalence at tail-word hostile widths:
 // cols % 64 ∈ {0, 1, 63} plus small odd sizes.  The reference is built
 // bit by bit from get(), so it shares no kernel with xnor_gemm.
@@ -170,8 +142,11 @@ TEST(XnorGemm, ColumnMismatchThrows) {
   EXPECT_THROW(xnor_gemm(a, b, out.data()), Error);
 }
 
-// bit_im2col against a per-bit patch assembly reference, at plane sizes
-// whose h·w hits the hostile tail-word residues 63/64/65.
+// bit_im2col against a per-bit patch assembly of the channels-last
+// contract: map bit (y·w + x)·ch + c is channel c of pixel (y, x), and
+// patch column (kh·K + kw)·ch + c is that bit of pixel (oh+kh, ow+kw).
+// Channel counts straddle words (3, 5) and make kernel-row runs longer
+// than a word (65 × K = 2).
 struct Im2colCase {
   Dim ch, h, w, kernel;
 };
@@ -181,40 +156,43 @@ class BitIm2colShapes : public ::testing::TestWithParam<Im2colCase> {};
 TEST_P(BitIm2colShapes, MatchesPerBitPatchAssembly) {
   const auto [ch, h, w, kernel] = GetParam();
   Rng rng(static_cast<std::uint64_t>(ch * h * w * kernel));
-  const Dim plane_words = (h * w + 63) / 64;
-  std::vector<std::uint64_t> planes(
-      static_cast<std::size_t>(ch * plane_words), 0);
-  auto bit_of = [&](Dim c, Dim y, Dim x) {
-    const Dim bit = y * w + x;
-    return (planes[static_cast<std::size_t>(c * plane_words + (bit >> 6))] >>
-            (bit & 63)) &
-           1ULL;
-  };
-  for (Dim c = 0; c < ch; ++c) {
-    for (Dim bit = 0; bit < h * w; ++bit) {
-      if (rng.bernoulli(0.5)) {
-        planes[static_cast<std::size_t>(c * plane_words + (bit >> 6))] |=
-            1ULL << (bit & 63);
-      }
+  const Dim bits = ch * h * w;
+  std::vector<std::uint64_t> map(static_cast<std::size_t>((bits + 63) / 64 + 1),
+                                 0);
+  for (Dim bit = 0; bit < bits; ++bit) {
+    if (rng.bernoulli(0.5)) {
+      map[static_cast<std::size_t>(bit >> 6)] |= 1ULL << (bit & 63);
     }
   }
-  const BitMatrix patches = bit_im2col(planes.data(), plane_words, ch, h, w,
-                                       kernel);
+  auto bit_of = [&](Dim c, Dim y, Dim x) {
+    const Dim bit = (y * w + x) * ch + c;
+    return ((map[static_cast<std::size_t>(bit >> 6)] >> (bit & 63)) & 1ULL) !=
+           0;
+  };
+  const BitMatrix patches = bit_im2col(map.data(), ch, h, w, kernel);
   const Dim out_h = h - kernel + 1, out_w = w - kernel + 1;
+  const Dim cols = ch * kernel * kernel;
   ASSERT_EQ(patches.rows(), out_h * out_w);
-  ASSERT_EQ(patches.cols(), ch * kernel * kernel);
+  ASSERT_EQ(patches.cols(), cols);
   for (Dim oh = 0; oh < out_h; ++oh) {
     for (Dim ow = 0; ow < out_w; ++ow) {
       const Dim pos = oh * out_w + ow;
-      Dim col = 0;
-      for (Dim c = 0; c < ch; ++c) {
-        for (Dim kh = 0; kh < kernel; ++kh) {
-          for (Dim kw = 0; kw < kernel; ++kw, ++col) {
-            EXPECT_EQ(patches.get(pos, col),
-                      bit_of(c, oh + kh, ow + kw) != 0)
-                << "pos=" << pos << " col=" << col;
+      for (Dim kh = 0; kh < kernel; ++kh) {
+        for (Dim kw = 0; kw < kernel; ++kw) {
+          for (Dim c = 0; c < ch; ++c) {
+            const Dim col = (kh * kernel + kw) * ch + c;
+            ASSERT_EQ(patches.get(pos, col), bit_of(c, oh + kh, ow + kw))
+                << "pos=" << pos << " kh=" << kh << " kw=" << kw
+                << " c=" << c;
           }
         }
+      }
+      // Padding past `cols` stays zero, so XOR against weights cancels.
+      const Dim tail = cols & 63;
+      if (tail != 0) {
+        EXPECT_EQ(patches.row_data(pos)[patches.words_per_row() - 1] >> tail,
+                  0u)
+            << "pos=" << pos;
       }
     }
   }
@@ -222,12 +200,14 @@ TEST_P(BitIm2colShapes, MatchesPerBitPatchAssembly) {
 
 INSTANTIATE_TEST_SUITE_P(
     TailWordHostile, BitIm2colShapes,
-    ::testing::Values(Im2colCase{3, 9, 7, 3},    // h*w = 63
-                      Im2colCase{2, 8, 8, 3},    // h*w = 64
-                      Im2colCase{1, 5, 13, 3},   // h*w = 65
-                      Im2colCase{4, 6, 6, 1},    // K = 1 passthrough
-                      Im2colCase{2, 12, 11, 5},  // wide kernel
-                      Im2colCase{64, 30, 30, 3}  // the CNV conv2 shape
+    ::testing::Values(Im2colCase{3, 9, 7, 3},     // 3-bit pixels
+                      Im2colCase{1, 8, 8, 3},     // one channel
+                      Im2colCase{5, 5, 13, 3},    // fields straddle words
+                      Im2colCase{4, 6, 6, 1},     // K = 1 passthrough
+                      Im2colCase{2, 12, 11, 5},   // wide kernel
+                      Im2colCase{65, 4, 5, 2},    // runs longer than a word
+                      Im2colCase{16, 30, 30, 3},  // CNV conv1, width 0.25
+                      Im2colCase{64, 30, 30, 3}   // CNV conv1, full width
                       ));
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Runtime-ISA dispatch equivalence.
 //
 // Every kernel the CPU-feature registry can bind (generic/SSE2/AVX2 GEMM
-// tiles, SWAR/POPCNT/AVX2 popcount, PSADBW/AVX2 byte convolution) must
-// produce *bit-identical* results: the dispatcher may only change speed,
-// never a single output bit, at any thread count.  These tests force each
-// level through MPCNN_ISA + refresh_isa() and compare against the
-// scalar-forced run and the naive oracles.
+// tiles, SWAR/POPCNT/AVX2 popcount and XNOR conv, portable/AVX2 byte
+// convolution) must produce *bit-identical* results: the dispatcher may
+// only change speed, never a single output bit, at any thread count.
+// These tests force each level through MPCNN_ISA + refresh_isa() and
+// compare against the scalar-forced run and the naive oracles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,49 +19,20 @@
 #include "bnn/topology.hpp"
 #include "core/cpu.hpp"
 #include "core/threadpool.hpp"
+#include "isa_override.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
 
 namespace mpcnn {
 namespace {
 
-// Forces MPCNN_ISA for one scope and rebinds every dispatch table;
-// restores the prior environment (and rebinds again) on exit.
-struct IsaOverride {
-  std::string prior;
-  bool had = false;
-
-  explicit IsaOverride(const std::string& isa) {
-    if (const char* p = std::getenv("MPCNN_ISA")) {
-      had = true;
-      prior = p;
-    }
-    ::setenv("MPCNN_ISA", isa.c_str(), 1);
-    core::refresh_isa();
-  }
-  ~IsaOverride() {
-    if (had) {
-      ::setenv("MPCNN_ISA", prior.c_str(), 1);
-    } else {
-      ::unsetenv("MPCNN_ISA");
-    }
-    core::refresh_isa();
-  }
-};
+using isa_test::IsaOverride;
+using isa_test::supported_levels;
 
 struct PoolSizeRestore {
   int prior = core::thread_count();
   ~PoolSizeRestore() { core::set_thread_count(prior); }
 };
-
-// Every level this machine can execute, scalar first (the oracle run).
-std::vector<std::string> supported_levels() {
-  const core::CpuFeatures& f = core::cpu_features();
-  std::vector<std::string> levels = {"scalar"};
-  if (f.sse2) levels.push_back("sse2");
-  if (f.avx2 && f.popcnt) levels.push_back("avx2");
-  return levels;
-}
 
 std::vector<float> random_floats(Dim n, std::uint64_t seed) {
   Rng rng(seed);
@@ -91,8 +62,8 @@ TEST(DispatchRegistry, ReportsEveryKernelSlot) {
     EXPECT_FALSE(b.variant.empty()) << b.slot;
   }
   for (const char* expected :
-       {"bnn.byte_conv", "bnn.xor_popcount", "bnn.xor_popcount4",
-        "gemm.bt", "gemm.tile"}) {
+       {"bnn.byte_conv", "bnn.xnor_conv", "bnn.xor_popcount",
+        "bnn.xor_popcount4", "gemm.bt", "gemm.tile"}) {
     EXPECT_NE(std::find(slots.begin(), slots.end(), expected), slots.end())
         << "slot " << expected << " not registered";
   }
@@ -109,11 +80,11 @@ TEST(DispatchRegistry, ScalarForcedBindsPortableVariants) {
     if (b.slot == "gemm.bt") {
       EXPECT_EQ(b.variant, "dot");
     }
-    if (b.slot == "bnn.xor_popcount") {
+    if (b.slot == "bnn.xor_popcount" || b.slot == "bnn.xnor_conv") {
       EXPECT_EQ(b.variant, "scalar");
     }
     if (b.slot == "bnn.byte_conv") {
-      EXPECT_EQ(b.variant, "none");
+      EXPECT_EQ(b.variant, "portable");
     }
   }
 }
