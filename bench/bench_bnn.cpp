@@ -3,11 +3,17 @@
 // the result to BENCH_bnn.json so the engine's img/s is tracked across
 // PRs; tests/test_bnn_packed.cpp holds its scores to the generic oracle.
 //
+// BM_BnnReferencePackedChecked runs the same image under a full ABFT
+// scope (core/integrity), the checked path fleet replicas and verified
+// re-execution take, so the two rows give the checksum cost per image.
+//
 // The custom main additionally registers per-ISA dispatch rows, forced
 // via MPCNN_ISA + refresh_isa outside the timed loop: the packed engine
-// (BM_BnnReferencePackedIsa/<isa>, thread-swept BM_BnnBatchPackedIsa),
-// and a wide fixed-point byte-conv net (BM_BnnFixedConvIsa) that
-// isolates the byte-conv kernel dispatch at a wide first-stage shape.
+// plain and checked (BM_BnnReferencePackedIsa/<isa>,
+// BM_BnnReferencePackedCheckedIsa/<isa>, thread-swept
+// BM_BnnBatchPackedIsa), and a wide fixed-point byte-conv net
+// (BM_BnnFixedConvIsa) that isolates the byte-conv kernel dispatch at a
+// wide first-stage shape.
 // The JSON context is stamped with core::cpu_signature() for the
 // regression gate in run_all.sh.
 #include <benchmark/benchmark.h>
@@ -19,6 +25,7 @@
 #include "bnn/compile.hpp"
 #include "bnn/topology.hpp"
 #include "core/cpu.hpp"
+#include "core/integrity/integrity.hpp"
 #include "core/threadpool.hpp"
 #include "tensor/rng.hpp"
 
@@ -111,6 +118,29 @@ void BM_BnnReferencePacked(benchmark::State& state) {
 }
 BENCHMARK(BM_BnnReferencePacked)->UseRealTime();
 
+// One kFull scope per image, as the stream supervisor arms them; a clean
+// image must raise no detection.
+void packed_checked_body(benchmark::State& state) {
+  BnnFixture& fx = fixture();
+  std::vector<core::integrity::Detection> sink;
+  core::integrity::ScopeOptions opts;
+  opts.mode = core::integrity::IntegrityMode::kFull;
+  opts.sink = &sink;
+  for (auto _ : state) {
+    core::integrity::Scope scope(opts);
+    benchmark::DoNotOptimize(
+        bnn::run_reference(fx.net, fx.image, bnn::BnnExec::kPacked));
+  }
+  if (!sink.empty()) state.SkipWithError("checksum mismatch on a clean image");
+  state.counters["img/s"] = benchmark::Counter(
+      1.0, benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_BnnReferencePackedChecked(benchmark::State& state) {
+  packed_checked_body(state);
+}
+BENCHMARK(BM_BnnReferencePackedChecked)->UseRealTime();
+
 // Batched fan-out as core/stream and core/workbench drive it: per-image
 // parallelism over the pool on top of the packed per-layer engine.
 void BM_BnnReferenceBatchPacked(benchmark::State& state) {
@@ -198,6 +228,13 @@ void register_isa_benchmarks() {
     benchmark::RegisterBenchmark(
         ("BM_BnnReferencePackedIsa/" + isa).c_str(),
         [isa](benchmark::State& state) { packed_isa_body(isa, state); })
+        ->UseRealTime();
+    benchmark::RegisterBenchmark(
+        ("BM_BnnReferencePackedCheckedIsa/" + isa).c_str(),
+        [isa](benchmark::State& state) {
+          IsaScope scope(isa);
+          packed_checked_body(state);
+        })
         ->UseRealTime();
     benchmark::RegisterBenchmark(
         ("BM_BnnFixedConvIsa/" + isa).c_str(),

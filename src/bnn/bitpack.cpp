@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 
 #include "bnn/kernels.hpp"
 #include "bnn/kernels_impl.hpp"
 #include "core/cpu.hpp"
 #include "core/integrity/integrity.hpp"
-#include "core/threadpool.hpp"
 
 namespace mpcnn::bnn {
 namespace detail {
@@ -55,9 +55,9 @@ void byte_conv_portable(const std::uint64_t* w, std::int64_t cstride,
 }
 
 const BnnKernels& scalar_table() {
-  static const BnnKernels t = {"scalar",        "portable",
-                               &xor_pop_impl,   &xor_pop4_impl,
-                               &xnor_conv_impl, &byte_conv_portable};
+  static const BnnKernels t = {"scalar",       "portable",
+                               &xor_pop_impl,  &xnor_conv_impl,
+                               &xnor_acc_impl, &byte_conv_portable};
   return t;
 }
 
@@ -66,8 +66,8 @@ const BnnKernels& popcnt_table() {
   static const BnnKernels t = {"popcnt",
                                "portable",
                                kBnnPopPopcnt.xor_pop,
-                               kBnnPopPopcnt.xor_pop4,
                                kBnnPopPopcnt.xnor_conv,
+                               kBnnPopPopcnt.xnor_acc,
                                &byte_conv_portable};
   return t;
 }
@@ -79,8 +79,8 @@ const BnnKernels& avx2_table() {
   static const BnnKernels t = {"avx2",
                                "avx2",
                                kBnnPopAvx2.xor_pop,
-                               kBnnPopAvx2.xor_pop4,
                                kBnnPopAvx2.xnor_conv,
+                               kBnnPopAvx2.xnor_acc,
                                kByteConvAvx2};
   return t;
 }
@@ -120,8 +120,6 @@ const char* bnn_pop_variant() { return kernels().pop_name; }
 const char* bnn_byte_variant() { return kernels().byte_name; }
 [[maybe_unused]] const bool kPopSlotRegistered =
     core::register_kernel_slot("bnn.xor_popcount", &bnn_pop_variant);
-[[maybe_unused]] const bool kPop4SlotRegistered =
-    core::register_kernel_slot("bnn.xor_popcount4", &bnn_pop_variant);
 [[maybe_unused]] const bool kXnorConvSlotRegistered =
     core::register_kernel_slot("bnn.xnor_conv", &bnn_pop_variant);
 [[maybe_unused]] const bool kByteConvSlotRegistered =
@@ -236,13 +234,8 @@ BitMatrix bit_im2col(const std::uint64_t* map, Dim ch, Dim h, Dim w,
 
 namespace {
 
-// Thread chunks of A rows stay a multiple of 4 so chunk edges fall on
-// the kernel's quad-row block edges.
-constexpr Dim kXnorGrain = 4;
-
-// The xnor ABFT reference rides the active xor-popcount dispatch (the
-// masked column counts reduce to xor_pop via the ∧/⊕ identity), so the
-// checksum accelerates with the kernel it guards.
+// The xnor ABFT checksum rides the stage kernel it guards: its rows are
+// extra lanes of the same accumulator-mode lane loop.
 const char* xnor_checksum_variant() { return detail::kernels().pop_name; }
 [[maybe_unused]] const bool kXnorChecksumSlotRegistered =
     core::register_kernel_slot("integrity.xnor_checksum",
@@ -250,43 +243,51 @@ const char* xnor_checksum_variant() { return detail::kernels().pop_name; }
 
 }  // namespace
 
+XnorLanes checked_xnor(const BitMatrix& a, const BitMatrix& b,
+                       core::integrity::XnorGuard& guard) {
+  namespace integ = core::integrity;
+  MPCNN_DCHECK(a.cols() == b.cols(), "checked_xnor column mismatch");
+  const Dim rows = a.rows();
+  const Dim n = b.rows();
+  const Dim wpr = a.words_per_row();
+  const Dim lanes =
+      rows + (guard.verify ? integ::xnor_checksum_rows(rows) : 0);
+  XnorLanes out;
+  out.stride = (lanes + 3) / 4 * 4;
+  // Weight words transposed to (word, lane), the layout of kernels.hpp;
+  // the checksum rows are encoded from these very words.
+  std::vector<std::uint64_t> w(static_cast<std::size_t>(wpr * out.stride),
+                               0);
+  for (Dim r = 0; r < rows; ++r) {
+    const std::uint64_t* row = a.row_data(r);
+    for (Dim t = 0; t < wpr; ++t) {
+      w[static_cast<std::size_t>(t * out.stride + r)] = row[t];
+    }
+  }
+  if (guard.verify) integ::xnor_encode(w.data(), out.stride, rows, wpr);
+  out.acc = std::make_unique_for_overwrite<std::int32_t[]>(
+      static_cast<std::size_t>(n * out.stride));
+  if (n > 0) {
+    detail::kernels().xnor_acc(w.data(), out.stride, lanes, b.row_data(0),
+                               n, wpr, a.cols(), out.acc.get());
+  }
+  integ::xnor_end(guard, rows, a.cols(), n, out.acc.get(), out.stride);
+  return out;
+}
+
 void xnor_gemm(const BitMatrix& a, const BitMatrix& b, std::int32_t* c) {
   MPCNN_CHECK(a.cols() == b.cols(), "xnor_gemm column mismatch: "
                                         << a.cols() << " vs " << b.cols());
-  // ABFT guard (core/integrity): the ±1 column-sum identity is exact
-  // integer arithmetic, so any single corrupted accumulator trips it.
-  // An inactive guard costs one thread-local load.
-  namespace integ = core::integrity;
-  integ::XnorGuard guard = integ::xnor_begin();
+  core::integrity::XnorGuard guard = core::integrity::xnor_begin();
+  const XnorLanes lanes = checked_xnor(a, b, guard);
+  // Transposed in blocks of positions, so both sides stay in cache.
   const Dim n = b.rows();
-  const Dim wpr = a.words_per_row();
-  const Dim cols = a.cols();
-  const detail::BnnKernels& kern = detail::kernels();
-  core::parallel_for(0, a.rows(), kXnorGrain, [&](Dim r0, Dim r1) {
-    Dim r = r0;
-    for (; r + 4 <= r1; r += 4) {
-      const std::uint64_t* ar = a.row_data(r);
-      std::int32_t* crow = c + r * n;
-      for (Dim p = 0; p < n; ++p) {
-        std::int64_t m[4];
-        kern.xor_pop4(ar, wpr, b.row_data(p), wpr, m);
-        crow[p] = static_cast<std::int32_t>(cols - 2 * m[0]);
-        crow[n + p] = static_cast<std::int32_t>(cols - 2 * m[1]);
-        crow[2 * n + p] = static_cast<std::int32_t>(cols - 2 * m[2]);
-        crow[3 * n + p] = static_cast<std::int32_t>(cols - 2 * m[3]);
-      }
+  for (Dim p0 = 0; p0 < n; p0 += 32) {
+    const Dim p1 = std::min<Dim>(n, p0 + 32);
+    for (Dim r = 0; r < a.rows(); ++r) {
+      for (Dim p = p0; p < p1; ++p) c[r * n + p] = lanes.at(r, p);
     }
-    for (; r < r1; ++r) {
-      const std::uint64_t* ar = a.row_data(r);
-      std::int32_t* crow = c + r * n;
-      for (Dim p = 0; p < n; ++p) {
-        crow[p] = static_cast<std::int32_t>(
-            cols - 2 * kern.xor_pop(ar, b.row_data(p), wpr));
-      }
-    }
-  });
-  integ::xnor_end(guard, a.row_data(0), a.rows(), cols, wpr, b.row_data(0),
-                  n, c, kern.xor_pop, kern.xor_pop4);
+  }
 }
 
 }  // namespace mpcnn::bnn

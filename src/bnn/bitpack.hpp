@@ -17,8 +17,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "core/integrity/integrity.hpp"
 #include "tensor/error.hpp"
 #include "tensor/shape.hpp"
 
@@ -105,10 +107,30 @@ inline bool sign_bit(float v) { return v >= 0.0f; }
 BitMatrix bit_im2col(const std::uint64_t* map, Dim ch, Dim h, Dim w,
                      Dim kernel);
 
-/// Blocked binary GEMM: C[r·B.rows() + p] = bipolar dot of A.row(r) and
-/// B.row(p)  (= cols − 2·mismatches).  A.cols() must equal B.cols().
-/// Parallel over A's rows via the shared pool (each row owns its output
-/// slice, so results are bit-identical at any thread count).
+/// Accumulators of one XNOR product in lane layout: the bipolar dot of
+/// A.row(r) and B.row(p) (= cols − 2·mismatches) at acc[p·stride + r].
+struct XnorLanes {
+  Dim stride = 0;
+  std::unique_ptr<std::int32_t[]> acc;
+
+  std::int32_t at(Dim r, Dim p) const { return acc[p * stride + r]; }
+};
+
+/// The checked XNOR product behind xnor_gemm and the packed engine's
+/// checked stages.  One all-channel accumulator-mode kernel call over
+/// B's rows computes A's rows as lanes and, when `guard` verifies,
+/// core/integrity's checksum rows after them, encoded from the very
+/// weight words the kernel reads; xnor_end then fires the call's armed
+/// faults and checks every position.  `guard` comes from
+/// core::integrity::xnor_begin(); an inactive one yields the plain
+/// product.  A.cols() must equal B.cols().  Serial, like the rest of the
+/// engine: callers fan out over images.
+XnorLanes checked_xnor(const BitMatrix& a, const BitMatrix& b,
+                       core::integrity::XnorGuard& guard);
+
+/// Binary GEMM: C[r·B.rows() + p] = bipolar dot of A.row(r) and B.row(p),
+/// the checked product (under this thread's integrity guard) transposed
+/// to row-major.  A.cols() must equal B.cols().
 void xnor_gemm(const BitMatrix& a, const BitMatrix& b, std::int32_t* c);
 
 }  // namespace mpcnn::bnn

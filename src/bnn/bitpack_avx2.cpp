@@ -9,7 +9,8 @@
 // lanes is *deferred*: byte counts accumulate in an epi8 register for as
 // many steps as cannot overflow before one SAD drains them — the fold is
 // the expensive part, so deferring it is most of the win over hardware
-// POPCNT.  The stage kernels use output channels as the 64-bit lanes.
+// POPCNT.  The stage kernels use output channels (and in accumulator
+// mode the checksum rows too) as the 64-bit lanes.
 // All integer arithmetic — results are exactly the SWAR/POPCNT values,
 // just wider, so dispatch can never perturb an accumulator.
 #include "bnn/kernels.hpp"
@@ -75,94 +76,24 @@ std::int64_t xor_pop_avx2(const std::uint64_t* a, const std::uint64_t* b,
   return m;
 }
 
-void xor_pop4_avx2(const std::uint64_t* w, std::int64_t wstride,
-                   const std::uint64_t* p, std::int64_t nwords,
-                   std::int64_t m[4]) {
-  const std::uint64_t* w0 = w;
-  const std::uint64_t* w1 = w + wstride;
-  const std::uint64_t* w2 = w + 2 * wstride;
-  const std::uint64_t* w3 = w + 3 * wstride;
-  const std::int64_t vec_end = nwords & ~std::int64_t{3};
-  __m256i a0 = _mm256_setzero_si256();
-  __m256i a1 = _mm256_setzero_si256();
-  __m256i a2 = _mm256_setzero_si256();
-  __m256i a3 = _mm256_setzero_si256();
-  std::int64_t t = 0;
-  while (t < vec_end) {
-    const std::int64_t lim =
-        t + 4 * kSadDeferSteps < vec_end ? t + 4 * kSadDeferSteps : vec_end;
-    __m256i b0 = _mm256_setzero_si256();
-    __m256i b1 = _mm256_setzero_si256();
-    __m256i b2 = _mm256_setzero_si256();
-    __m256i b3 = _mm256_setzero_si256();
-    for (; t < lim; t += 4) {
-      const __m256i pv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + t));
-      b0 = _mm256_add_epi8(
-          b0, popcount_epi8(_mm256_xor_si256(
-                  _mm256_loadu_si256(
-                      reinterpret_cast<const __m256i*>(w0 + t)),
-                  pv)));
-      b1 = _mm256_add_epi8(
-          b1, popcount_epi8(_mm256_xor_si256(
-                  _mm256_loadu_si256(
-                      reinterpret_cast<const __m256i*>(w1 + t)),
-                  pv)));
-      b2 = _mm256_add_epi8(
-          b2, popcount_epi8(_mm256_xor_si256(
-                  _mm256_loadu_si256(
-                      reinterpret_cast<const __m256i*>(w2 + t)),
-                  pv)));
-      b3 = _mm256_add_epi8(
-          b3, popcount_epi8(_mm256_xor_si256(
-                  _mm256_loadu_si256(
-                      reinterpret_cast<const __m256i*>(w3 + t)),
-                  pv)));
-    }
-    const __m256i zero = _mm256_setzero_si256();
-    a0 = _mm256_add_epi64(a0, _mm256_sad_epu8(b0, zero));
-    a1 = _mm256_add_epi64(a1, _mm256_sad_epu8(b1, zero));
-    a2 = _mm256_add_epi64(a2, _mm256_sad_epu8(b2, zero));
-    a3 = _mm256_add_epi64(a3, _mm256_sad_epu8(b3, zero));
-  }
-  std::int64_t m0 = 0, m1 = 0, m2 = 0, m3 = 0;
-  if (vec_end > 0) {  // rows shorter than one vector step skip the folds
-    m0 = hsum_epi64(a0);
-    m1 = hsum_epi64(a1);
-    m2 = hsum_epi64(a2);
-    m3 = hsum_epi64(a3);
-  }
-  for (; t < nwords; ++t) {
-    const std::uint64_t pv = p[t];
-    m0 += static_cast<std::int64_t>(_mm_popcnt_u64(w0[t] ^ pv));
-    m1 += static_cast<std::int64_t>(_mm_popcnt_u64(w1[t] ^ pv));
-    m2 += static_cast<std::int64_t>(_mm_popcnt_u64(w2[t] ^ pv));
-    m3 += static_cast<std::int64_t>(_mm_popcnt_u64(w3[t] ^ pv));
-  }
-  m[0] = m0;
-  m[1] = m1;
-  m[2] = m2;
-  m[3] = m3;
-}
-
 // ---- stage kernels: output channels as 64-bit lanes ---------------------
 //
 // Lane j of the vector at w + t·cstride + c holds word t of channel
 // c + j (kernels.hpp), so a broadcast patch word meets four channels per
 // instruction.  Each lane's count ends in one 64-bit compare against
-// the channel's bound, and VMOVMSKPD packs four verdicts into the pixel.
+// the channel's bound, and VMOVMSKPD packs four verdicts into the pixel;
+// in accumulator mode it becomes nbits − 2·count in one int32 slot.
 
 // Words of one row whose per-byte popcounts (≤ 8 each) fit an epi8
 // accumulator: 31 · 8 = 248 < 256.
 constexpr std::int64_t kFoldWords = 31;
 
-// Mismatch verdicts (m < bound) of 4·G adjacent channels for one row.
+// Mismatch counts of 4·G adjacent lanes for one row, one per 64-bit lane.
 template <int G>
-inline std::uint64_t xnor_lanes(const std::uint64_t* w, std::int64_t cstride,
-                                const std::int64_t* bound,
-                                const std::uint64_t* row, std::int64_t wpr) {
+inline void xnor_counts(const std::uint64_t* w, std::int64_t cstride,
+                        const std::uint64_t* row, std::int64_t wpr,
+                        __m256i count[G]) {
   const __m256i zero = _mm256_setzero_si256();
-  __m256i count[G];
   for (int g = 0; g < G; ++g) count[g] = zero;
   for (std::int64_t t = 0; t < wpr;) {
     const std::int64_t lim = t + kFoldWords < wpr ? t + kFoldWords : wpr;
@@ -182,6 +113,15 @@ inline std::uint64_t xnor_lanes(const std::uint64_t* w, std::int64_t cstride,
       count[g] = _mm256_add_epi64(count[g], _mm256_sad_epu8(bytes[g], zero));
     }
   }
+}
+
+// Mismatch verdicts (m < bound) of 4·G adjacent channels for one row.
+template <int G>
+inline std::uint64_t xnor_lanes(const std::uint64_t* w, std::int64_t cstride,
+                                const std::int64_t* bound,
+                                const std::uint64_t* row, std::int64_t wpr) {
+  __m256i count[G];
+  xnor_counts<G>(w, cstride, row, wpr, count);
   std::uint64_t bits = 0;
   for (int g = 0; g < G; ++g) {
     const __m256i b =
@@ -214,6 +154,46 @@ void xnor_conv_avx2(const std::uint64_t* w, std::int64_t cstride,
       }
       if (n < 64) bits &= (std::uint64_t{1} << n) - 1;  // padding lanes
       or_field(out, p * channels + c0, bits ^ flip[c0 >> 6]);
+    }
+  }
+}
+
+// Accumulators nbits − 2·m of 4·G adjacent lanes, stored as int32: the
+// low dword of each 64-bit lane, gathered into the low 128 bits.
+template <int G>
+inline void xnor_acc_lanes(const std::uint64_t* w, std::int64_t cstride,
+                           const std::uint64_t* row, std::int64_t wpr,
+                           __m256i nbits, std::int32_t* acc) {
+  __m256i count[G];
+  xnor_counts<G>(w, cstride, row, wpr, count);
+  const __m256i low = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  for (int g = 0; g < G; ++g) {
+    const __m256i v =
+        _mm256_sub_epi64(nbits, _mm256_add_epi64(count[g], count[g]));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(acc + 4 * g),
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(v, low)));
+  }
+}
+
+void xnor_acc_avx2(const std::uint64_t* w, std::int64_t cstride,
+                   std::int64_t lanes, const std::uint64_t* patches,
+                   std::int64_t rows, std::int64_t wpr, std::int64_t nbits,
+                   std::int32_t* acc) {
+  const __m256i total = _mm256_set1_epi64x(static_cast<long long>(nbits));
+  for (std::int64_t p = 0; p < rows; ++p) {
+    const std::uint64_t* row = patches + p * wpr;
+    std::int32_t* out = acc + p * cstride;
+    std::int64_t c = 0;
+    for (; c + 16 <= lanes; c += 16) {
+      xnor_acc_lanes<4>(w + c, cstride, row, wpr, total, out + c);
+    }
+    if (c + 8 <= lanes) {
+      xnor_acc_lanes<2>(w + c, cstride, row, wpr, total, out + c);
+      c += 8;
+    }
+    for (; c < lanes; c += 4) {
+      xnor_acc_lanes<1>(w + c, cstride, row, wpr, total, out + c);
     }
   }
 }
@@ -299,8 +279,8 @@ void byte_conv_avx2(const std::uint64_t* w, std::int64_t cstride,
 
 }  // namespace
 
-const BnnPopFns kBnnPopAvx2 = {&xor_pop_avx2, &xor_pop4_avx2,
-                               &xnor_conv_avx2};
+const BnnPopFns kBnnPopAvx2 = {&xor_pop_avx2, &xnor_conv_avx2,
+                               &xnor_acc_avx2};
 const StageKernelFn kByteConvAvx2 = &byte_conv_avx2;
 
 }  // namespace mpcnn::bnn::detail

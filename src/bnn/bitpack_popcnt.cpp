@@ -11,8 +11,8 @@
 
 namespace mpcnn::bnn::detail {
 
-const BnnPopFns kBnnPopPopcnt = {&xor_pop_impl, &xor_pop4_impl,
-                                 &xnor_conv_impl};
+const BnnPopFns kBnnPopPopcnt = {&xor_pop_impl, &xnor_conv_impl,
+                                 &xnor_acc_impl};
 
 }  // namespace mpcnn::bnn::detail
 

@@ -6,6 +6,10 @@
 #include <cstring>
 #include <limits>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "bnn/binary_layers.hpp"
 #include "bnn/kernels.hpp"
 #include "bnn/kernels_impl.hpp"
@@ -476,26 +480,78 @@ ChannelsLastMap exec_fixed_point_conv(const CompiledStage& s,
   return out;
 }
 
-// Thresholds every patch row against every output channel in one
-// all-channel kernel call; row p's pixel lands at bit p·out_ch of `out`.
-// The ABFT-instrumented path (core/integrity active for this thread)
-// materialises the accumulator matrix through the checked xnor_gemm
-// instead: its (channel, position) indexing keeps armed accumulator
-// faults and detections as they were, and the same integer accumulators
-// make the same pixel bits.
+// Pixel fields of checked accumulators: bit c of position p fires when
+// (acc ≥ τ_c) differs from negate bit c, the compare fire_binary makes,
+// over the whole int32 range, so a faulted accumulator thresholds as it
+// would in any datapath.  `below` marks the channels under their
+// threshold (τ > acc); XOR with the complemented negate bits (`keep`)
+// turns that into fired bits.
+void threshold_lanes(const CompiledStage& s, const XnorLanes& lanes,
+                     Dim positions, ChannelsLastMap& out) {
+  const Dim ch = s.out_ch;
+  std::vector<std::int32_t> tau(static_cast<std::size_t>((ch + 3) / 4 * 4),
+                                0);
+  std::vector<std::uint64_t> keep(static_cast<std::size_t>((ch + 63) / 64),
+                                  0);
+  for (Dim oc = 0; oc < ch; ++oc) {
+    tau[static_cast<std::size_t>(oc)] = s.threshold(oc, 0);
+    if (s.negate[static_cast<std::size_t>(oc)] == 0) {
+      keep[static_cast<std::size_t>(oc >> 6)] |= 1ULL << (oc & 63);
+    }
+  }
+  for (Dim p = 0; p < positions; ++p) {
+    const std::int32_t* acc = lanes.acc.get() + p * lanes.stride;
+    for (Dim c0 = 0; c0 < ch; c0 += 64) {
+      const Dim n = std::min<Dim>(64, ch - c0);
+      const std::int32_t* a = acc + c0;
+      const std::int32_t* t = tau.data() + c0;
+      std::uint64_t below = 0;
+      Dim c = 0;
+#if defined(__SSE2__)
+      // Lanes and thresholds are padded to 4, so whole groups stay in
+      // bounds; the mask below drops the padding.  Sixteen lanes' masks
+      // saturate-pack into bytes for one PMOVMSKB.
+      auto gt = [&](Dim at) {
+        return _mm_cmpgt_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + at)),
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + at)));
+      };
+      const Dim padded = (n + 3) / 4 * 4;
+      for (; c + 16 <= padded; c += 16) {
+        const __m128i bytes =
+            _mm_packs_epi16(_mm_packs_epi32(gt(c), gt(c + 4)),
+                            _mm_packs_epi32(gt(c + 8), gt(c + 12)));
+        below |= static_cast<std::uint64_t>(
+                     static_cast<std::uint32_t>(_mm_movemask_epi8(bytes)))
+                 << c;
+      }
+      for (; c < padded; c += 4) {
+        below |= static_cast<std::uint64_t>(
+                     _mm_movemask_ps(_mm_castsi128_ps(gt(c))))
+                 << c;
+      }
+#endif
+      for (; c < n; ++c) below |= std::uint64_t{t[c] > a[c]} << c;
+      if (n < 64) below &= (std::uint64_t{1} << n) - 1;
+      detail::or_field(out.words.data(), p * ch + c0,
+                       below ^ keep[static_cast<std::size_t>(c0 >> 6)]);
+    }
+  }
+}
+
+// Thresholds every patch row against every output channel; row p's
+// pixel lands at bit p·out_ch of `out`.  The plain path is one
+// all-channel kernel call with the compare fused in.  When
+// core/integrity guards the call (a checking scope or armed faults on
+// this thread), the same lane loop writes accumulators instead, plus
+// checksum lanes when the call is verified, so the faults strike and
+// the check sees them (checked_xnor) before the threshold pass.
 void xnor_stage(const CompiledStage& s, const BitMatrix& patches,
                 ChannelsLastMap& out) {
   const Dim rows = patches.rows();
-  if (core::integrity::instrumented()) {
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(s.out_ch * rows));
-    xnor_gemm(s.weights, patches, acc.data());
-    for (Dim oc = 0; oc < s.out_ch; ++oc) {
-      for (Dim p = 0; p < rows; ++p) {
-        if (fire_binary(s, oc, acc[static_cast<std::size_t>(oc * rows + p)])) {
-          out.set(p * s.out_ch + oc);
-        }
-      }
-    }
+  core::integrity::XnorGuard guard = core::integrity::xnor_begin();
+  if (guard.active) {
+    threshold_lanes(s, checked_xnor(s.weights, patches, guard), rows, out);
     return;
   }
   const StageOperands op = xnor_operands(s);
@@ -559,15 +615,17 @@ BitMatrix gather_chw(const ChannelsLastMap& in) {
   return flat;
 }
 
-// Integer class scores cols − 2·mismatches; the checked path runs them
-// through the ABFT'd xnor_gemm as a one-row product.
+// Integer class scores cols − 2·mismatches; a guarded call takes them
+// from the checked product's single position.
 std::vector<std::int32_t> output_scores(const CompiledStage& s,
                                         const BitMatrix& act) {
-  std::vector<std::int32_t> scores(static_cast<std::size_t>(s.out_ch));
-  if (core::integrity::instrumented()) {
-    xnor_gemm(s.weights, act, scores.data());
-    return scores;
+  core::integrity::XnorGuard guard = core::integrity::xnor_begin();
+  if (guard.active) {
+    const XnorLanes lanes = checked_xnor(s.weights, act, guard);
+    return std::vector<std::int32_t>(lanes.acc.get(),
+                                     lanes.acc.get() + s.out_ch);
   }
+  std::vector<std::int32_t> scores(static_cast<std::size_t>(s.out_ch));
   const detail::XorPopFn xor_pop = detail::kernels().xor_pop;
   for (Dim oc = 0; oc < s.out_ch; ++oc) {
     scores[static_cast<std::size_t>(oc)] = static_cast<std::int32_t>(

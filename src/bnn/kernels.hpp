@@ -5,17 +5,20 @@
 // hardware-POPCNT loops where POPCNT exists, and 256-bit kernels under
 // AVX2.  Two slots run whole engine stages over channels-last data: one
 // call per stage computes every output channel of every position, each
-// position's channels as one C-bit pixel field.  The xor-popcount pair
-// serves xnor_gemm and its ABFT reference.  Everything here is exact
-// integer arithmetic, so *every* variant returns identical values — the
-// dispatch tests compare whole-network outputs across forced ISA levels.
+// position's channels as one C-bit pixel field.  The binary one also has
+// an accumulator-writing mode, the checked product behind xnor_gemm and
+// the engine's ABFT path, whose extra lanes carry core/integrity's
+// checksum rows.  xor_pop serves single dot products.  Everything here
+// is exact integer arithmetic, so *every* variant returns identical
+// values — the dispatch tests compare whole-network outputs across
+// forced ISA levels.
 //
-// Stage kernels share one weight layout, rebuilt by the engine on every
-// call from CompiledStage: word t of output channel c sits at
-// w[t·cstride + c] (channels as the fast axis, cstride a multiple of 4,
-// zero past `channels`), so four adjacent channels fill one 256-bit
-// vector.  They write pixel fields into a channels-last bit map that is
-// zero where they write and has one spare word past its last pixel.
+// Stage kernels share one weight layout, rebuilt by the caller on every
+// call: word t of lane c sits at w[t·cstride + c] (lanes as the fast
+// axis, cstride a multiple of 4, zero past the last lane), so four
+// adjacent lanes fill one 256-bit vector.  The thresholding kernels
+// write pixel fields into a channels-last bit map that is zero where
+// they write and has one spare word past its last pixel.
 //
 // Keep this header dependency-free (<cstdint> only): it is included by
 // ISA-flagged TUs (bitpack_popcnt.cpp, bitpack_avx2.cpp), and any inline
@@ -32,13 +35,6 @@ namespace mpcnn::bnn::detail {
 using XorPopFn = std::int64_t (*)(const std::uint64_t* a,
                                   const std::uint64_t* b,
                                   std::int64_t nwords);
-
-/// Quad-row mismatch counts: m[r] = Σ popcount(w_r[t] ^ p[t]) for the
-/// four weight rows starting at w with stride wstride words.  The four
-/// rows share every patch-word load.
-using XorPop4Fn = void (*)(const std::uint64_t* w, std::int64_t wstride,
-                           const std::uint64_t* p, std::int64_t nwords,
-                           std::int64_t m[4]);
 
 /// A stage kernel thresholds every patch row against every output
 /// channel in one call: patch row p is `nwords` words at
@@ -62,13 +58,23 @@ using StageKernelFn = void (*)(const std::uint64_t* w, std::int64_t cstride,
                                std::int64_t rows, std::int64_t nwords,
                                std::uint64_t* out);
 
+/// Accumulator mode of xnor_conv: for patch row p and every lane
+/// c < lanes, acc[p·cstride + c] = nbits − 2·m, the bipolar dot of lane
+/// c's row and the patch (m as above).  The lanes are the weight rows
+/// plus whatever rows the caller appended; cstride ≥ lanes rounded up
+/// to 4, and the lanes up to that rounding may be written too.
+using XnorAccFn = void (*)(const std::uint64_t* w, std::int64_t cstride,
+                           std::int64_t lanes, const std::uint64_t* patches,
+                           std::int64_t rows, std::int64_t nwords,
+                           std::int64_t nbits, std::int32_t* acc);
+
 struct BnnKernels {
-  const char* pop_name;   ///< xor_pop/xor_pop4/xnor_conv: "scalar",
+  const char* pop_name;   ///< xor_pop/xnor_conv/xnor_acc: "scalar",
                           ///< "popcnt", "avx2"
   const char* byte_name;  ///< byte_conv: "portable", "avx2"
   XorPopFn xor_pop;
-  XorPop4Fn xor_pop4;
   StageKernelFn xnor_conv;
+  XnorAccFn xnor_acc;
   StageKernelFn byte_conv;
 };
 
@@ -82,8 +88,8 @@ const BnnKernels& kernels();
 /// without its ISA (non-x86); the dispatcher then falls back.
 struct BnnPopFns {
   XorPopFn xor_pop;
-  XorPop4Fn xor_pop4;
   StageKernelFn xnor_conv;
+  XnorAccFn xnor_acc;
 };
 
 extern const BnnPopFns kBnnPopPopcnt;  ///< bitpack_popcnt.cpp (-mpopcnt)

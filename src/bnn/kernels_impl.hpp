@@ -62,23 +62,23 @@ static inline std::int64_t xor_pop_impl(const std::uint64_t* a,
   return m0 + m1;
 }
 
-// Four weight rows against one patch row: one load of p[t] feeds four
-// independent xor+popcount chains.
-static inline void xor_pop4_impl(const std::uint64_t* w,
-                                 std::int64_t wstride,
-                                 const std::uint64_t* p,
-                                 std::int64_t nwords, std::int64_t m[4]) {
-  const std::uint64_t* w0 = w;
-  const std::uint64_t* w1 = w + wstride;
-  const std::uint64_t* w2 = w + 2 * wstride;
-  const std::uint64_t* w3 = w + 3 * wstride;
+// ---- all-channel binary conv stage (xnor_conv, xnor_acc) ---------------
+
+// Mismatch counts of the four adjacent lanes at w (word t of lane q at
+// w[t·cstride + q]) against one row: each row word is loaded once for
+// four independent popcount chains.
+static inline void lane_mismatches4(const std::uint64_t* w,
+                                    std::int64_t cstride,
+                                    const std::uint64_t* row,
+                                    std::int64_t wpr, std::int64_t m[4]) {
   std::int64_t m0 = 0, m1 = 0, m2 = 0, m3 = 0;
-  for (std::int64_t t = 0; t < nwords; ++t) {
-    const std::uint64_t pv = p[t];
-    m0 += bnn_popcount64(w0[t] ^ pv);
-    m1 += bnn_popcount64(w1[t] ^ pv);
-    m2 += bnn_popcount64(w2[t] ^ pv);
-    m3 += bnn_popcount64(w3[t] ^ pv);
+  for (std::int64_t t = 0; t < wpr; ++t) {
+    const std::uint64_t pv = row[t];
+    const std::uint64_t* wt = w + t * cstride;
+    m0 += bnn_popcount64(wt[0] ^ pv);
+    m1 += bnn_popcount64(wt[1] ^ pv);
+    m2 += bnn_popcount64(wt[2] ^ pv);
+    m3 += bnn_popcount64(wt[3] ^ pv);
   }
   m[0] = m0;
   m[1] = m1;
@@ -86,10 +86,9 @@ static inline void xor_pop4_impl(const std::uint64_t* w,
   m[3] = m3;
 }
 
-// ---- all-channel binary conv stage (StageKernelFn xnor_conv) -----------
-
 // Each output channel's mismatch count stays in a register across the
 // row's words; a 64-channel chunk of comparisons becomes one pixel word.
+// Padding lanes (zero weights, bound 0) never fire.
 static inline void xnor_conv_impl(const std::uint64_t* w,
                                   std::int64_t cstride,
                                   const std::int64_t* bound,
@@ -103,15 +102,33 @@ static inline void xnor_conv_impl(const std::uint64_t* w,
     for (std::int64_t c0 = 0; c0 < channels; c0 += 64) {
       const std::int64_t n = channels - c0 < 64 ? channels - c0 : 64;
       std::uint64_t bits = 0;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const std::uint64_t* wc = w + c0 + j;
-        std::int64_t m = 0;
-        for (std::int64_t t = 0; t < wpr; ++t) {
-          m += bnn_popcount64(wc[t * cstride] ^ row[t]);
+      for (std::int64_t j = 0; j < n; j += 4) {
+        std::int64_t m[4];
+        lane_mismatches4(w + c0 + j, cstride, row, wpr, m);
+        for (int q = 0; q < 4; ++q) {
+          bits |= static_cast<std::uint64_t>(m[q] < bound[c0 + j + q])
+                  << (j + q);
         }
-        bits |= static_cast<std::uint64_t>(m < bound[c0 + j]) << j;
       }
       or_field(out, p * channels + c0, bits ^ flip[c0 >> 6]);
+    }
+  }
+}
+
+static inline void xnor_acc_impl(const std::uint64_t* w,
+                                 std::int64_t cstride, std::int64_t lanes,
+                                 const std::uint64_t* patches,
+                                 std::int64_t rows, std::int64_t wpr,
+                                 std::int64_t nbits, std::int32_t* acc) {
+  for (std::int64_t p = 0; p < rows; ++p) {
+    const std::uint64_t* row = patches + p * wpr;
+    std::int32_t* out = acc + p * cstride;
+    for (std::int64_t c = 0; c < lanes; c += 4) {
+      std::int64_t m[4];
+      lane_mismatches4(w + c, cstride, row, wpr, m);
+      for (int q = 0; q < 4; ++q) {
+        out[c + q] = static_cast<std::int32_t>(nbits - 2 * m[q]);
+      }
     }
   }
 }

@@ -44,7 +44,7 @@ enum class FaultKind {
   kHostLatencySpike,  ///< host reruns slow down by `magnitude`×
   kInputCorruption,   ///< image corrupted on the DMA path into the fabric
   kAccumulatorBitFlip,    ///< datapath: one kernel accumulator bit flips
-  kPopcountLaneStuck,     ///< datapath: a quad-popcount lane sticks at one
+  kPopcountLaneStuck,     ///< datapath: a popcount lane sticks at one
   kPartialSumCorruption,  ///< datapath: a partial-sum DMA burst is garbled
 };
 

@@ -1,13 +1,13 @@
 #include "core/integrity/integrity.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <utility>
 
 #include "tensor/error.hpp"
 #include "tensor/rng.hpp"
@@ -258,35 +258,43 @@ bool apply_gemm_fault(const ArmedComputeFault& f, std::int64_t M,
   return false;
 }
 
+// Strikes the accumulator of weight row r at position p, which sits at
+// acc[p·stride + r] in the lane layout.
 bool apply_xnor_fault(const ArmedComputeFault& f, std::int64_t rows,
-                      std::int64_t cols, std::int64_t n, std::int32_t* c) {
+                      std::int64_t cols, std::int64_t n, std::int32_t* acc,
+                      std::int64_t stride) {
   const std::int64_t total = rows * n;
   if (total == 0) return false;
+  auto at = [&](std::int64_t r, std::int64_t p) -> std::int32_t& {
+    return acc[p * stride + r];
+  };
+  auto flip = [](std::int32_t& v, std::uint32_t bits) {
+    v = static_cast<std::int32_t>(static_cast<std::uint32_t>(v) ^ bits);
+  };
   switch (f.kind) {
     case ComputeFaultKind::kAccumulatorBitFlip: {
       const std::int64_t idx = static_cast<std::int64_t>(
           mix64(f.seed, 0xACC0ULL) % static_cast<std::uint64_t>(total));
       const int bit = static_cast<int>(mix64(f.seed, 0xB17ULL) % 31);
-      c[idx] = static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(c[idx]) ^ (1u << bit));
+      flip(at(idx / n, idx % n), 1u << bit);
       return true;
     }
     case ComputeFaultKind::kPopcountLaneStuck: {
-      // One of the four quad-popcount lanes reports its mismatch count
-      // with a bit stuck at one: every row the lane computed moves the
-      // same direction, exactly the systematic skew a stuck PE shows.
+      // One 64-bit lane of the 256-bit lane loop (channels ≡ lane mod 4)
+      // reports its mismatch count with a bit stuck at one: every
+      // channel the lane computed moves the same direction, exactly the
+      // systematic skew a stuck PE shows.
       const std::int64_t lane =
           static_cast<std::int64_t>(mix64(f.seed, 0x1A9EULL) % 4);
       const int bit = 1 + static_cast<int>(mix64(f.seed, 0x57CULL) % 6);
       bool changed = false;
       for (std::int64_t r = lane; r < rows; r += 4) {
-        std::int32_t* crow = c + r * n;
         for (std::int64_t p = 0; p < n; ++p) {
-          const std::int32_t m =
-              static_cast<std::int32_t>((cols - crow[p]) / 2);
+          std::int32_t& v = at(r, p);
+          const std::int32_t m = static_cast<std::int32_t>((cols - v) / 2);
           const std::int32_t stuck = m | (1 << bit);
           if (stuck != m) {
-            crow[p] = static_cast<std::int32_t>(cols - 2 * stuck);
+            v = static_cast<std::int32_t>(cols - 2 * stuck);
             changed = true;
           }
         }
@@ -299,14 +307,12 @@ bool apply_xnor_fault(const ArmedComputeFault& f, std::int64_t rows,
       const std::int64_t start = static_cast<std::int64_t>(
           mix64(f.seed, 0xBEEFULL) % static_cast<std::uint64_t>(n));
       const std::int64_t len = std::min<std::int64_t>(8, n - start);
-      std::int32_t* crow = c + r * n;
       for (std::int64_t i = 0; i < len; ++i) {
-        crow[start + i] = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(crow[start + i]) ^
-            static_cast<std::uint32_t>(
-                (mix64(f.seed, 0xDA7AULL + static_cast<std::uint64_t>(i)) |
-                 1) &
-                0x7FFFFFFFULL));
+        flip(at(r, start + i),
+             static_cast<std::uint32_t>(
+                 (mix64(f.seed, 0xDA7AULL + static_cast<std::uint64_t>(i)) |
+                  1) &
+                 0x7FFFFFFFULL));
       }
       return len > 0;
     }
@@ -328,101 +334,9 @@ void fire_faults(KernelFamily family, int call_index, ApplyFn&& apply) {
   }
 }
 
-// ---- cached xnor checksum reference -------------------------------
-//
-// Weight-side column counts cc_j, decomposed into bit planes so the
-// per-call masked sum Σ_{j ∈ b_p} cc_j reduces to a handful of
-// xor_pop/xor_pop4 calls against L1-resident plane words (via the
-// AND-popcount identity pop(x∧y) = (pop(x) + pop(y) − pop(x⊕y)) / 2,
-// which keeps every hot popcount on the dispatched kernels).
-// Keyed by a content hash of the packed words, so an SEU-mutated fabric
-// copy rebuilds its own (consistent) reference — ABFT stays a pure
-// datapath check and CRC scrubbing keeps owning memory corruption.
-struct XnorAbftRef {
-  std::int64_t rows = 0, cols = 0, wpr = 0;
-  int nplanes = 0;
-  std::vector<std::uint64_t> planes;   // nplanes × wpr
-  std::vector<std::int64_t> plane_pop;  // pop(plane t)
-  std::int64_t vtotal = 0;              // Σ_j (2·cc_j − rows)
-};
-
-std::uint64_t hash_words(const std::uint64_t* a, std::int64_t rows,
-                         std::int64_t cols, std::int64_t wpr) {
-  std::uint64_t h = mix64(0xAB47C0DEULL, static_cast<std::uint64_t>(rows));
-  h = mix64(h, static_cast<std::uint64_t>(cols));
-  const std::int64_t total = rows * wpr;
-  for (std::int64_t i = 0; i < total; ++i) h = mix64(h, a[i]);
-  return h;
-}
-
-std::shared_ptr<const XnorAbftRef> abft_reference(const std::uint64_t* a,
-                                                  std::int64_t rows,
-                                                  std::int64_t cols,
-                                                  std::int64_t wpr) {
-  static std::mutex mu;
-  static std::unordered_map<std::uint64_t,
-                            std::shared_ptr<const XnorAbftRef>>
-      cache;
-
-  const std::uint64_t key = hash_words(a, rows, cols, wpr);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
-
-  auto ref = std::make_shared<XnorAbftRef>();
-  ref->rows = rows;
-  ref->cols = cols;
-  ref->wpr = wpr;
-  std::vector<std::int64_t> cc(static_cast<std::size_t>(cols), 0);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint64_t* row = a + r * wpr;
-    for (std::int64_t t = 0; t < wpr; ++t) {
-      std::uint64_t w = row[t];
-      while (w != 0) {
-        const std::int64_t j = t * 64 + std::countr_zero(w);
-        ++cc[static_cast<std::size_t>(j)];
-        w &= w - 1;
-      }
-    }
-  }
-  for (std::int64_t j = 0; j < cols; ++j) {
-    ref->vtotal += 2 * cc[static_cast<std::size_t>(j)] - rows;
-  }
-  ref->nplanes = rows > 0
-                     ? std::bit_width(static_cast<std::uint64_t>(rows))
-                     : 1;
-  ref->planes.assign(
-      static_cast<std::size_t>(ref->nplanes) * static_cast<std::size_t>(wpr),
-      0);
-  for (int t = 0; t < ref->nplanes; ++t) {
-    std::uint64_t* plane = ref->planes.data() + t * wpr;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      if ((cc[static_cast<std::size_t>(j)] >> t) & 1) {
-        plane[j / 64] |= 1ULL << (j % 64);
-      }
-    }
-    std::int64_t pop = 0;
-    for (std::int64_t w = 0; w < wpr; ++w) {
-      pop += std::popcount(plane[w]);
-    }
-    ref->plane_pop.push_back(pop);
-  }
-
-  std::lock_guard<std::mutex> lock(mu);
-  if (cache.size() >= 256) cache.clear();  // bounded: drop cold entries
-  cache.emplace(key, ref);
-  return ref;
-}
-
-// Portable fallback for callers that pass no kernel; the dispatch-table
-// path never takes it (SWAR popcount — this TU builds at baseline).
-std::int64_t scalar_xor_pop(const std::uint64_t* a, const std::uint64_t* b,
-                            std::int64_t nwords) {
-  std::int64_t acc = 0;
-  for (std::int64_t i = 0; i < nwords; ++i) acc += std::popcount(a[i] ^ b[i]);
-  return acc;
+// Bit planes of the column counts: cc_j ≤ rows needs bit_width(rows).
+int plane_count(std::int64_t rows) {
+  return rows > 0 ? std::bit_width(static_cast<std::uint64_t>(rows)) : 1;
 }
 
 }  // namespace
@@ -485,15 +399,6 @@ Scope::~Scope() {
 
 int Scope::faults_fired() const { return state_->fired; }
 int Scope::calls_seen() const { return state_->calls; }
-
-bool instrumented() {
-  const Scope::State* s = g_scope;
-  if (s != nullptr && (s->opts.mode != IntegrityMode::kOff ||
-                       !s->opts.faults.empty())) {
-    return true;
-  }
-  return global_mode() != IntegrityMode::kOff;
-}
 
 GemmGuard gemm_begin(std::int64_t M, std::int64_t N, float beta,
                      const float* C, const GemmAbftKernels& kernels) {
@@ -628,90 +533,98 @@ XnorGuard xnor_begin() {
   return guard;
 }
 
-void xnor_end(XnorGuard& guard, const std::uint64_t* a, std::int64_t rows,
-              std::int64_t cols, std::int64_t wpr, const std::uint64_t* b,
-              std::int64_t n, std::int32_t* c, XorPopcountFn xor_pop,
-              XorPopcount4Fn xor_pop4) {
+std::int64_t xnor_checksum_rows(std::int64_t rows) {
+  return 1 + plane_count(rows);
+}
+
+// A bit-sliced counter: each data lane's word ripples one carry through
+// the planes, so plane k ends up holding bit k of every column's count.
+// NP is a template argument so the planes live in registers.
+template <int NP>
+void count_columns(const std::uint64_t* wt, std::int64_t rows,
+                   std::uint64_t* planes) {
+  std::uint64_t plane[NP] = {};
+  for (std::int64_t r = 0; r < rows; ++r) {
+    std::uint64_t carry = wt[r];
+    for (int k = 0; k < NP; ++k) {
+      const std::uint64_t sum = plane[k] ^ carry;
+      carry &= plane[k];
+      plane[k] = sum;
+    }
+  }
+  std::copy_n(plane, NP, planes);
+}
+
+using CountColumnsFn = void (*)(const std::uint64_t*, std::int64_t,
+                                std::uint64_t*);
+
+template <std::size_t... I>
+constexpr std::array<CountColumnsFn, sizeof...(I)> count_columns_table(
+    std::index_sequence<I...>) {
+  return {&count_columns<static_cast<int>(I) + 1>...};
+}
+
+void xnor_encode(std::uint64_t* w, std::int64_t cstride, std::int64_t rows,
+                 std::int64_t wpr) {
+  static constexpr auto kCount =
+      count_columns_table(std::make_index_sequence<63>());
+  const CountColumnsFn count = kCount[static_cast<std::size_t>(
+      plane_count(rows) - 1)];
+  for (std::int64_t t = 0; t < wpr; ++t) {
+    std::uint64_t* wt = w + t * cstride;
+    wt[rows] = 0;
+    count(wt, rows, wt + rows + 1);
+  }
+}
+
+void xnor_end(XnorGuard& guard, std::int64_t rows, std::int64_t cols,
+              std::int64_t n, std::int32_t* acc, std::int64_t stride) {
   if (!guard.active) return;
   fire_faults(KernelFamily::kXnorGemm, guard.call_index,
               [&](const ArmedComputeFault& f) {
-                return apply_xnor_fault(f, rows, cols, n, c);
+                return apply_xnor_fault(f, rows, cols, n, acc, stride);
               });
   if (!guard.verify || rows == 0 || n == 0) return;
   g_checks_run.fetch_add(1, std::memory_order_relaxed);
-  if (xor_pop == nullptr) xor_pop = &scalar_xor_pop;
 
-  const std::shared_ptr<const XnorAbftRef> ref =
-      abft_reference(a, rows, cols, wpr);
-
-  // Column sums of the accumulator matrix, row-major for locality.
-  // |Σ| ≤ rows·cols, so when that bound fits comfortably in 32 bits the
-  // sums ride int32 accumulators the baseline compiler can vectorise
-  // 4-wide; the int64 loop covers pathological shapes.
-  std::vector<std::int64_t> got(static_cast<std::size_t>(n), 0);
-  if (rows * cols <= (std::int64_t{1} << 30)) {
-    std::vector<std::int32_t> got32(static_cast<std::size_t>(n), 0);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const std::int32_t* crow = c + r * n;
-      std::int32_t* acc = got32.data();
-      for (std::int64_t p = 0; p < n; ++p) acc[p] += crow[p];
-    }
-    for (std::int64_t p = 0; p < n; ++p) {
-      got[static_cast<std::size_t>(p)] = got32[static_cast<std::size_t>(p)];
-    }
-  } else {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const std::int32_t* crow = c + r * n;
-      for (std::int64_t p = 0; p < n; ++p) {
-        got[static_cast<std::size_t>(p)] += crow[p];
-      }
-    }
-  }
-
-  // Exact ±1 identity per patch column:
-  //   Σ_r C[r][p] = 4·Σ_{j ∈ b_p} cc_j − 2·rows·pop(b_p) − Σ_j v_j.
-  // Every popcount on this hot path — the patch population included,
-  // via XOR against a zero row — rides the ISA-dispatched xor_pop /
-  // xor_pop4 kernels; this TU is compiled at baseline flags, so a
-  // std::popcount here would fall back to SWAR and triple the epilogue
-  // cost.  The quad-row kernel sweeps four checksum bit-planes per
-  // patch pass.
-  const int nplanes = ref->nplanes;
-  const std::uint64_t* planes = ref->planes.data();
-  thread_local std::vector<std::uint64_t> zeros;
-  if (static_cast<std::int64_t>(zeros.size()) < wpr) {
-    zeros.assign(static_cast<std::size_t>(wpr), 0);
-  }
+  // In ±1 terms the zero row is all −1 and plane k is 2·bit − 1, so the
+  // weight column sums v_j = 2·cc_j − rows are
+  //   v = Σ_k 2^k·plane_k + (rows + 1 − 2^nplanes)·zero,
+  // and every position's Σ_r acc must equal the same combination of its
+  // checksum lanes, exactly.  |Σ_r acc| ≤ rows·cols, so while that
+  // bound fits comfortably in 32 bits the sum wraps in 32-bit lanes the
+  // baseline compiler can vectorise; the int64 loop covers pathological
+  // shapes.
+  const int nplanes = plane_count(rows);
+  const std::int64_t zero_weight = rows + 1 - (std::int64_t{1} << nplanes);
+  const bool narrow = rows * cols <= (std::int64_t{1} << 30);
   for (std::int64_t p = 0; p < n; ++p) {
-    const std::uint64_t* brow = b + p * wpr;
-    const std::int64_t popb = xor_pop(brow, zeros.data(), wpr);
-    std::int64_t cc_masked = 0;
-    int t = 0;
-    if (xor_pop4 != nullptr) {
-      for (; t + 4 <= nplanes; t += 4) {
-        std::int64_t mm[4];
-        xor_pop4(planes + t * wpr, wpr, brow, wpr, mm);
-        for (int q = 0; q < 4; ++q) {
-          const std::int64_t and_pop =
-              (popb + ref->plane_pop[static_cast<std::size_t>(t + q)] -
-               mm[q]) /
-              2;
-          cc_masked += and_pop << (t + q);
+    const std::int32_t* a = acc + p * stride;
+    std::int64_t got = 0;
+    if (narrow) {
+      // Sixteen independent lanes: four vector adds per step in flight.
+      std::uint32_t sum[16] = {};
+      std::int64_t r = 0;
+      for (; r + 16 <= rows; r += 16) {
+        for (int l = 0; l < 16; ++l) {
+          sum[l] += static_cast<std::uint32_t>(a[r + l]);
         }
       }
+      std::uint32_t total = 0;
+      for (; r < rows; ++r) total += static_cast<std::uint32_t>(a[r]);
+      for (const std::uint32_t v : sum) total += v;
+      got = static_cast<std::int32_t>(total);
+    } else {
+      for (std::int64_t r = 0; r < rows; ++r) got += a[r];
     }
-    for (; t < nplanes; ++t) {
-      const std::int64_t and_pop =
-          (popb + ref->plane_pop[static_cast<std::size_t>(t)] -
-           xor_pop(brow, planes + t * wpr, wpr)) /
-          2;
-      cc_masked += and_pop << t;
+    std::int64_t ref = zero_weight * a[rows];
+    for (int k = 0; k < nplanes; ++k) {
+      ref += std::int64_t{a[rows + 1 + k]} << k;
     }
-    const std::int64_t expect = 4 * cc_masked - 2 * rows * popb - ref->vtotal;
-    if (got[static_cast<std::size_t>(p)] != expect) {
+    if (got != ref) {
       deliver(Detection{KernelFamily::kXnorGemm, guard.call_index, p,
-                        static_cast<double>(got[static_cast<std::size_t>(p)]),
-                        static_cast<double>(expect), 0.0});
+                        static_cast<double>(got), static_cast<double>(ref),
+                        0.0});
       return;
     }
   }

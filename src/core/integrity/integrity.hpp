@@ -14,13 +14,16 @@
 //     arithmetic reorders under blocking/FMA, so the check is tolerance
 //     bounded by a random-walk rounding model with a fixed factor
 //     (DESIGN.md §16).
-//   * packed xnor_gemm (every popcount variant): ±1 arithmetic is exact
+//   * the packed XNOR product (xnor_gemm and the packed engine's
+//     checked stages, every popcount variant): ±1 arithmetic is exact
 //     integer math, so the column-sum identity
 //         Σ_r C[r][p] = Σ_j v[j]·b̃_p[j],   v[j] = 2·colcount_j − rows
-//     must hold bit-exactly.  The weight-side column counts are cached
-//     per content hash (an SEU-mutated fabric copy rebuilds its own
-//     reference), which makes this a *datapath* check by construction:
-//     memory corruption stays the CRC scrubber's job (DESIGN.md §16).
+//     must hold bit-exactly.  v is encoded as checksum rows appended to
+//     the executed weights (a zero row and the bit planes of the column
+//     counts), so the same kernel computes the reference as extra lanes
+//     and an SEU-mutated fabric copy encodes its own, consistent
+//     checksum: this is a *datapath* check by construction, and memory
+//     corruption stays the CRC scrubber's job (DESIGN.md §16).
 //
 // Hot-path cost model: IntegrityMode::kOff is one thread-local load and
 // one relaxed atomic load per kernel call.  kSample verifies a
@@ -67,7 +70,7 @@ const char* mode_name(IntegrityMode mode);
 /// core::FaultKind's storage/transport faults).
 enum class ComputeFaultKind {
   kAccumulatorBitFlip,    ///< one output accumulator takes a bit flip
-  kPopcountLaneStuck,     ///< one of the 4 quad-popcount lanes sticks a bit
+  kPopcountLaneStuck,     ///< channels ≡ lane (mod 4) stick a count bit
   kPartialSumCorruption,  ///< a DMA burst of ~8 partial sums is garbled
 };
 
@@ -134,13 +137,6 @@ class Scope {
   State* state_;
 };
 
-/// True when kernels and engines should take the instrumented path: a
-/// scope with mode != off or armed faults is active on this thread, or
-/// the global mode is != off.  The packed BNN engine consults this to
-/// route its fused conv/dense loops through the checked xnor_gemm
-/// (identical integer accumulators, so outputs are bit-identical).
-bool instrumented();
-
 // ---- process-global counters (relaxed; informational) ----
 std::uint64_t checks_run();      ///< kernel calls verified
 std::uint64_t checks_failed();   ///< calls with >= 1 checksum mismatch
@@ -165,12 +161,11 @@ enum class GemmLayout {
 };
 
 /// ABFT reduction passes supplied by the caller so the epilogue rides
-/// the caller's ISA dispatch (mirrors the XorPopcountFn idiom below;
-/// signatures match tensor/gemm_kernels.hpp, redeclared here to keep
-/// this header free of tensor includes).  Null pointers fall back to
-/// the portable loops, which the accelerated variants reproduce
-/// bit-exactly: per-row weighted column accumulation plus stride-4-lane
-/// row sums folded (l0+l1)+(l2+l3), tail into lane 0.
+/// the caller's ISA dispatch (signatures match tensor/gemm_kernels.hpp,
+/// redeclared here to keep this header free of tensor includes).  Null
+/// pointers fall back to the portable loops, which the accelerated
+/// variants reproduce bit-exactly: per-row weighted column accumulation
+/// plus stride-4-lane row sums folded (l0+l1)+(l2+l3), tail into lane 0.
 using GemmAbftPassFn = void (*)(const float* m, std::int64_t rows,
                                 std::int64_t cols, const double* row_w,
                                 const double* row_w_abs, double* col_acc,
@@ -193,35 +188,39 @@ void gemm_end(GemmGuard& guard, GemmLayout layout, std::int64_t M,
               const float* B, float beta, float* C,
               const GemmAbftKernels& kernels = GemmAbftKernels{});
 
-/// Σ popcount(a[t] ^ b[t]) over nwords — matches bnn::detail::XorPopFn,
-/// redeclared here to keep this header free of bnn includes.  The caller
-/// passes its active dispatch variant so the checksum reference rides
-/// the same ISA acceleration as the kernel it guards.
-using XorPopcountFn = std::int64_t (*)(const std::uint64_t*,
-                                       const std::uint64_t*, std::int64_t);
-
-/// Quad-row variant (matches bnn::detail::XorPop4Fn): m[r] =
-/// Σ popcount(w_r[t] ^ p[t]) for the four rows starting at w with
-/// stride wstride words — the plane sweep runs one patch pass per four
-/// checksum bit-planes instead of four.  Optional; null falls back to
-/// four XorPopcountFn calls.
-using XorPopcount4Fn = void (*)(const std::uint64_t* w, std::int64_t wstride,
-                                const std::uint64_t* p, std::int64_t nwords,
-                                std::int64_t m[4]);
+// ---- xnor hook ----------------------------------------------------
+//
+// The checked XNOR product (bnn::checked_xnor) works in lane layout:
+// acc holds n positions of `stride` int32 lanes, lane r < rows being
+// cols − 2·mismatches of weight row r at that position.  A verified
+// call appends the checksum rows as lanes rows, rows + 1, …, so one
+// kernel pass yields each position's reference Σ_r acc as a fixed
+// linear combination of those lanes.
 
 struct XnorGuard {
-  bool active = false;
-  bool verify = false;
+  bool active = false;  ///< faults may fire: take the checked product
+  bool verify = false;  ///< append checksum rows and check
   int call_index = 0;
 };
 
 XnorGuard xnor_begin();
-/// a: packed ±1 weights, `rows` rows of `wpr` words covering `cols`
-/// bits (padding bits zero); b: packed patches, `n` rows with the same
-/// word count; c: rows×n int32 accumulators (cols − 2·mismatches).
-void xnor_end(XnorGuard& guard, const std::uint64_t* a, std::int64_t rows,
-              std::int64_t cols, std::int64_t wpr, const std::uint64_t* b,
-              std::int64_t n, std::int32_t* c, XorPopcountFn xor_pop,
-              XorPopcount4Fn xor_pop4 = nullptr);
+
+/// Checksum rows a verified call appends to `rows` weight rows: one
+/// zero row and the bit_width(rows) bit planes of the column counts.
+std::int64_t xnor_checksum_rows(std::int64_t rows);
+
+/// Fills the checksum rows of transposed weights in place (word t of
+/// lane r at w[t·cstride + r], `wpr` words per row, padding bits zero):
+/// reads the `rows` data lanes, writes the xnor_checksum_rows(rows)
+/// lanes after them.
+void xnor_encode(std::uint64_t* w, std::int64_t cstride, std::int64_t rows,
+                 std::int64_t wpr);
+
+/// Fires this call's armed faults into the data lanes of acc (`n`
+/// positions of `stride` lanes; `cols` is the dot length); a verifying
+/// guard then checks the positions in ascending order against their
+/// checksum lanes and reports the first mismatch.
+void xnor_end(XnorGuard& guard, std::int64_t rows, std::int64_t cols,
+              std::int64_t n, std::int32_t* acc, std::int64_t stride);
 
 }  // namespace mpcnn::core::integrity

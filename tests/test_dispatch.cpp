@@ -62,8 +62,8 @@ TEST(DispatchRegistry, ReportsEveryKernelSlot) {
     EXPECT_FALSE(b.variant.empty()) << b.slot;
   }
   for (const char* expected :
-       {"bnn.byte_conv", "bnn.xnor_conv", "bnn.xor_popcount",
-        "bnn.xor_popcount4", "gemm.bt", "gemm.tile"}) {
+       {"bnn.byte_conv", "bnn.xnor_conv", "bnn.xor_popcount", "gemm.bt",
+        "gemm.tile", "integrity.xnor_checksum"}) {
     EXPECT_NE(std::find(slots.begin(), slots.end(), expected), slots.end())
         << "slot " << expected << " not registered";
   }
@@ -80,7 +80,8 @@ TEST(DispatchRegistry, ScalarForcedBindsPortableVariants) {
     if (b.slot == "gemm.bt") {
       EXPECT_EQ(b.variant, "dot");
     }
-    if (b.slot == "bnn.xor_popcount" || b.slot == "bnn.xnor_conv") {
+    if (b.slot == "bnn.xor_popcount" || b.slot == "bnn.xnor_conv" ||
+        b.slot == "integrity.xnor_checksum") {
       EXPECT_EQ(b.variant, "scalar");
     }
     if (b.slot == "bnn.byte_conv") {

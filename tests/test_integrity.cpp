@@ -19,6 +19,7 @@
 #include "core/stream.hpp"
 #include "core/threadpool.hpp"
 #include "core/workbench.hpp"
+#include "isa_override.hpp"
 #include "tensor/gemm.hpp"
 
 namespace mpcnn {
@@ -308,6 +309,94 @@ TEST(InstrumentedEngine, CheckedPathMatchesFusedAndScalarOracle) {
     EXPECT_EQ(checked, oracle) << i;
   }
   EXPECT_TRUE(sink.empty());
+}
+
+// FNV-64 over the eight little-endian bytes of v.
+void fnv_fold(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFFu;
+    h *= 0x100000001B3ULL;
+  }
+}
+
+// Pins which accumulator each armed fault strikes inside the packed
+// engine and what every detection says.  Each case arms one fault on
+// one hooked call (8 per CNV image) of one image; its scores, fired and
+// seen counts and every Detection fold into one digest, recorded when
+// the checked engine still ran through xnor_gemm.  Full scopes verify
+// every call, sampled ones about half of them and off scopes none, so
+// the digest also pins the unverified calls' faulted accumulators.
+TEST(InstrumentedEngine, ArmedFaultReplayIsPinned) {
+  bnn::CnvConfig config;
+  config.width = 0.25f;
+  nn::Net graph = bnn::make_cnv_net(config);
+  Rng init(29);
+  graph.init(init);
+  const bnn::CompiledBnn nets[] = {tiny_compiled(7),
+                                   bnn::compile_bnn(graph)};
+  Rng rng(83);
+  std::vector<Tensor> images;
+  for (int i = 0; i < 2; ++i) {
+    Tensor image(Shape{1, 3, 32, 32});
+    image.fill_uniform(rng, 0.0f, 1.0f);
+    images.push_back(image);
+  }
+  const ComputeFaultKind kinds[] = {ComputeFaultKind::kAccumulatorBitFlip,
+                                    ComputeFaultKind::kPopcountLaneStuck,
+                                    ComputeFaultKind::kPartialSumCorruption};
+  const IntegrityMode modes[] = {IntegrityMode::kFull, IntegrityMode::kSample,
+                                 IntegrityMode::kOff};
+  for (const std::string& level : isa_test::supported_levels()) {
+    isa_test::IsaOverride isa(level);
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    int detections = 0;
+    for (const bnn::CompiledBnn& net : nets) {
+      for (const ComputeFaultKind kind : kinds) {
+        for (int call = 0; call < 8; ++call) {
+          for (std::uint64_t seed = 0; seed < 2; ++seed) {
+            for (const Tensor& image : images) {
+              for (const IntegrityMode mode : modes) {
+                std::vector<Detection> sink;
+                ScopeOptions opts = full_scope(&sink, seed + 3);
+                opts.mode = mode;
+                opts.sample_period = 2;
+                opts.faults.push_back(
+                    armed(kind, 17 * static_cast<std::uint64_t>(call) + seed,
+                          call));
+                std::vector<std::int32_t> scores;
+                int fired = 0, seen = 0;
+                {
+                  Scope scope(opts);
+                  scores = bnn::run_reference(net, image);
+                  fired = scope.faults_fired();
+                  seen = scope.calls_seen();
+                }
+                for (const std::int32_t s : scores) {
+                  fnv_fold(h, static_cast<std::uint64_t>(s));
+                }
+                fnv_fold(h, static_cast<std::uint64_t>(fired));
+                fnv_fold(h, static_cast<std::uint64_t>(seen));
+                fnv_fold(h, sink.size());
+                for (const Detection& d : sink) {
+                  EXPECT_EQ(d.family, KernelFamily::kXnorGemm);
+                  fnv_fold(h, static_cast<std::uint64_t>(d.call_index));
+                  fnv_fold(h, static_cast<std::uint64_t>(d.lane));
+                  fnv_fold(h, static_cast<std::uint64_t>(
+                                  static_cast<std::int64_t>(d.got)));
+                  fnv_fold(h, static_cast<std::uint64_t>(
+                                  static_cast<std::int64_t>(d.ref)));
+                }
+                detections += static_cast<int>(sink.size());
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(detections, 0) << "isa=" << level;
+    EXPECT_EQ(h, 0xCBDAFC094E570A34ULL)
+        << "isa=" << level << std::hex << " digest 0x" << h;
+  }
 }
 
 // ------------------------------------------------------- canary book
