@@ -322,10 +322,11 @@ void fnv_fold(std::uint64_t& h, std::uint64_t v) {
 // Pins which accumulator each armed fault strikes inside the packed
 // engine and what every detection says.  Each case arms one fault on
 // one hooked call (8 per CNV image) of one image; its scores, fired and
-// seen counts and every Detection fold into one digest, recorded when
-// the checked engine still ran through xnor_gemm.  Full scopes verify
-// every call, sampled ones about half of them and off scopes none, so
-// the digest also pins the unverified calls' faulted accumulators.
+// seen counts and every Detection fold into one digest, recorded from
+// an independent implementation of the same contract (a row-major
+// accumulator matrix and an AND-popcount plane sweep).  Full scopes
+// verify every call, sampled ones about half of them and off scopes
+// none, so the digest also pins the unverified calls' accumulators.
 TEST(InstrumentedEngine, ArmedFaultReplayIsPinned) {
   bnn::CnvConfig config;
   config.width = 0.25f;
