@@ -1,6 +1,7 @@
 // Micro-benchmarks of the compute kernels underneath everything
 // (google-benchmark): float GEMM, XNOR-popcount dot products, im2col,
-// and whole-network BNN inference in the packed engine.
+// whole-network BNN inference in the packed engine, and one host float
+// image through Net::predict (BM_NetPredict/<model>).
 //
 // The custom main below additionally registers one benchmark per
 // supported ISA dispatch level (BM_GemmIsa/<isa>, BM_XnorGemmIsa/<isa>,
@@ -19,6 +20,7 @@
 #include "bnn/topology.hpp"
 #include "core/cpu.hpp"
 #include "core/threadpool.hpp"
+#include "nn/model_zoo.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/rng.hpp"
@@ -212,6 +214,24 @@ void BM_BnnReference(benchmark::State& state) {
 }
 BENCHMARK(BM_BnnReference);
 
+// One host float image per Net::predict call, as the cascade's host leg
+// serves it: Models A and C at core::WorkbenchConfig's default widths
+// (0.375 and 0.1875, C without its input dropout), seeded init.
+void net_predict_body(char which, benchmark::State& state) {
+  nn::ModelOptions options;
+  options.width = which == 'A' ? 0.375f : 0.1875f;
+  options.input_dropout = 0.0f;
+  nn::Net net = nn::make_model(std::string(1, which), options);
+  Rng rng(7);
+  net.init(rng);
+  net.set_training(false);
+  Tensor image(Shape{1, 3, 32, 32});
+  image.fill_uniform(rng, 0.0f, 1.0f);
+  for (auto _ : state) benchmark::DoNotOptimize(net.predict(image));
+  state.counters["img/s"] = benchmark::Counter(
+      1.0, benchmark::Counter::kIsIterationInvariantRate);
+}
+
 // ---- per-ISA dispatch benchmarks --------------------------------------
 
 std::vector<std::string> supported_isa_levels() {
@@ -284,6 +304,15 @@ void xnor_gemm_isa_body(const std::string& isa, benchmark::State& state) {
       benchmark::Counter::kIs1000);
 }
 
+void register_net_benchmarks() {
+  for (const char which : {'A', 'C'}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_NetPredict/") + which).c_str(),
+        [which](benchmark::State& state) { net_predict_body(which, state); })
+        ->UseRealTime();
+  }
+}
+
 void register_isa_benchmarks() {
   for (const std::string& isa : supported_isa_levels()) {
     benchmark::RegisterBenchmark(
@@ -307,6 +336,7 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("mpcnn_cpu_signature",
                               mpcnn::core::cpu_signature());
   benchmark::Initialize(&argc, argv);
+  register_net_benchmarks();
   register_isa_benchmarks();
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -22,17 +22,18 @@ cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# ISA sweep: the kernel/BNN/dispatch test trees, and the ABFT suites
-# whose checksum lanes ride the dispatched stage kernel, must pass with
-# the dispatcher forced to every level this host supports (forcing an
-# unsupported level is refused by the registry, so probe first).
+# ISA sweep: the kernel/BNN/dispatch test trees, the ABFT suites whose
+# checksum lanes ride the dispatched stage kernel, and the float
+# inference path (NetInfer, Im2Col) must pass with the dispatcher forced
+# to every level this host supports (forcing an unsupported level is
+# refused by the registry, so probe first).
 ISA_LEVELS="scalar sse2"
 if build/tools/mpcnn_cli cpuinfo | grep -q 'avx2=1'; then
   ISA_LEVELS="$ISA_LEVELS avx2"
 fi
 for isa in $ISA_LEVELS; do
   MPCNN_ISA="$isa" ctest --test-dir build \
-    -R 'Gemm|BitVector|BitMatrix|BitIm2col|SignBit|PackedBnn|Partial|Dispatch|Determinism|XnorAbft|GemmAbft|InstrumentedEngine' \
+    -R 'Gemm|BitVector|BitMatrix|BitIm2col|SignBit|PackedBnn|Partial|Dispatch|Determinism|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col' \
     --output-on-failure 2>&1 | tee "isa_${isa}_output.txt"
 done
 
@@ -100,12 +101,13 @@ fi
 # the 1-vs-N determinism tests, the fault-injection/supervisor paths
 # (which mutate emulated weight memory under a live executor), and the
 # runtime-dispatched kernel paths (Dispatch/Gemm force MPCNN_ISA levels
-# while the pool is hot) and the ABFT-checked products must report zero
+# while the pool is hot), the ABFT-checked products and the float
+# inference path (four threads sharing one const Net) must report zero
 # races.
 cmake -B build-tsan -G Ninja -DMPCNN_SANITIZE=thread
 cmake --build build-tsan
 MPCNN_THREADS=4 ctest --test-dir build-tsan \
-  -R 'ThreadPool|Determinism|PackedBnn|Fault|WeightScrub|Stream|Serve|Scene|Fleet|Dispatch|Gemm|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine' \
+  -R 'ThreadPool|Determinism|PackedBnn|Fault|WeightScrub|Stream|Serve|Scene|Fleet|Dispatch|Gemm|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer' \
   --output-on-failure 2>&1 | tee tsan_output.txt
 
 # Tree 2: ASan+UBSan (MPCNN_SANITIZE=address enables both) — guards the
@@ -114,11 +116,13 @@ MPCNN_THREADS=4 ctest --test-dir build-tsan \
 # artifact loaders and the corruption fuzzer, whose bounded reads parse
 # hostile bytes by design, and the packed engine, whose pixel-field
 # reads and writes touch the word after each field and whose checked
-# stages write padded accumulator lanes.
+# stages write padded accumulator lanes, and the float inference path,
+# whose im2col row copies and in-place GEMM operands read input rows
+# directly.
 cmake -B build-asan -G Ninja -DMPCNN_SANITIZE=address
 cmake --build build-asan
 MPCNN_THREADS=4 ctest --test-dir build-asan \
-  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|BitIm2col|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine' \
+  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|BitIm2col|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col' \
   --output-on-failure 2>&1 | tee asan_output.txt
 build-asan/tools/fuzz_artifact --iterations 1200 \
   2>&1 | tee -a asan_output.txt

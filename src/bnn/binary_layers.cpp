@@ -11,14 +11,24 @@
 namespace mpcnn::bnn {
 namespace {
 
-// Clip shadow weights to [-1, 1] (standard BNN training) and produce the
-// ±1 forward weights.
-void refresh_binary(Tensor& shadow, Tensor& binary) {
-  if (!binary.same_shape(shadow)) binary = Tensor(shadow.shape());
+// The ±1 forward weights of the shadow weights.
+Tensor signs(const Tensor& shadow) {
+  Tensor binary(shadow.shape());
   for (Dim i = 0; i < shadow.numel(); ++i) {
-    shadow[i] = std::clamp(shadow[i], -1.0f, 1.0f);
     binary[i] = sign_bit(shadow[i]) ? 1.0f : -1.0f;
   }
+  return binary;
+}
+
+// Clip shadow weights to [-1, 1] (standard BNN training) and keep the ±1
+// forward weights for backward.  sign_bit(clamp(w, -1, 1)) ==
+// sign_bit(w) for every float, -0.0 and NaN included, so the clip never
+// changes what infer() computes.
+void refresh_binary(Tensor& shadow, Tensor& binary) {
+  for (Dim i = 0; i < shadow.numel(); ++i) {
+    shadow[i] = std::clamp(shadow[i], -1.0f, 1.0f);
+  }
+  binary = signs(shadow);
 }
 
 }  // namespace
@@ -27,14 +37,13 @@ QuantizeInput::QuantizeInput(int bits) : bits_(bits), levels_((1 << bits) - 1) {
   MPCNN_CHECK(bits >= 1 && bits <= 16, "QuantizeInput bits " << bits);
 }
 
-Tensor QuantizeInput::forward(const Tensor& in) {
-  Tensor out = in;
+Tensor QuantizeInput::infer(Tensor in) const {
   const float levels = static_cast<float>(levels_);
-  for (Dim i = 0; i < out.numel(); ++i) {
-    const float clamped = std::clamp(out[i], 0.0f, 1.0f);
-    out[i] = std::round(clamped * levels) / levels;
+  for (Dim i = 0; i < in.numel(); ++i) {
+    const float clamped = std::clamp(in[i], 0.0f, 1.0f);
+    in[i] = std::round(clamped * levels) / levels;
   }
-  return out;
+  return in;
 }
 
 std::string QuantizeInput::name() const {
@@ -48,16 +57,19 @@ QuantActive::QuantActive(int bits)
   MPCNN_CHECK(bits >= 1 && bits <= 8, "QuantActive bits " << bits);
 }
 
+Tensor QuantActive::infer(Tensor in) const {
+  const float half_levels = static_cast<float>(levels_ - 1) / 2.0f;
+  for (Dim i = 0; i < in.numel(); ++i) {
+    const float clamped = std::clamp(in[i], -1.0f, 1.0f);
+    const float q = std::round((clamped + 1.0f) * half_levels);
+    in[i] = q / half_levels - 1.0f;
+  }
+  return in;
+}
+
 Tensor QuantActive::forward(const Tensor& in) {
   cached_in_ = in;
-  Tensor out = in;
-  const float half_levels = static_cast<float>(levels_ - 1) / 2.0f;
-  for (Dim i = 0; i < out.numel(); ++i) {
-    const float clamped = std::clamp(out[i], -1.0f, 1.0f);
-    const float q = std::round((clamped + 1.0f) * half_levels);
-    out[i] = q / half_levels - 1.0f;
-  }
-  return out;
+  return infer(in);
 }
 
 Tensor QuantActive::backward(const Tensor& grad_out) {
@@ -86,13 +98,16 @@ std::vector<float> QuantActive::level_values() const {
   return values;
 }
 
+Tensor BinActive::infer(Tensor in) const {
+  for (Dim i = 0; i < in.numel(); ++i) {
+    in[i] = sign_bit(in[i]) ? 1.0f : -1.0f;
+  }
+  return in;
+}
+
 Tensor BinActive::forward(const Tensor& in) {
   cached_in_ = in;
-  Tensor out = in;
-  for (Dim i = 0; i < out.numel(); ++i) {
-    out[i] = sign_bit(out[i]) ? 1.0f : -1.0f;
-  }
-  return out;
+  return infer(in);
 }
 
 Tensor BinActive::backward(const Tensor& grad_out) {
@@ -144,23 +159,26 @@ std::int64_t BinConv2D::macs(const Shape& in) const {
   return out_channels_ * g.patch_size() * g.positions();
 }
 
-Tensor BinConv2D::forward(const Tensor& in) {
-  refresh_binary(weight_.value, binary_weight_);
+Tensor BinConv2D::infer(Tensor in) const {
   const ConvGeometry g = geometry(in.shape());
-  cached_in_ = in;
+  const Tensor binary = signs(weight_.value);
   const Dim N = in.shape()[0];
   const Dim patch = g.patch_size(), pos = g.positions();
   Tensor out(output_shape(in.shape()));
-  col_scratch_.resize(static_cast<std::size_t>(patch * pos));
-  float* col = col_scratch_.data();
   const Dim in_per = in.numel() / N;
   const Dim out_per = out.numel() / N;
   for (Dim n = 0; n < N; ++n) {
-    im2col(g, in.data() + n * in_per, col);
-    gemm(out_channels_, pos, patch, 1.0f, binary_weight_.data(), col, 0.0f,
+    gemm(out_channels_, pos, patch, 1.0f, binary.data(),
+         patch_matrix(g, in.data() + n * in_per), 0.0f,
          out.data() + n * out_per);
   }
   return out;
+}
+
+Tensor BinConv2D::forward(const Tensor& in) {
+  refresh_binary(weight_.value, binary_weight_);
+  cached_in_ = in;
+  return infer(in);
 }
 
 Tensor BinConv2D::backward(const Tensor& grad_out) {
@@ -217,15 +235,20 @@ std::int64_t BinDense::macs(const Shape& in) const {
   return in_features_ * out_features_;
 }
 
+Tensor BinDense::infer(Tensor in) const {
+  const Shape out_shape = output_shape(in.shape());
+  const Tensor binary = signs(weight_.value);
+  Tensor out(out_shape);
+  gemm_bt(out_shape[0], out_features_, in_features_, 1.0f, in.data(),
+          binary.data(), 0.0f, out.data());
+  return out;
+}
+
 Tensor BinDense::forward(const Tensor& in) {
   refresh_binary(weight_.value, binary_weight_);
-  const Dim N = in.shape()[0];
   orig_in_shape_ = in.shape();
-  cached_in_ = in.reshaped(Shape{N, in_features_});
-  Tensor out(Shape{N, out_features_});
-  gemm_bt(N, out_features_, in_features_, 1.0f, cached_in_.data(),
-          binary_weight_.data(), 0.0f, out.data());
-  return out;
+  cached_in_ = in.reshaped(Shape{in.shape()[0], in_features_});
+  return infer(in);
 }
 
 Tensor BinDense::backward(const Tensor& grad_out) {

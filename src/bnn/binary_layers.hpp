@@ -19,7 +19,8 @@ class QuantizeInput final : public nn::Layer {
  public:
   explicit QuantizeInput(int bits = 8);
 
-  Tensor forward(const Tensor& in) override;
+  Tensor infer(Tensor in) const override;
+  Tensor forward(const Tensor& in) override { return infer(in); }
   Tensor backward(const Tensor& grad_out) override { return grad_out; }
   std::string name() const override;
   Shape output_shape(const Shape& in) const override { return in; }
@@ -38,6 +39,7 @@ class BinActive final : public nn::Layer {
  public:
   BinActive() = default;
 
+  Tensor infer(Tensor in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "binact"; }
@@ -60,6 +62,7 @@ class QuantActive final : public nn::Layer {
  public:
   explicit QuantActive(int bits);
 
+  Tensor infer(Tensor in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override;
@@ -79,6 +82,8 @@ class QuantActive final : public nn::Layer {
 
 /// Convolution with weights binarised to sign(W) in the forward pass.
 /// Stride 1, no padding (the Table I topology applies none).
+/// forward() clips the shadow weights to [-1, 1] in place; the const
+/// infer() cannot, and need not: clipping never changes a sign bit.
 class BinConv2D final : public nn::Layer {
  public:
   BinConv2D(Dim in_channels, Dim out_channels, Dim kernel);
@@ -86,6 +91,7 @@ class BinConv2D final : public nn::Layer {
   void init(Rng& rng);
   void init_params(Rng& rng) override { init(rng); }
 
+  Tensor infer(Tensor in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<nn::Param*> params() override { return {&weight_}; }
@@ -105,9 +111,8 @@ class BinConv2D final : public nn::Layer {
   nn::Param weight_;       // float shadow weights, clipped to [-1, 1]
   Tensor binary_weight_;   // sign(shadow), refreshed each forward
   Tensor cached_in_;
-  // Per-layer im2col scratch, reused across forward/backward calls so
-  // the hot training loop does not reallocate patch×positions floats
-  // every step.
+  // Per-layer backward scratch, reused across calls so the hot training
+  // loop does not reallocate patch×positions floats every step.
   std::vector<float> col_scratch_;
   std::vector<float> dcol_scratch_;
 };
@@ -120,6 +125,7 @@ class BinDense final : public nn::Layer {
   void init(Rng& rng);
   void init_params(Rng& rng) override { init(rng); }
 
+  Tensor infer(Tensor in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<nn::Param*> params() override { return {&weight_}; }

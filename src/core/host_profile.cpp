@@ -16,14 +16,14 @@ HostProfile measure_host_latency(nn::Net& net, const Tensor& images,
   net.set_training(false);
   const Dim n = images.shape()[0];
   // Warm-up pass so first-touch allocation does not pollute the timing.
-  (void)net.forward(images.slice_batch(0));
+  (void)net.predict(images.slice_batch(0));
 
   std::vector<double> per_rep;
   per_rep.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
     for (Dim i = 0; i < n; ++i) {
-      (void)net.forward(images.slice_batch(i));
+      (void)net.predict(images.slice_batch(i));
     }
     const auto end = std::chrono::steady_clock::now();
     per_rep.push_back(std::chrono::duration<double>(end - start).count() /

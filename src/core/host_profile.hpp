@@ -19,8 +19,9 @@ struct HostProfile {
   Dim measured_images = 0;
 };
 
-/// Measures eval-mode forward latency of `net` over `images` (NCHW batch)
-/// repeated `reps` times; returns the per-image median-of-means profile.
+/// Measures the per-image latency of `net.predict` — the call the host
+/// leg serves — over `images` (NCHW batch, one image per call) repeated
+/// `reps` times; returns the per-image median-of-means profile.
 HostProfile measure_host_latency(nn::Net& net, const Tensor& images,
                                  int reps = 3);
 

@@ -2,17 +2,18 @@
 
 namespace mpcnn::nn {
 
+Tensor ReLU::infer(Tensor in) const {
+  float* x = in.data();
+  const Dim n = in.numel();
+  for (Dim i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  return in;
+}
+
 Tensor ReLU::forward(const Tensor& in) {
-  Tensor out = in;
-  mask_.assign(static_cast<std::size_t>(in.numel()), false);
-  for (Dim i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.0f) {
-      mask_[static_cast<std::size_t>(i)] = true;
-    } else {
-      out[i] = 0.0f;
-    }
-  }
-  return out;
+  const Dim n = in.numel();
+  mask_.resize(static_cast<std::size_t>(n));
+  for (Dim i = 0; i < n; ++i) mask_[static_cast<std::size_t>(i)] = in[i] > 0.0f;
+  return infer(in);
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {

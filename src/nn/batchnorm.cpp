@@ -35,60 +35,61 @@ BatchNorm::BatchNorm(Dim channels, float momentum, float epsilon)
   running_var_.fill(1.0f);
 }
 
-Tensor BatchNorm::forward(const Tensor& in) {
+Tensor BatchNorm::infer(Tensor in) const {
   const ChannelView v = view_of(in.shape(), channels_);
-  Tensor out(in.shape());
-  const float count = static_cast<float>(v.N * v.per);
-  if (training_) {
-    batch_mean_ = Tensor(Shape{channels_});
-    batch_var_ = Tensor(Shape{channels_});
-    for (Dim c = 0; c < v.C; ++c) {
-      float mean = 0.0f;
-      for (Dim n = 0; n < v.N; ++n) {
-        const float* p = in.data() + (n * v.C + c) * v.per;
-        for (Dim i = 0; i < v.per; ++i) mean += p[i];
-      }
-      mean /= count;
-      float var = 0.0f;
-      for (Dim n = 0; n < v.N; ++n) {
-        const float* p = in.data() + (n * v.C + c) * v.per;
-        for (Dim i = 0; i < v.per; ++i) {
-          const float d = p[i] - mean;
-          var += d * d;
-        }
-      }
-      var /= count;
-      batch_mean_[c] = mean;
-      batch_var_[c] = var;
-      running_mean_[c] =
-          momentum_ * running_mean_[c] + (1.0f - momentum_) * mean;
-      running_var_[c] = momentum_ * running_var_[c] + (1.0f - momentum_) * var;
-    }
-    cached_in_ = in;
-    cached_xhat_ = Tensor(in.shape());
-    for (Dim n = 0; n < v.N; ++n) {
-      for (Dim c = 0; c < v.C; ++c) {
-        const float inv_std = 1.0f / std::sqrt(batch_var_[c] + epsilon_);
-        const float mean = batch_mean_[c];
-        const float g = gamma_.value[c], b = beta_.value[c];
-        const Dim base = (n * v.C + c) * v.per;
-        for (Dim i = 0; i < v.per; ++i) {
-          const float xhat = (in[base + i] - mean) * inv_std;
-          cached_xhat_[base + i] = xhat;
-          out[base + i] = g * xhat + b;
-        }
-      }
-    }
-    return out;
-  }
   for (Dim n = 0; n < v.N; ++n) {
     for (Dim c = 0; c < v.C; ++c) {
       const float inv_std = 1.0f / std::sqrt(running_var_[c] + epsilon_);
       const float mean = running_mean_[c];
       const float g = gamma_.value[c], b = beta_.value[c];
+      float* x = in.data() + (n * v.C + c) * v.per;
+      for (Dim i = 0; i < v.per; ++i) x[i] = g * (x[i] - mean) * inv_std + b;
+    }
+  }
+  return in;
+}
+
+Tensor BatchNorm::forward(const Tensor& in) {
+  if (!training_) return infer(in);
+  const ChannelView v = view_of(in.shape(), channels_);
+  Tensor out(in.shape());
+  const float count = static_cast<float>(v.N * v.per);
+  batch_mean_ = Tensor(Shape{channels_});
+  batch_var_ = Tensor(Shape{channels_});
+  for (Dim c = 0; c < v.C; ++c) {
+    float mean = 0.0f;
+    for (Dim n = 0; n < v.N; ++n) {
+      const float* p = in.data() + (n * v.C + c) * v.per;
+      for (Dim i = 0; i < v.per; ++i) mean += p[i];
+    }
+    mean /= count;
+    float var = 0.0f;
+    for (Dim n = 0; n < v.N; ++n) {
+      const float* p = in.data() + (n * v.C + c) * v.per;
+      for (Dim i = 0; i < v.per; ++i) {
+        const float d = p[i] - mean;
+        var += d * d;
+      }
+    }
+    var /= count;
+    batch_mean_[c] = mean;
+    batch_var_[c] = var;
+    running_mean_[c] =
+        momentum_ * running_mean_[c] + (1.0f - momentum_) * mean;
+    running_var_[c] = momentum_ * running_var_[c] + (1.0f - momentum_) * var;
+  }
+  cached_in_ = in;
+  cached_xhat_ = Tensor(in.shape());
+  for (Dim n = 0; n < v.N; ++n) {
+    for (Dim c = 0; c < v.C; ++c) {
+      const float inv_std = 1.0f / std::sqrt(batch_var_[c] + epsilon_);
+      const float mean = batch_mean_[c];
+      const float g = gamma_.value[c], b = beta_.value[c];
       const Dim base = (n * v.C + c) * v.per;
       for (Dim i = 0; i < v.per; ++i) {
-        out[base + i] = g * (in[base + i] - mean) * inv_std + b;
+        const float xhat = (in[base + i] - mean) * inv_std;
+        cached_xhat_[base + i] = xhat;
+        out[base + i] = g * xhat + b;
       }
     }
   }

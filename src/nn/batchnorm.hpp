@@ -16,6 +16,8 @@ class BatchNorm final : public Layer {
   explicit BatchNorm(Dim channels, float momentum = 0.9f,
                      float epsilon = 1e-5f);
 
+  /// Normalises with the running statistics, in place.
+  Tensor infer(Tensor in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;

@@ -66,33 +66,48 @@ std::int64_t Conv2D::macs(const Shape& in) const {
   return out_channels_ * g.patch_size() * g.positions();
 }
 
-Tensor Conv2D::forward(const Tensor& in) {
+Tensor Conv2D::run(const Tensor& in, bool relu) const {
   const ConvGeometry g = geometry(in.shape());
-  cached_in_ = in;
   const Dim N = in.shape()[0];
   const Dim patch = g.patch_size(), pos = g.positions();
   Tensor out(output_shape(in.shape()));
   const Dim in_per = in.numel() / N;
   const Dim out_per = out.numel() / N;
+  const float* bias = has_bias_ ? bias_.value.data() : nullptr;
   // Batch fan-out: each image writes its own slice of `out`, so chunks
   // are disjoint and the per-image compute order is fixed (the nested
   // im2col/gemm parallel_for calls run inline inside a chunk).
   core::parallel_for(0, N, 1, [&](Dim n0, Dim n1) {
-    std::vector<float> col(static_cast<std::size_t>(patch * pos));
     for (Dim n = n0; n < n1; ++n) {
-      im2col(g, in.data() + n * in_per, col.data());
-      gemm(out_channels_, pos, patch, 1.0f, weight_.value.data(), col.data(),
-           0.0f, out.data() + n * out_per);
-      if (has_bias_) {
-        float* o = out.data() + n * out_per;
-        for (Dim oc = 0; oc < out_channels_; ++oc) {
-          const float b = bias_.value[oc];
-          for (Dim p = 0; p < pos; ++p) o[oc * pos + p] += b;
+      float* o = out.data() + n * out_per;
+      gemm(out_channels_, pos, patch, 1.0f, weight_.value.data(),
+           patch_matrix(g, in.data() + n * in_per), 0.0f, o);
+      // Per-row epilogue: the bias pass and, when fused, the following
+      // ReLU, in the exact form of the separate layers: v = acc + b,
+      // then v > 0 ? v : 0 (std::max would keep NaN).
+      for (Dim oc = 0; oc < out_channels_; ++oc) {
+        float* row = o + oc * pos;
+        if (bias != nullptr && relu) {
+          const float b = bias[oc];
+          for (Dim p = 0; p < pos; ++p) {
+            const float v = row[p] + b;
+            row[p] = v > 0.0f ? v : 0.0f;
+          }
+        } else if (bias != nullptr) {
+          const float b = bias[oc];
+          for (Dim p = 0; p < pos; ++p) row[p] += b;
+        } else if (relu) {
+          for (Dim p = 0; p < pos; ++p) row[p] = row[p] > 0.0f ? row[p] : 0.0f;
         }
       }
     }
   });
   return out;
+}
+
+Tensor Conv2D::forward(const Tensor& in) {
+  cached_in_ = in;
+  return run(cached_in_, false);
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {

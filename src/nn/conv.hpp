@@ -18,6 +18,11 @@ class Conv2D final : public Layer {
   void init(Rng& rng);
   void init_params(Rng& rng) override { init(rng); }
 
+  Tensor infer(Tensor in) const override { return run(in, false); }
+  /// infer() followed by a ReLU, fused into the per-row epilogue over
+  /// the GEMM output: v = acc + bias, then v > 0 ? v : 0 — the exact
+  /// operations of the separate bias pass and ReLU layer.
+  Tensor infer_relu(const Tensor& in) const { return run(in, true); }
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
@@ -37,6 +42,7 @@ class Conv2D final : public Layer {
 
  private:
   ConvGeometry geometry(const Shape& in) const;
+  Tensor run(const Tensor& in, bool relu) const;
 
   Dim in_channels_, out_channels_, kernel_, stride_, pad_;
   bool has_bias_;

@@ -36,16 +36,16 @@ std::int64_t Dense::macs(const Shape& in) const {
   return in_features_ * out_features_;
 }
 
-Tensor Dense::forward(const Tensor& in) {
+Tensor Dense::infer(Tensor in) const {
   const Shape out_shape = output_shape(in.shape());
   const Dim N = in.shape()[0];
-  orig_in_shape_ = in.shape();
-  cached_in_ = in.reshaped(Shape{N, in_features_});
   Tensor out(out_shape);
-  // out (N x OD) = x (N x ID) * W^T (ID x OD).  The batch dimension is M
-  // of the gemm, so the whole forward is already batch-parallel on the
-  // shared pool; the bias fan-out below chunks the same rows.
-  gemm_bt(N, out_features_, in_features_, 1.0f, cached_in_.data(),
+  // out (N x OD) = x (N x ID) * W^T (ID x OD), reading the input in its
+  // own (row-major, hence already flattened) storage.  The batch
+  // dimension is M of the gemm, so the whole forward is already
+  // batch-parallel on the shared pool; the bias fan-out below chunks the
+  // same rows.
+  gemm_bt(N, out_features_, in_features_, 1.0f, in.data(),
           weight_.value.data(), 0.0f, out.data());
   if (has_bias_) {
     core::parallel_for(0, N, 8, [&](Dim n0, Dim n1) {
@@ -54,6 +54,13 @@ Tensor Dense::forward(const Tensor& in) {
           out[n * out_features_ + o] += bias_.value[o];
     });
   }
+  return out;
+}
+
+Tensor Dense::forward(const Tensor& in) {
+  Tensor out = infer(in);
+  orig_in_shape_ = in.shape();
+  cached_in_ = in.reshaped(Shape{in.shape()[0], in_features_});
   return out;
 }
 

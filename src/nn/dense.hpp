@@ -15,6 +15,7 @@ class Dense final : public Layer {
   void init(Rng& rng);
   void init_params(Rng& rng) override { init(rng); }
 
+  Tensor infer(Tensor in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;

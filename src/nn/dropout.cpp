@@ -11,7 +11,7 @@ Dropout::Dropout(float rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
 Tensor Dropout::forward(const Tensor& in) {
   if (!training_ || rate_ == 0.0f) {
     keep_.clear();
-    return in;
+    return infer(in);
   }
   Tensor out = in;
   keep_.assign(static_cast<std::size_t>(in.numel()), true);

@@ -11,6 +11,8 @@ class Dropout final : public Layer {
  public:
   explicit Dropout(float rate, std::uint64_t seed = 0xD120u);
 
+  /// Identity: inverted dropout scales at training time only.
+  Tensor infer(Tensor in) const override { return in; }
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override;

@@ -1,6 +1,8 @@
 // Flatten layer: (N, C, H, W) → (N, C·H·W).
 #pragma once
 
+#include <utility>
+
 #include "nn/layer.hpp"
 
 namespace mpcnn::nn {
@@ -10,9 +12,14 @@ class Flatten final : public Layer {
  public:
   Flatten() = default;
 
+  Tensor infer(Tensor in) const override {
+    const Shape out = output_shape(in.shape());
+    return std::move(in).reshaped(out);
+  }
+
   Tensor forward(const Tensor& in) override {
     in_shape_ = in.shape();
-    return in.reshaped(output_shape(in_shape_));
+    return infer(in);
   }
 
   Tensor backward(const Tensor& grad_out) override {

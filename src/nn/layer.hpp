@@ -21,9 +21,14 @@ struct Param {
       : name(std::move(n)), value(shape), grad(shape) {}
 };
 
-/// Base class for all layers.  Layers are stateful: forward() caches
-/// whatever backward() needs, so a forward/backward pair must not be
-/// interleaved with another forward on the same layer instance.
+/// Base class for all layers.  Two entry points compute the output:
+/// infer() is the inference path — const, eval-mode, and it touches no
+/// member, so one layer may serve concurrent callers.  forward() is the
+/// training forward: it caches whatever backward() needs, so a
+/// forward/backward pair must not be interleaved with another forward
+/// on the same layer instance.  In eval mode its output is bit-identical
+/// to infer(); only batch-norm and dropout compute differently when
+/// training.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -31,7 +36,13 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Computes the layer output for a (possibly batched) input.
+  /// Eval-mode output for a (possibly batched) input.  Takes the input
+  /// by value so pointwise layers can work in its storage.
+  virtual Tensor infer(Tensor in) const = 0;
+
+  /// Training forward: records what backward() needs, then computes the
+  /// output (the infer() math, plus the training branches of batch-norm
+  /// and dropout).
   virtual Tensor forward(const Tensor& in) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns

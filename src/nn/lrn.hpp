@@ -13,6 +13,7 @@ class LRN final : public Layer {
   explicit LRN(Dim local_size = 3, float alpha = 5e-5f, float beta = 0.75f,
                float k = 1.0f);
 
+  Tensor infer(Tensor in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "lrn"; }
@@ -22,7 +23,6 @@ class LRN final : public Layer {
   Dim local_size_;
   float alpha_, beta_, k_;
   Tensor cached_in_;
-  Tensor cached_scale_;  // k + (alpha/n)·Σ a²  per element
 };
 
 }  // namespace mpcnn::nn

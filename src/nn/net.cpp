@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <utility>
+
+#include "nn/activations.hpp"
+#include "nn/conv.hpp"
 
 namespace mpcnn::nn {
 
@@ -14,6 +18,23 @@ Tensor Net::forward(const Tensor& in) {
   MPCNN_CHECK(!layers_.empty(), "forward through empty net " << name_);
   Tensor x = in;
   for (auto& layer : layers_) x = layer->forward(x);
+  return x;
+}
+
+Tensor Net::infer(const Tensor& in) const {
+  MPCNN_CHECK(!layers_.empty(), "infer through empty net " << name_);
+  Tensor x = in;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Layer& layer = *layers_[i];
+    const auto* conv = dynamic_cast<const Conv2D*>(&layer);
+    if (conv != nullptr && i + 1 < layers_.size() &&
+        dynamic_cast<const ReLU*>(layers_[i + 1].get()) != nullptr) {
+      x = conv->infer_relu(x);
+      ++i;
+    } else {
+      x = layer.infer(std::move(x));
+    }
+  }
   return x;
 }
 
@@ -52,7 +73,7 @@ void Net::set_training(bool training) {
 }
 
 std::vector<int> Net::predict(const Tensor& batch) {
-  const Tensor out = forward(batch);
+  const Tensor out = infer(batch);
   MPCNN_CHECK(out.shape().rank() >= 2, "predict expects batched scores");
   const Dim N = out.shape()[0];
   const Dim C = out.numel() / N;

@@ -31,8 +31,15 @@ class Net {
   /// Randomise all learnable parameters.
   void init(Rng& rng);
 
-  /// Forward through every layer.
+  /// Training forward through every layer (caches for backward()).
   Tensor forward(const Tensor& in);
+
+  /// Eval-mode logits through the layers' const infer() path.  Touches
+  /// no layer state, so concurrent calls on one Net are safe, each under
+  /// its own core::SerialGuard (the shared pool runs one top-level region
+  /// at a time).  A Conv2D directly followed by a ReLU runs as one fused
+  /// conv+ReLU epilogue.  Bit-identical to forward() in eval mode.
+  Tensor infer(const Tensor& in) const;
 
   /// Backward from dLoss/dOutput; returns dLoss/dInput.
   Tensor backward(const Tensor& grad_out);
@@ -48,10 +55,7 @@ class Net {
 
   void set_training(bool training);
 
-  /// Raw class scores (logits) for a batch of images.
-  Tensor scores(const Tensor& batch) { return forward(batch); }
-
-  /// Argmax class per batch row.
+  /// Argmax class per batch row of infer().
   std::vector<int> predict(const Tensor& batch);
 
   /// Top-1 accuracy over a dataset given in one tensor.

@@ -27,18 +27,12 @@ Shape Pool2D::output_shape(const Shape& in) const {
                pooled_extent(in[3], kernel_, stride_)};
 }
 
-Tensor Pool2D::forward(const Tensor& in) {
-  in_shape_ = in.shape();
+Tensor Pool2D::pool(const Tensor& in, Dim* argmax, float* counts) const {
   const Shape out_shape = output_shape(in.shape());
   Tensor out(out_shape);
-  const Dim N = in_shape_[0], C = in_shape_[1], H = in_shape_[2],
-            W = in_shape_[3];
+  const Dim N = in.shape()[0], C = in.shape()[1], H = in.shape()[2],
+            W = in.shape()[3];
   const Dim OH = out_shape[2], OW = out_shape[3];
-  if (mode_ == PoolMode::kMax) {
-    argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
-  } else {
-    counts_.assign(static_cast<std::size_t>(out.numel()), 0.0f);
-  }
   Dim oi = 0;
   for (Dim n = 0; n < N; ++n) {
     for (Dim c = 0; c < C; ++c) {
@@ -62,21 +56,34 @@ Tensor Pool2D::forward(const Tensor& in) {
               }
             }
             out[oi] = best;
-            argmax_[static_cast<std::size_t>(oi)] =
-                (n * C + c) * H * W + best_idx;
+            if (argmax != nullptr) argmax[oi] = (n * C + c) * H * W + best_idx;
           } else {
             float acc = 0.0f;
             for (Dim h = h0; h < h1; ++h)
               for (Dim w = w0; w < w1; ++w) acc += plane[h * W + w];
             const float count = static_cast<float>((h1 - h0) * (w1 - w0));
             out[oi] = acc / count;
-            counts_[static_cast<std::size_t>(oi)] = count;
+            if (counts != nullptr) counts[oi] = count;
           }
         }
       }
     }
   }
   return out;
+}
+
+Tensor Pool2D::infer(Tensor in) const { return pool(in, nullptr, nullptr); }
+
+Tensor Pool2D::forward(const Tensor& in) {
+  in_shape_ = in.shape();
+  const auto outputs =
+      static_cast<std::size_t>(output_shape(in_shape_).numel());
+  if (mode_ == PoolMode::kMax) {
+    argmax_.assign(outputs, 0);
+    return pool(in, argmax_.data(), nullptr);
+  }
+  counts_.assign(outputs, 0.0f);
+  return pool(in, nullptr, counts_.data());
 }
 
 Tensor Pool2D::backward(const Tensor& grad_out) {
@@ -125,11 +132,10 @@ Shape GlobalAvgPool::output_shape(const Shape& in) const {
   return Shape{in[0], in[1], 1, 1};
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& in) {
-  in_shape_ = in.shape();
-  const Dim N = in_shape_[0], C = in_shape_[1],
-            HW = in_shape_[2] * in_shape_[3];
-  Tensor out(output_shape(in_shape_));
+Tensor GlobalAvgPool::infer(Tensor in) const {
+  const Dim N = in.shape()[0], C = in.shape()[1],
+            HW = in.shape()[2] * in.shape()[3];
+  Tensor out(output_shape(in.shape()));
   for (Dim n = 0; n < N; ++n) {
     for (Dim c = 0; c < C; ++c) {
       const float* plane = in.data() + (n * C + c) * HW;
@@ -139,6 +145,11 @@ Tensor GlobalAvgPool::forward(const Tensor& in) {
     }
   }
   return out;
+}
+
+Tensor GlobalAvgPool::forward(const Tensor& in) {
+  in_shape_ = in.shape();
+  return infer(in);
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {

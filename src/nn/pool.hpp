@@ -15,6 +15,7 @@ class Pool2D final : public Layer {
  public:
   Pool2D(PoolMode mode, Dim kernel, Dim stride);
 
+  Tensor infer(Tensor in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override;
@@ -25,6 +26,10 @@ class Pool2D final : public Layer {
   Dim stride() const { return stride_; }
 
  private:
+  // The window loop of infer() and forward(); forward passes `argmax`
+  // (kMax) or `counts` (kAverage) to record what backward() needs.
+  Tensor pool(const Tensor& in, Dim* argmax, float* counts) const;
+
   PoolMode mode_;
   Dim kernel_, stride_;
   Shape in_shape_;
@@ -38,6 +43,7 @@ class GlobalAvgPool final : public Layer {
  public:
   GlobalAvgPool() = default;
 
+  Tensor infer(Tensor in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "global-avg-pool"; }

@@ -18,11 +18,12 @@ class Scale final : public Layer {
     MPCNN_CHECK(factor > 0.0f, "Scale factor must be positive");
   }
 
-  Tensor forward(const Tensor& in) override {
-    Tensor out = in;
-    out.scale(factor_);
-    return out;
+  Tensor infer(Tensor in) const override {
+    in.scale(factor_);
+    return in;
   }
+
+  Tensor forward(const Tensor& in) override { return infer(in); }
 
   Tensor backward(const Tensor& grad_out) override {
     Tensor grad_in = grad_out;

@@ -108,26 +108,32 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
   // (kb x nb) block with rows of length nb back to back, so the inner
   // kernel streams unit-stride loads instead of striding by N on every
   // k.  The packed panels are shared read-only by all M-tile workers and
-  // reused across the whole K-loop of each tile.  Packing is a pure copy,
-  // so it cannot perturb the floating-point result.
+  // reused across the whole K-loop of each tile.  With one column panel
+  // (N <= kNc) panel (kt, 0) already is B + k0·N with rows of length N,
+  // so B is read in place; wider B is packed, where 4 KiB row strides
+  // would alias in L1.  Either way the tile sees the same values, so the
+  // floating-point result cannot change.
   const std::int64_t panel = kKc * kNc;
+  const bool in_place = ntiles == 1;
   std::vector<float>& Bp = packed_b_scratch();
-  if (static_cast<std::int64_t>(Bp.size()) < ktiles * ntiles * panel) {
-    Bp.resize(static_cast<std::size_t>(ktiles * ntiles * panel));
-  }
-  core::parallel_for(0, ktiles * ntiles, 1, [&](std::int64_t t0,
-                                                std::int64_t t1) {
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t k0 = (t / ntiles) * kKc;
-      const std::int64_t j0 = (t % ntiles) * kNc;
-      const std::int64_t kb = std::min(kKc, K - k0);
-      const std::int64_t nb = std::min(kNc, N - j0);
-      float* dst = Bp.data() + t * panel;
-      for (std::int64_t k = 0; k < kb; ++k) {
-        std::copy_n(B + (k0 + k) * N + j0, nb, dst + k * nb);
-      }
+  if (!in_place) {
+    if (static_cast<std::int64_t>(Bp.size()) < ktiles * ntiles * panel) {
+      Bp.resize(static_cast<std::size_t>(ktiles * ntiles * panel));
     }
-  });
+    core::parallel_for(0, ktiles * ntiles, 1, [&](std::int64_t t0,
+                                                  std::int64_t t1) {
+      for (std::int64_t t = t0; t < t1; ++t) {
+        const std::int64_t k0 = (t / ntiles) * kKc;
+        const std::int64_t j0 = (t % ntiles) * kNc;
+        const std::int64_t kb = std::min(kKc, K - k0);
+        const std::int64_t nb = std::min(kNc, N - j0);
+        float* dst = Bp.data() + t * panel;
+        for (std::int64_t k = 0; k < kb; ++k) {
+          std::copy_n(B + (k0 + k) * N + j0, nb, dst + k * nb);
+        }
+      }
+    });
+  }
 
   // One chunk per M-tile: each output row is scaled and accumulated by
   // exactly one thread with the k0-ascending order of the serial kernel,
@@ -145,8 +151,9 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
         for (std::int64_t nt = 0; nt < ntiles; ++nt) {
           const std::int64_t j0 = nt * kNc;
           const std::int64_t nb = std::min(kNc, N - j0);
-          kern.tile(mb, nb, kb, alpha, A + i0 * K + k0, K,
-                    Bp_data + (kt * ntiles + nt) * panel, nb,
+          const float* Bt = in_place ? B + k0 * N
+                                     : Bp_data + (kt * ntiles + nt) * panel;
+          kern.tile(mb, nb, kb, alpha, A + i0 * K + k0, K, Bt, nb,
                     C + i0 * N + j0, N);
         }
       }

@@ -35,6 +35,12 @@ struct ConvGeometry {
 /// channel-major, row-major-within-kernel order.
 void im2col(const ConvGeometry& g, const float* im, float* col);
 
+/// The patch matrix of `im` for geometry `g`: `im` itself when the
+/// lowering is the identity (1×1 kernel, stride 1, no pad), otherwise
+/// im2col into a per-thread scratch buffer that stays valid until this
+/// thread's next call.
+const float* patch_matrix(const ConvGeometry& g, const float* im);
+
 /// Scatter-add the columns back into an image (gradient of im2col).
 /// `im` must be zeroed by the caller.
 void col2im(const ConvGeometry& g, const float* col, float* im);

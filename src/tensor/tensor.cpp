@@ -38,10 +38,16 @@ float Tensor::at4(Dim n, Dim c, Dim h, Dim w) const {
   return data_[static_cast<std::size_t>(((n * C + c) * H + h) * W + w)];
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
   MPCNN_CHECK(new_shape.numel() == numel(),
               "reshape " << shape_.str() << " -> " << new_shape.str());
   return Tensor(std::move(new_shape), data_);
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
+  MPCNN_CHECK(new_shape.numel() == numel(),
+              "reshape " << shape_.str() << " -> " << new_shape.str());
+  return Tensor(std::move(new_shape), std::move(data_));
 }
 
 Tensor Tensor::slice_batch(Dim n) const {

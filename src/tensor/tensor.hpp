@@ -14,8 +14,7 @@ namespace mpcnn {
 /// cheap.  Image batches use NCHW layout.
 class Tensor {
  public:
-  /// Empty tensor (rank 0, zero elements in storage semantics: numel()==1
-  /// is avoided by storing an actual scalar only when constructed so).
+  /// Empty tensor: shape (0), no elements.
   Tensor() : shape_({0}) {}
 
   /// Zero-initialised tensor of the given shape.
@@ -25,7 +24,9 @@ class Tensor {
   Tensor(Shape shape, std::vector<float> data);
 
   const Shape& shape() const { return shape_; }
-  Dim numel() const { return shape_.numel(); }
+  /// Element count: the storage size, which the constructors keep equal
+  /// to shape().numel() (a moved-from tensor reports 0).
+  Dim numel() const { return static_cast<Dim>(data_.size()); }
 
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
@@ -43,7 +44,9 @@ class Tensor {
   float at4(Dim n, Dim c, Dim h, Dim w) const;
 
   /// Returns a tensor with the same data and a new shape of equal numel.
-  Tensor reshaped(Shape new_shape) const;
+  Tensor reshaped(Shape new_shape) const&;
+  /// Same, handing this tensor's storage over instead of copying it.
+  Tensor reshaped(Shape new_shape) &&;
 
   /// Extracts item `n` of the batch dimension as a rank-(r-1)... kept as
   /// rank-r with leading dim 1 for layer compatibility.

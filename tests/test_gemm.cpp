@@ -49,7 +49,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{4, 8, 16}, GemmShape{64, 64, 64},
                       GemmShape{65, 257, 300},  // crosses block boundaries
                       GemmShape{128, 100, 576}, GemmShape{10, 784, 27},
-                      GemmShape{1, 300, 1}, GemmShape{300, 1, 300}));
+                      GemmShape{1, 300, 1}, GemmShape{300, 1, 300},
+                      // Either side of the in-place/packed B boundary
+                      // (N = 256), over 1 to 3 k-tiles.
+                      GemmShape{18, 256, 162}, GemmShape{18, 257, 162},
+                      GemmShape{36, 256, 324}, GemmShape{5, 256, 513}));
 
 // Tile-boundary-hostile shapes: every dimension deliberately off the
 // 64/256 blocking (±1 around tile edges, plus the degenerate 1 and 3),
@@ -92,7 +96,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{3, 3, 3}, GemmShape{63, 255, 257},
                       GemmShape{65, 3, 255}, GemmShape{1, 257, 63},
                       GemmShape{127, 129, 1}, GemmShape{66, 258, 3},
-                      GemmShape{129, 511, 259}));
+                      GemmShape{129, 511, 259}, GemmShape{18, 256, 162},
+                      GemmShape{18, 257, 162}, GemmShape{36, 256, 324},
+                      GemmShape{5, 256, 513}));
 
 TEST(Gemm, BetaZeroOverwritesGarbage) {
   const Dim M = 4, N = 4, K = 4;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "tensor/rng.hpp"
@@ -70,6 +71,64 @@ TEST(Im2Col, ChannelMajorRowOrder) {
   im2col(g, im.data(), col.data());
   const std::vector<float> expected = {1, 2, 3, 4, 10, 20, 30, 40};
   EXPECT_EQ(col, expected);
+}
+
+TEST(Im2Col, HostileGeometriesMatchPerElementReference) {
+  // {channels, in_h, in_w, kernel, stride, pad}
+  const ConvGeometry geometries[] = {
+      {2, 4, 5, 3, 1, 3},   // pad >= kernel
+      {3, 3, 2, 3, 1, 4},   // pad >= input width and height
+      {1, 1, 1, 7, 1, 3},   // 1x1 input, pad on every side
+      {2, 9, 11, 2, 3, 0},  // stride > kernel
+      {2, 8, 7, 1, 4, 1},   // 1x1 kernel, stride > kernel, padded
+      {2, 10, 13, 5, 3, 2}, // stride 3 over odd sizes
+      {3, 1, 1, 1, 1, 0},   // 1x1 input, identity lowering
+      {2, 1, 1, 3, 2, 1},   // 1x1 input, padded and strided
+  };
+  Rng rng(31);
+  for (const ConvGeometry& g : geometries) {
+    ASSERT_TRUE(g.valid());
+    std::vector<float> im(
+        static_cast<std::size_t>(g.in_channels * g.in_h * g.in_w));
+    for (float& v : im) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const Dim OW = g.out_w(), pos = g.positions();
+    std::vector<float> want(static_cast<std::size_t>(g.patch_size() * pos));
+    for (Dim row = 0; row < g.patch_size(); ++row) {
+      const Dim c = row / (g.kernel * g.kernel);
+      const Dim kh = row / g.kernel % g.kernel, kw = row % g.kernel;
+      for (Dim p = 0; p < pos; ++p) {
+        const Dim ih = p / OW * g.stride + kh - g.pad;
+        const Dim iw = p % OW * g.stride + kw - g.pad;
+        const bool inside = ih >= 0 && ih < g.in_h && iw >= 0 && iw < g.in_w;
+        want[static_cast<std::size_t>(row * pos + p)] =
+            inside ? im[static_cast<std::size_t>((c * g.in_h + ih) * g.in_w +
+                                                 iw)]
+                   : 0.0f;
+      }
+    }
+    // NaN sentinels: a cell im2col never writes cannot compare equal.
+    std::vector<float> col(want.size(),
+                           std::numeric_limits<float>::quiet_NaN());
+    im2col(g, im.data(), col.data());
+    const float* patches = patch_matrix(g, im.data());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(col[i], want[i])
+          << "geometry c" << g.in_channels << " " << g.in_h << "x" << g.in_w
+          << " k" << g.kernel << " s" << g.stride << " p" << g.pad
+          << " element " << i;
+      ASSERT_EQ(patches[i], want[i]) << "patch_matrix element " << i;
+    }
+  }
+}
+
+TEST(Im2Col, PatchMatrixIsTheInputOnlyForTheIdentityLowering) {
+  const std::vector<float> im(2 * 4 * 4, 1.0f);
+  EXPECT_EQ(patch_matrix(ConvGeometry{2, 4, 4, 1, 1, 0}, im.data()),
+            im.data());
+  EXPECT_NE(patch_matrix(ConvGeometry{2, 4, 4, 1, 1, 1}, im.data()),
+            im.data());
+  EXPECT_NE(patch_matrix(ConvGeometry{2, 4, 4, 1, 2, 0}, im.data()),
+            im.data());
 }
 
 TEST(Col2Im, IsAdjointOfIm2Col) {

@@ -286,6 +286,42 @@ TEST(XnorAbft, EveryMutatingArmedFaultIsCaughtExactly) {
   EXPECT_EQ(detected_total, fired_total);
 }
 
+// While rows·cols fits in 2^30 the checksum side sums each position's
+// data lanes in wrapping 32-bit arithmetic.  A corrupted lane can push
+// the exact sum past INT32_MAX; the Detection then reports the wrapped
+// value.  Zero bit matrices make every clean lane +cols, so the clean
+// sum is rows·cols = 2^24, and seed 244 flips position 0's lane into a
+// value that overflows int32 once the other 255 lanes are added.
+TEST(XnorAbft, ChecksumSumWrapsAtThirtyTwoBits) {
+  const Dim rows = 256, cols = 65536, n = 8;
+  const bnn::BitMatrix a(rows, cols);
+  const bnn::BitMatrix b(n, cols);
+  std::vector<Detection> sink;
+  std::vector<std::int32_t> c(static_cast<std::size_t>(rows * n));
+  ScopeOptions opts = full_scope(&sink);
+  opts.faults.push_back(armed(ComputeFaultKind::kPartialSumCorruption, 244));
+  {
+    Scope scope(opts);
+    bnn::xnor_gemm(a, b, c.data());
+  }
+  ASSERT_EQ(sink.size(), 1u);
+  const Detection& d = sink.front();
+  EXPECT_EQ(d.family, KernelFamily::kXnorGemm);
+  EXPECT_EQ(d.ref, static_cast<double>(rows * cols));
+  ASSERT_GE(d.lane, 0);
+  ASSERT_LT(d.lane, n);
+  std::int64_t exact = 0;
+  for (Dim r = 0; r < rows; ++r) {
+    exact += c[static_cast<std::size_t>(r * n + d.lane)];
+  }
+  ASSERT_GT(exact, std::numeric_limits<std::int32_t>::max())
+      << "seed 244's fault does not overflow the int32 sum";
+  const auto wrapped =
+      static_cast<std::int32_t>(static_cast<std::uint32_t>(exact));
+  EXPECT_EQ(d.got, static_cast<double>(wrapped));
+  EXPECT_NE(d.got, static_cast<double>(exact));
+}
+
 // ------------------------------------------- engine path equivalence
 
 TEST(InstrumentedEngine, CheckedPathMatchesFusedAndScalarOracle) {
