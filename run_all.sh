@@ -116,13 +116,14 @@ MPCNN_THREADS=4 ctest --test-dir build-tsan \
 # artifact loaders and the corruption fuzzer, whose bounded reads parse
 # hostile bytes by design, and the packed engine, whose pixel-field
 # reads and writes touch the word after each field and whose checked
-# stages write padded accumulator lanes, and the float inference path,
-# whose im2col row copies and in-place GEMM operands read input rows
-# directly.
+# stages write padded accumulator lanes, and the float inference path
+# and the GEMM shape suites, whose im2col row copies read input rows
+# directly and whose GEMM tiles read B in place when it is one panel
+# wide.
 cmake -B build-asan -G Ninja -DMPCNN_SANITIZE=address
 cmake --build build-asan
 MPCNN_THREADS=4 ctest --test-dir build-asan \
-  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|BitIm2col|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col' \
+  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|BitIm2col|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|GemmVsNaive|GemmVariantsHostile' \
   --output-on-failure 2>&1 | tee asan_output.txt
 build-asan/tools/fuzz_artifact --iterations 1200 \
   2>&1 | tee -a asan_output.txt

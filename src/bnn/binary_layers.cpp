@@ -160,8 +160,11 @@ std::int64_t BinConv2D::macs(const Shape& in) const {
 }
 
 Tensor BinConv2D::infer(Tensor in) const {
+  return run(in, signs(weight_.value));
+}
+
+Tensor BinConv2D::run(const Tensor& in, const Tensor& binary) const {
   const ConvGeometry g = geometry(in.shape());
-  const Tensor binary = signs(weight_.value);
   const Dim N = in.shape()[0];
   const Dim patch = g.patch_size(), pos = g.positions();
   Tensor out(output_shape(in.shape()));
@@ -178,7 +181,7 @@ Tensor BinConv2D::infer(Tensor in) const {
 Tensor BinConv2D::forward(const Tensor& in) {
   refresh_binary(weight_.value, binary_weight_);
   cached_in_ = in;
-  return infer(in);
+  return run(cached_in_, binary_weight_);
 }
 
 Tensor BinConv2D::backward(const Tensor& grad_out) {
@@ -186,15 +189,13 @@ Tensor BinConv2D::backward(const Tensor& grad_out) {
   const Dim N = cached_in_.shape()[0];
   const Dim patch = g.patch_size(), pos = g.positions();
   Tensor grad_in(cached_in_.shape());
-  col_scratch_.resize(static_cast<std::size_t>(patch * pos));
   dcol_scratch_.resize(static_cast<std::size_t>(patch * pos));
-  float* col = col_scratch_.data();
   float* dcol = dcol_scratch_.data();
   const Dim in_per = cached_in_.numel() / N;
   const Dim out_per = grad_out.numel() / N;
   for (Dim n = 0; n < N; ++n) {
     const float* go = grad_out.data() + n * out_per;
-    im2col(g, cached_in_.data() + n * in_per, col);
+    const float* col = patch_matrix(g, cached_in_.data() + n * in_per);
     // STE: gradient w.r.t. the binary weights lands on the shadow weights.
     gemm_bt(out_channels_, patch, pos, 1.0f, go, col, 1.0f,
             weight_.grad.data());
@@ -236,8 +237,11 @@ std::int64_t BinDense::macs(const Shape& in) const {
 }
 
 Tensor BinDense::infer(Tensor in) const {
+  return run(in, signs(weight_.value));
+}
+
+Tensor BinDense::run(const Tensor& in, const Tensor& binary) const {
   const Shape out_shape = output_shape(in.shape());
-  const Tensor binary = signs(weight_.value);
   Tensor out(out_shape);
   gemm_bt(out_shape[0], out_features_, in_features_, 1.0f, in.data(),
           binary.data(), 0.0f, out.data());
@@ -248,7 +252,7 @@ Tensor BinDense::forward(const Tensor& in) {
   refresh_binary(weight_.value, binary_weight_);
   orig_in_shape_ = in.shape();
   cached_in_ = in.reshaped(Shape{in.shape()[0], in_features_});
-  return infer(in);
+  return run(cached_in_, binary_weight_);
 }
 
 Tensor BinDense::backward(const Tensor& grad_out) {

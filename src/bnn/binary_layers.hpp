@@ -106,14 +106,17 @@ class BinConv2D final : public nn::Layer {
 
  private:
   ConvGeometry geometry(const Shape& in) const;
+  // The convolution against the ±1 weights `binary`: infer() passes the
+  // signs of the shadow weights, forward() the copy it refreshed.
+  Tensor run(const Tensor& in, const Tensor& binary) const;
 
   Dim in_channels_, out_channels_, kernel_;
   nn::Param weight_;       // float shadow weights, clipped to [-1, 1]
   Tensor binary_weight_;   // sign(shadow), refreshed each forward
   Tensor cached_in_;
-  // Per-layer backward scratch, reused across calls so the hot training
-  // loop does not reallocate patch×positions floats every step.
-  std::vector<float> col_scratch_;
+  // Per-layer backward scratch for the patch-matrix gradient, reused
+  // across calls so the hot training loop does not reallocate
+  // patch×positions floats every step.
   std::vector<float> dcol_scratch_;
 };
 
@@ -138,6 +141,8 @@ class BinDense final : public nn::Layer {
   nn::Param& weight() { return weight_; }
 
  private:
+  Tensor run(const Tensor& in, const Tensor& binary) const;
+
   Dim in_features_, out_features_;
   nn::Param weight_;
   Tensor binary_weight_;

@@ -139,14 +139,12 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
     const Dim ci = n0 / grain;  // exact: chunk starts are multiples of grain
     std::vector<float>& dw = dw_parts[static_cast<std::size_t>(ci)];
     std::vector<float>& db = db_parts[static_cast<std::size_t>(ci)];
-    std::vector<float> col(static_cast<std::size_t>(patch * pos));
     std::vector<float> dcol(static_cast<std::size_t>(patch * pos));
     for (Dim n = n0; n < n1; ++n) {
       const float* go = grad_out.data() + n * out_per;
       // dW += dOut (OD x pos) * col^T (pos x patch)
-      im2col(g, cached_in_.data() + n * in_per, col.data());
-      gemm_bt(out_channels_, patch, pos, 1.0f, go, col.data(), 1.0f,
-              dw.data());
+      const float* col = patch_matrix(g, cached_in_.data() + n * in_per);
+      gemm_bt(out_channels_, patch, pos, 1.0f, go, col, 1.0f, dw.data());
       if (has_bias_) {
         for (Dim oc = 0; oc < out_channels_; ++oc) {
           float acc = 0.0f;

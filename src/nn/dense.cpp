@@ -36,7 +36,7 @@ std::int64_t Dense::macs(const Shape& in) const {
   return in_features_ * out_features_;
 }
 
-Tensor Dense::infer(Tensor in) const {
+Tensor Dense::run(const Tensor& in) const {
   const Shape out_shape = output_shape(in.shape());
   const Dim N = in.shape()[0];
   Tensor out(out_shape);
@@ -58,10 +58,9 @@ Tensor Dense::infer(Tensor in) const {
 }
 
 Tensor Dense::forward(const Tensor& in) {
-  Tensor out = infer(in);
   orig_in_shape_ = in.shape();
   cached_in_ = in.reshaped(Shape{in.shape()[0], in_features_});
-  return out;
+  return run(cached_in_);
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {

@@ -15,7 +15,7 @@ class Dense final : public Layer {
   void init(Rng& rng);
   void init_params(Rng& rng) override { init(rng); }
 
-  Tensor infer(Tensor in) const override;
+  Tensor infer(Tensor in) const override { return run(in); }
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
@@ -29,6 +29,8 @@ class Dense final : public Layer {
   Param& bias() { return bias_; }
 
  private:
+  Tensor run(const Tensor& in) const;
+
   Dim in_features_, out_features_;
   bool has_bias_;
   Param weight_;

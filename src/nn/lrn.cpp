@@ -30,7 +30,7 @@ LRN::LRN(Dim local_size, float alpha, float beta, float k)
               "LRN local_size must be odd and positive");
 }
 
-Tensor LRN::infer(Tensor in) const {
+Tensor LRN::run(const Tensor& in) const {
   MPCNN_CHECK(in.shape().rank() == 4, "LRN expects NCHW");
   const Dim N = in.shape()[0], C = in.shape()[1],
             HW = in.shape()[2] * in.shape()[3];
@@ -52,9 +52,8 @@ Tensor LRN::infer(Tensor in) const {
 }
 
 Tensor LRN::forward(const Tensor& in) {
-  Tensor out = infer(in);
   cached_in_ = in;
-  return out;
+  return run(cached_in_);
 }
 
 Tensor LRN::backward(const Tensor& grad_out) {

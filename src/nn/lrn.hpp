@@ -13,13 +13,15 @@ class LRN final : public Layer {
   explicit LRN(Dim local_size = 3, float alpha = 5e-5f, float beta = 0.75f,
                float k = 1.0f);
 
-  Tensor infer(Tensor in) const override;
+  Tensor infer(Tensor in) const override { return run(in); }
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "lrn"; }
   Shape output_shape(const Shape& in) const override { return in; }
 
  private:
+  Tensor run(const Tensor& in) const;
+
   Dim local_size_;
   float alpha_, beta_, k_;
   Tensor cached_in_;

@@ -132,7 +132,7 @@ Shape GlobalAvgPool::output_shape(const Shape& in) const {
   return Shape{in[0], in[1], 1, 1};
 }
 
-Tensor GlobalAvgPool::infer(Tensor in) const {
+Tensor GlobalAvgPool::run(const Tensor& in) const {
   const Dim N = in.shape()[0], C = in.shape()[1],
             HW = in.shape()[2] * in.shape()[3];
   Tensor out(output_shape(in.shape()));
@@ -149,7 +149,7 @@ Tensor GlobalAvgPool::infer(Tensor in) const {
 
 Tensor GlobalAvgPool::forward(const Tensor& in) {
   in_shape_ = in.shape();
-  return infer(in);
+  return run(in);
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {

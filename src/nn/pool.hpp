@@ -43,13 +43,15 @@ class GlobalAvgPool final : public Layer {
  public:
   GlobalAvgPool() = default;
 
-  Tensor infer(Tensor in) const override;
+  Tensor infer(Tensor in) const override { return run(in); }
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "global-avg-pool"; }
   Shape output_shape(const Shape& in) const override;
 
  private:
+  Tensor run(const Tensor& in) const;
+
   Shape in_shape_;
 };
 

@@ -105,14 +105,17 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
   const std::int64_t ktiles = ceil_div(K, kKc);
 
   // Pack B once into panel-contiguous layout: panel (kt, nt) holds the
-  // (kb x nb) block with rows of length nb back to back, so the inner
-  // kernel streams unit-stride loads instead of striding by N on every
-  // k.  The packed panels are shared read-only by all M-tile workers and
-  // reused across the whole K-loop of each tile.  With one column panel
-  // (N <= kNc) panel (kt, 0) already is B + k0·N with rows of length N,
-  // so B is read in place; wider B is packed, where 4 KiB row strides
-  // would alias in L1.  Either way the tile sees the same values, so the
-  // floating-point result cannot change.
+  // (kb x nb) block with rows of length nb back to back.  The packed
+  // panels are shared read-only by all M-tile workers and reused across
+  // the whole K-loop of each tile.  With one column panel (N <= kNc)
+  // panel (kt, 0) already is B + k0·N with rows of length N, so B is
+  // read in place.  Both sides of that choice were timed end to end on
+  // cascade_host (Model C serves N = 1024, 256 and 64 convs; 10
+  // alternating rounds each, 4-vCPU x86 host): packing at every N lost
+  // all 10 rounds to this split (median -5.5%), and so did reading B in
+  // place at every N (-3.0%), although an isolated loop over the same
+  // N = 1024 GEMMs ran 9% faster in place.  Either way the tile sees the
+  // same values, so the floating-point result cannot change.
   const std::int64_t panel = kKc * kNc;
   const bool in_place = ntiles == 1;
   std::vector<float>& Bp = packed_b_scratch();

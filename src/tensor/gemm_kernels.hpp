@@ -17,8 +17,8 @@
 
 namespace mpcnn::detail {
 
-/// Accumulates a (mb × nb) C tile from an (mb × kb) A slice and a packed
-/// B panel with rows of length ldb:
+/// Accumulates a (mb × nb) C tile from an (mb × kb) A slice and a
+/// (kb × nb) B block whose rows lie ldb apart:
 ///   C[i][j] += Σ_k (alpha·A[i·lda+k]) · B[k·ldb+j]   (k ascending,
 /// one rounding per multiply and per add — never fused).
 using GemmTileFn = void (*)(std::int64_t mb, std::int64_t nb,

@@ -77,6 +77,39 @@ TEST(BinConv2D, ForwardEqualsFloatConvWithSignWeights) {
   }
 }
 
+// Backward against the float conv with the same ±1 weights, at kernel 3
+// (an im2col patch matrix) and kernel 1 (the input map is its own patch
+// matrix).
+TEST(BinConv2D, BackwardEqualsFloatConvWithSignWeights) {
+  for (const Dim k : {Dim{3}, Dim{1}}) {
+    SCOPED_TRACE(k);
+    BinConv2D bin(2, 3, k);
+    Rng rng(4);
+    bin.init(rng);
+    nn::Conv2D ref(2, 3, k, 1, 0, /*bias=*/false);
+    for (Dim i = 0; i < ref.weight().value.numel(); ++i) {
+      ref.weight().value[i] = sign_bit(bin.weight().value[i]) ? 1.0f : -1.0f;
+    }
+    Tensor in(Shape{2, 2, 6, 6});
+    in.fill_uniform(rng, -1.0f, 1.0f);
+    const Tensor out = bin.forward(in);
+    (void)ref.forward(in);
+    Tensor grad_out(out.shape());
+    grad_out.fill_uniform(rng, -1.0f, 1.0f);
+    const Tensor a = bin.backward(grad_out);
+    const Tensor b = ref.backward(grad_out);
+    ASSERT_TRUE(a.same_shape(b));
+    for (Dim i = 0; i < a.numel(); ++i) {
+      ASSERT_NEAR(a[i], b[i], 1e-4f);
+    }
+    const Tensor& ga = bin.weight().grad;
+    const Tensor& gb = ref.weight().grad;
+    for (Dim i = 0; i < ga.numel(); ++i) {
+      ASSERT_NEAR(ga[i], gb[i], 1e-4f);
+    }
+  }
+}
+
 TEST(BinConv2D, ForwardClipsShadowWeights) {
   BinConv2D bin(1, 1, 3);
   bin.weight().value.fill(5.0f);

@@ -123,6 +123,17 @@ TEST(Conv2D, GradientsMatchNumeric) {
   check_param_gradients(conv, in, 2e-2f);
 }
 
+// A 1x1 stride-1 unpadded conv reads its input map as the patch matrix,
+// in backward as in forward.
+TEST(Conv2D, PointwiseGradientsMatchNumeric) {
+  Conv2D conv(3, 4, 1);
+  Rng rng(6);
+  conv.init(rng);
+  const Tensor in = random_input(Shape{2, 3, 5, 5}, 8);
+  check_input_gradient(conv, in, 2e-2f);
+  check_param_gradients(conv, in, 2e-2f);
+}
+
 TEST(Conv2D, RejectsChannelMismatch) {
   Conv2D conv(3, 4, 3);
   EXPECT_THROW(conv.forward(Tensor(Shape{1, 2, 8, 8})), Error);
