@@ -162,14 +162,6 @@ BENCHMARK(BM_BnnReferenceBatchPacked)->Arg(1)->Arg(4)->UseRealTime();
 
 // ---- per-ISA dispatch benchmarks --------------------------------------
 
-std::vector<std::string> supported_isa_levels() {
-  const core::CpuFeatures& f = core::cpu_features();
-  std::vector<std::string> levels = {"scalar"};
-  if (f.sse2) levels.push_back("sse2");
-  if (f.avx2 && f.popcnt) levels.push_back("avx2");
-  return levels;
-}
-
 // Forces one dispatch level for the scope of a benchmark body; the env
 // flip and table rebind happen outside the timed loop.
 struct IsaScope {
@@ -224,7 +216,8 @@ void byte_conv_isa_body(const std::string& isa, benchmark::State& state) {
 }
 
 void register_isa_benchmarks() {
-  for (const std::string& isa : supported_isa_levels()) {
+  for (const core::Isa level : core::supported_isas()) {
+    const std::string isa = core::isa_name(level);
     benchmark::RegisterBenchmark(
         ("BM_BnnReferencePackedIsa/" + isa).c_str(),
         [isa](benchmark::State& state) { packed_isa_body(isa, state); })

@@ -177,10 +177,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<core::Isa> levels = {core::Isa::kScalar};
-  const core::CpuFeatures& features = core::cpu_features();
-  if (features.sse2) levels.push_back(core::Isa::kSse2);
-  if (features.avx2) levels.push_back(core::Isa::kAvx2);
+  const std::vector<core::Isa> levels = core::supported_isas();
 
   std::vector<Row> rows;
   std::printf("%-26s %-6s %12s %10s %10s\n", "kernel", "isa", "off GOP/s",

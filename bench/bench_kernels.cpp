@@ -169,26 +169,6 @@ BENCHMARK(BM_XnorGemm)
     ->ArgsProduct({{64, 128, 256}, {64, 128}})
     ->UseRealTime();
 
-// Word-splice patch packing for the shape BM_Im2Col lowers in float,
-// from a channels-last bit map (one spare word past the last pixel).
-void BM_BitIm2col(benchmark::State& state) {
-  const Dim ch = 64, h = 30, w = 30, kernel = 3;
-  Rng rng(6);
-  std::vector<std::uint64_t> map(
-      static_cast<std::size_t>((ch * h * w + 63) / 64 + 1));
-  for (auto& word : map) word = rng.next_u64();
-  for (auto _ : state) {
-    bnn::BitMatrix patches = bnn::bit_im2col(map.data(), ch, h, w, kernel);
-    benchmark::DoNotOptimize(patches.row_data(0));
-  }
-  state.counters["Gbit/s"] = benchmark::Counter(
-      static_cast<double>((h - kernel + 1) * (w - kernel + 1) * ch *
-                          kernel * kernel),
-      benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::kIs1000);
-}
-BENCHMARK(BM_BitIm2col)->UseRealTime();
-
 struct BnnFixture {
   bnn::CompiledBnn net;
   Tensor image{Shape{1, 3, 32, 32}};
@@ -233,14 +213,6 @@ void net_predict_body(char which, benchmark::State& state) {
 }
 
 // ---- per-ISA dispatch benchmarks --------------------------------------
-
-std::vector<std::string> supported_isa_levels() {
-  const core::CpuFeatures& f = core::cpu_features();
-  std::vector<std::string> levels = {"scalar"};
-  if (f.sse2) levels.push_back("sse2");
-  if (f.avx2 && f.popcnt) levels.push_back("avx2");
-  return levels;
-}
 
 // Forces one dispatch level for the scope of a benchmark body; the env
 // flip and table rebind happen outside the timed loop.
@@ -314,7 +286,8 @@ void register_net_benchmarks() {
 }
 
 void register_isa_benchmarks() {
-  for (const std::string& isa : supported_isa_levels()) {
+  for (const core::Isa level : core::supported_isas()) {
+    const std::string isa = core::isa_name(level);
     benchmark::RegisterBenchmark(
         ("BM_GemmIsa/" + isa).c_str(),
         [isa](benchmark::State& state) { gemm_isa_body(isa, state); })

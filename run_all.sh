@@ -22,18 +22,20 @@ cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# ISA sweep: the kernel/BNN/dispatch test trees, the ABFT suites whose
-# checksum lanes ride the dispatched stage kernel, and the float
-# inference path (NetInfer, Im2Col) must pass with the dispatcher forced
-# to every level this host supports (forcing an unsupported level is
-# refused by the registry, so probe first).
-ISA_LEVELS="scalar sse2"
-if build/tools/mpcnn_cli cpuinfo | grep -q 'avx2=1'; then
-  ISA_LEVELS="$ISA_LEVELS avx2"
+# ISA sweep: the kernel/BNN/dispatch test trees, the stage kernels'
+# patch reader, the ABFT suites whose checksum lanes ride the dispatched
+# stage kernel, and the float inference path (NetInfer, Im2Col) must pass
+# with the dispatcher forced to every level this host supports: the
+# `levels:` line of cpuinfo, core::supported_isas() (forcing an
+# unsupported level is refused by the registry).
+ISA_LEVELS=$(build/tools/mpcnn_cli cpuinfo | sed -n 's/^levels: //p')
+if [ -z "$ISA_LEVELS" ]; then
+  echo "run_all.sh: cpuinfo printed no levels: line; ISA sweep not run" >&2
+  exit 1
 fi
 for isa in $ISA_LEVELS; do
   MPCNN_ISA="$isa" ctest --test-dir build \
-    -R 'Gemm|BitVector|BitMatrix|BitIm2col|SignBit|PackedBnn|Partial|Dispatch|Determinism|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col' \
+    -R 'Gemm|BitVector|BitMatrix|PatchWordReader|SignBit|PackedBnn|Partial|Dispatch|Determinism|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col' \
     --output-on-failure 2>&1 | tee "isa_${isa}_output.txt"
 done
 
@@ -115,15 +117,16 @@ MPCNN_THREADS=4 ctest --test-dir build-tsan \
 # packed weight memory, against out-of-bounds access and UB, plus the
 # artifact loaders and the corruption fuzzer, whose bounded reads parse
 # hostile bytes by design, and the packed engine, whose pixel-field
-# reads and writes touch the word after each field and whose checked
-# stages write padded accumulator lanes, and the float inference path
+# reads and writes and patch-word reads touch the word after each field
+# (the spare word past a map) and whose checked stages write padded
+# accumulator lanes under AVX-512 lane masks, and the float inference path
 # and the GEMM shape suites, whose im2col row copies read input rows
 # directly and whose GEMM tiles read B in place when it is one panel
 # wide.
 cmake -B build-asan -G Ninja -DMPCNN_SANITIZE=address
 cmake --build build-asan
 MPCNN_THREADS=4 ctest --test-dir build-asan \
-  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|BitIm2col|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|GemmVsNaive|GemmVariantsHostile' \
+  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|PatchWordReader|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|GemmVsNaive|GemmVariantsHostile' \
   --output-on-failure 2>&1 | tee asan_output.txt
 build-asan/tools/fuzz_artifact --iterations 1200 \
   2>&1 | tee -a asan_output.txt

@@ -22,29 +22,44 @@ std::int64_t byte_sum64(std::uint64_t v) {
   return static_cast<std::int64_t>((v * 0x0001000100010001ULL) >> 48);
 }
 
-// Portable byte_conv: SWAR byte sums, one channel at a time.  A +1
-// weight byte (0x01) marks a pixel to add; a patch is zero past its end,
-// so Σ x·w = 2·Σ_{w=+1} x − Σ x.
+// Portable byte_conv: SWAR byte sums, one channel at a time, over each
+// patch row copied once from the pixels.  A +1 weight byte (0x01) marks
+// a pixel to add; a patch row is zero past each run, so
+// Σ x·w = 2·Σ_{w=+1} x − Σ x.  The add masks of the weight words depend
+// on no position, so they are formed once per call, channel-major.
 void byte_conv_portable(const std::uint64_t* w, std::int64_t cstride,
                         const std::int64_t* bound, const std::uint64_t* flip,
-                        std::int64_t channels, const std::uint64_t* patches,
-                        std::int64_t rows, std::int64_t nwords,
+                        std::int64_t channels, const PatchSource& src,
                         std::uint64_t* out) {
   constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
-  for (std::int64_t p = 0; p < rows; ++p) {
-    const std::uint64_t* patch = patches + p * nwords;
+  const PatchWalk s = patch_walk(src, 8);
+  const std::int64_t nwords = s.k * s.wpj;
+  std::vector<std::uint64_t> add(static_cast<std::size_t>(nwords * channels));
+  for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t t = 0; t < nwords; ++t) {
+      const std::uint64_t wt = w[t * cstride + c];
+      add[static_cast<std::size_t>(c * nwords + t)] =
+          (wt & ~(wt >> 7) & kLowBits) * 0xFF;
+    }
+  }
+  std::vector<std::uint64_t> row(static_cast<std::size_t>(nwords));
+  std::int64_t start = 0, ow = 0;
+  for (std::int64_t p = 0; p < s.rows; ++p, next_row(s, start, ow)) {
+    RowWords r{start, 0};
     std::int64_t total = 0;
-    for (std::int64_t t = 0; t < nwords; ++t) total += byte_sum64(patch[t]);
+    for (std::uint64_t& v : row) {
+      v = next_word(s, r);
+      total += byte_sum64(v);
+    }
     for (std::int64_t c0 = 0; c0 < channels; c0 += 64) {
       const std::int64_t n = std::min<std::int64_t>(64, channels - c0);
       std::uint64_t bits = 0;
       for (std::int64_t j = 0; j < n; ++j) {
-        const std::uint64_t* wc = w + c0 + j;
+        const std::uint64_t* ac =
+            add.data() + static_cast<std::size_t>((c0 + j) * nwords);
         std::int64_t plus = 0;
         for (std::int64_t t = 0; t < nwords; ++t) {
-          const std::uint64_t wt = wc[t * cstride];
-          const std::uint64_t add = (wt & ~(wt >> 7) & kLowBits) * 0xFF;
-          plus += byte_sum64(patch[t] & add);
+          plus += byte_sum64(row[static_cast<std::size_t>(t)] & ac[t]);
         }
         bits |= static_cast<std::uint64_t>(2 * plus - total > bound[c0 + j])
                 << j;
@@ -55,15 +70,16 @@ void byte_conv_portable(const std::uint64_t* w, std::int64_t cstride,
 }
 
 const BnnKernels& scalar_table() {
-  static const BnnKernels t = {"scalar",       "portable",
-                               &xor_pop_impl,  &xnor_conv_impl,
-                               &xnor_acc_impl, &byte_conv_portable};
+  static const BnnKernels t = {"scalar",      "scalar",       "portable",
+                               &xor_pop_impl, &xnor_conv_impl, &xnor_acc_impl,
+                               &byte_conv_portable};
   return t;
 }
 
 const BnnKernels& popcnt_table() {
   if (kBnnPopPopcnt.xor_pop == nullptr) return scalar_table();
   static const BnnKernels t = {"popcnt",
+                               "popcnt",
                                "portable",
                                kBnnPopPopcnt.xor_pop,
                                kBnnPopPopcnt.xnor_conv,
@@ -78,10 +94,27 @@ const BnnKernels& avx2_table() {
   }
   static const BnnKernels t = {"avx2",
                                "avx2",
+                               "avx2",
                                kBnnPopAvx2.xor_pop,
                                kBnnPopAvx2.xnor_conv,
                                kBnnPopAvx2.xnor_acc,
                                kByteConvAvx2};
+  return t;
+}
+
+// Single dot products keep the AVX2 level's xor_pop: they serve only
+// BitVector dots and the output stage's few class scores per image.
+const BnnKernels& avx512_table() {
+  if (kBnnPopAvx512.xnor_conv == nullptr || kByteConvAvx512 == nullptr) {
+    return avx2_table();
+  }
+  static const BnnKernels t = {"avx512",
+                               avx2_table().dot_name,
+                               "avx512",
+                               avx2_table().xor_pop,
+                               kBnnPopAvx512.xnor_conv,
+                               kBnnPopAvx512.xnor_acc,
+                               kByteConvAvx512};
   return t;
 }
 
@@ -107,6 +140,9 @@ const BnnKernels& kernels() {
       case core::Isa::kAvx2:
         k = &avx2_table();
         break;
+      case core::Isa::kAvx512:
+        k = &avx512_table();
+        break;
     }
     cur.store(k, std::memory_order_release);
     bound_gen.store(gen, std::memory_order_release);
@@ -117,9 +153,10 @@ const BnnKernels& kernels() {
 namespace {
 
 const char* bnn_pop_variant() { return kernels().pop_name; }
+const char* bnn_dot_variant() { return kernels().dot_name; }
 const char* bnn_byte_variant() { return kernels().byte_name; }
 [[maybe_unused]] const bool kPopSlotRegistered =
-    core::register_kernel_slot("bnn.xor_popcount", &bnn_pop_variant);
+    core::register_kernel_slot("bnn.xor_popcount", &bnn_dot_variant);
 [[maybe_unused]] const bool kXnorConvSlotRegistered =
     core::register_kernel_slot("bnn.xnor_conv", &bnn_pop_variant);
 [[maybe_unused]] const bool kByteConvSlotRegistered =
@@ -198,38 +235,19 @@ bool BitMatrix::get(Dim r, Dim c) const {
          1ULL;
 }
 
-BitMatrix bit_im2col(const std::uint64_t* map, Dim ch, Dim h, Dim w,
-                     Dim kernel) {
-  MPCNN_CHECK(ch > 0 && h > 0 && w > 0, "bit_im2col empty map");
-  MPCNN_CHECK(kernel > 0 && kernel <= h && kernel <= w,
-              "bit_im2col kernel " << kernel << " for " << h << "x" << w);
-  const Dim out_h = h - kernel + 1;
-  const Dim out_w = w - kernel + 1;
-  const Dim run = kernel * ch;  // map bits of one kernel row of a patch
-  BitMatrix patches(out_h * out_w, run * kernel);
-  const Dim wpr = patches.words_per_row();
-  // One pass per ≤64-bit chunk of each kernel row: its destination word
-  // and shift are the same in every patch row, so the inner loop is one
-  // field read and one or two ORs per position.
-  for (Dim kh = 0; kh < kernel; ++kh) {
-    for (Dim b = 0; b < run; b += 64) {
-      const Dim n = std::min<Dim>(64, run - b);
-      const Dim dst = kh * run + b;
-      const int off = static_cast<int>(dst & 63);
-      const bool spill = off + n > 64;
-      std::uint64_t* words = patches.row_data(0);
-      Dim at = dst >> 6;  // the chunk's word in the current patch row
-      for (Dim oh = 0; oh < out_h; ++oh) {
-        Dim src = ((oh + kh) * w) * ch + b;
-        for (Dim ow = 0; ow < out_w; ++ow, src += ch, at += wpr) {
-          const std::uint64_t v = detail::read_field(map, src, n);
-          words[at] |= v << off;
-          if (spill) words[at + 1] |= v >> (64 - off);
-        }
+void transpose_runs(const BitMatrix& a, Dim kernel, Dim cstride,
+                    std::uint64_t* w) {
+  const Dim run = a.cols() / kernel;
+  for (Dim r = 0; r < a.rows(); ++r) {
+    const std::uint64_t* row = a.row_data(r);
+    std::uint64_t* dst = w + r;
+    for (Dim kh = 0; kh < kernel; ++kh) {
+      for (Dim b = 0; b < run; b += 64, dst += cstride) {
+        *dst = detail::row_bits(row, kh * run + b,
+                                std::min<Dim>(64, run - b));
       }
     }
   }
-  return patches;
 }
 
 namespace {
@@ -243,35 +261,29 @@ const char* xnor_checksum_variant() { return detail::kernels().pop_name; }
 
 }  // namespace
 
-XnorLanes checked_xnor(const BitMatrix& a, const BitMatrix& b,
+XnorLanes checked_xnor(const BitMatrix& a, const detail::PatchSource& b,
                        core::integrity::XnorGuard& guard) {
   namespace integ = core::integrity;
-  MPCNN_DCHECK(a.cols() == b.cols(), "checked_xnor column mismatch");
   const Dim rows = a.rows();
-  const Dim n = b.rows();
-  const Dim wpr = a.words_per_row();
+  const Dim words = b.k * ((b.k * b.c + 63) / 64);
+  MPCNN_DCHECK(words == b.k * ((a.cols() / b.k + 63) / 64),
+               "checked_xnor row length mismatch");
   const Dim lanes =
       rows + (guard.verify ? integ::xnor_checksum_rows(rows) : 0);
   XnorLanes out;
   out.stride = (lanes + 3) / 4 * 4;
-  // Weight words transposed to (word, lane), the layout of kernels.hpp;
-  // the checksum rows are encoded from these very words.
-  std::vector<std::uint64_t> w(static_cast<std::size_t>(wpr * out.stride),
+  // The checksum rows are encoded from the very words the kernel reads.
+  std::vector<std::uint64_t> w(static_cast<std::size_t>(words * out.stride),
                                0);
-  for (Dim r = 0; r < rows; ++r) {
-    const std::uint64_t* row = a.row_data(r);
-    for (Dim t = 0; t < wpr; ++t) {
-      w[static_cast<std::size_t>(t * out.stride + r)] = row[t];
-    }
-  }
-  if (guard.verify) integ::xnor_encode(w.data(), out.stride, rows, wpr);
+  transpose_runs(a, b.k, out.stride, w.data());
+  if (guard.verify) integ::xnor_encode(w.data(), out.stride, rows, words);
   out.acc = std::make_unique_for_overwrite<std::int32_t[]>(
-      static_cast<std::size_t>(n * out.stride));
-  if (n > 0) {
-    detail::kernels().xnor_acc(w.data(), out.stride, lanes, b.row_data(0),
-                               n, wpr, a.cols(), out.acc.get());
+      static_cast<std::size_t>(b.rows * out.stride));
+  if (b.rows > 0) {
+    detail::kernels().xnor_acc(w.data(), out.stride, lanes, b, a.cols(),
+                               out.acc.get());
   }
-  integ::xnor_end(guard, rows, a.cols(), n, out.acc.get(), out.stride);
+  integ::xnor_end(guard, rows, a.cols(), b.rows, out.acc.get(), out.stride);
   return out;
 }
 
@@ -279,9 +291,13 @@ void xnor_gemm(const BitMatrix& a, const BitMatrix& b, std::int32_t* c) {
   MPCNN_CHECK(a.cols() == b.cols(), "xnor_gemm column mismatch: "
                                         << a.cols() << " vs " << b.cols());
   core::integrity::XnorGuard guard = core::integrity::xnor_begin();
-  const XnorLanes lanes = checked_xnor(a, b, guard);
-  // Transposed in blocks of positions, so both sides stay in cache.
+  // B's rows are the pixels of a one-row map and each patch is one pixel
+  // (K = 1), so a patch row's words are B's row words.
   const Dim n = b.rows();
+  const detail::PatchSource src{n > 0 ? b.row_data(0) : nullptr,
+                                64 * b.words_per_row(), n, 1, n, n};
+  const XnorLanes lanes = checked_xnor(a, src, guard);
+  // Transposed in blocks of positions, so both sides stay in cache.
   for (Dim p0 = 0; p0 < n; p0 += 32) {
     const Dim p1 = std::min<Dim>(n, p0 + 32);
     for (Dim r = 0; r < a.rows(); ++r) {

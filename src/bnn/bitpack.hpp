@@ -11,15 +11,17 @@
 // field reads and writes may touch the word after a field.  Conv weight
 // rows store taps in the matching order (kh·K + kw)·C + c
 // (bnn::tap_column in compile.hpp), so a patch row is K contiguous runs
-// of K·C map bits and bit_im2col's rows share column indices and padding
-// with the packed weight rows (zero bits past `cols` in the last word of
-// every row, which XOR cancels — no correction needed).
+// of K·C map bits, which the stage kernels read straight from the map
+// (bnn/kernels.hpp).  Padding bits — past `cols` in a row's last word,
+// and past each run in the kernels' per-run operands — are zero on both
+// sides, so XOR cancels them and no correction is needed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "bnn/kernels.hpp"
 #include "core/integrity/integrity.hpp"
 #include "tensor/error.hpp"
 #include "tensor/shape.hpp"
@@ -99,13 +101,13 @@ class BitMatrix {
 /// Sign binarisation used everywhere: value >= 0 maps to bit 1 (+1).
 inline bool sign_bit(float v) { return v >= 0.0f; }
 
-/// Bit-level im2col over a channels-last bit map (layout contract
-/// above): row oh·out_w + ow of the result [out_h·out_w, K·K·ch] is the
-/// K×K patch at (oh, ow) (stride 1, no pad), columns in tap order
-/// (kh·K + kw)·ch + c — one copy of K·ch contiguous bits per kernel row —
-/// so rows dot directly against packed conv weight rows.
-BitMatrix bit_im2col(const std::uint64_t* map, Dim ch, Dim h, Dim w,
-                     Dim kernel);
+/// A's rows in the stage kernels' weight layout (bnn/kernels.hpp) for
+/// patch rows of `kernel` runs of run = A.cols()/kernel bits: word
+/// kh·wpj + j of row r, bits [64j, 64j + 64) of its run kh with zeros
+/// past the run, goes to w[(kh·wpj + j)·cstride + r], wpj = ⌈run/64⌉.
+/// w holds kernel·wpj·cstride words; lanes ≥ A.rows() are left alone.
+void transpose_runs(const BitMatrix& a, Dim kernel, Dim cstride,
+                    std::uint64_t* w);
 
 /// Accumulators of one XNOR product in lane layout: the bipolar dot of
 /// A.row(r) and B.row(p) (= cols − 2·mismatches) at acc[p·stride + r].
@@ -118,14 +120,16 @@ struct XnorLanes {
 
 /// The checked XNOR product behind xnor_gemm and the packed engine's
 /// checked stages.  One all-channel accumulator-mode kernel call over
-/// B's rows computes A's rows as lanes and, when `guard` verifies,
-/// core/integrity's checksum rows after them, encoded from the very
-/// weight words the kernel reads; xnor_end then fires the call's armed
-/// faults and checks every position.  `guard` comes from
+/// the patch rows of `b` computes A's rows as lanes and, when `guard`
+/// verifies, core/integrity's checksum rows after them, encoded from the
+/// very weight words the kernel reads; xnor_end then fires the call's
+/// armed faults and checks every position.  `guard` comes from
 /// core::integrity::xnor_begin(); an inactive one yields the plain
-/// product.  A.cols() must equal B.cols().  Serial, like the rest of the
-/// engine: callers fan out over images.
-XnorLanes checked_xnor(const BitMatrix& a, const BitMatrix& b,
+/// product.  A's rows hold b.k runs of a patch row each (A.cols() =
+/// b.k² · b.c for a conv; xnor_gemm's K = 1 source of 64·wpr-bit pixels
+/// pads to A's row words).  Serial, like the rest of the engine: callers
+/// fan out over images.
+XnorLanes checked_xnor(const BitMatrix& a, const detail::PatchSource& b,
                        core::integrity::XnorGuard& guard);
 
 /// Binary GEMM: C[r·B.rows() + p] = bipolar dot of A.row(r) and B.row(p),

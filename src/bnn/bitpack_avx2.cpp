@@ -88,19 +88,23 @@ std::int64_t xor_pop_avx2(const std::uint64_t* a, const std::uint64_t* b,
 // accumulator: 31 · 8 = 248 < 256.
 constexpr std::int64_t kFoldWords = 31;
 
-// Mismatch counts of 4·G adjacent lanes for one row, one per 64-bit lane.
+// Mismatch counts of 4·G adjacent lanes against the patch row at map
+// bit `start`, one per 64-bit lane.
 template <int G>
 inline void xnor_counts(const std::uint64_t* w, std::int64_t cstride,
-                        const std::uint64_t* row, std::int64_t wpr,
+                        const PatchWalk& s, std::int64_t start,
                         __m256i count[G]) {
   const __m256i zero = _mm256_setzero_si256();
   for (int g = 0; g < G; ++g) count[g] = zero;
-  for (std::int64_t t = 0; t < wpr;) {
-    const std::int64_t lim = t + kFoldWords < wpr ? t + kFoldWords : wpr;
+  const std::int64_t nwords = s.k * s.wpj;
+  RowWords row{start, 0};
+  for (std::int64_t t = 0; t < nwords;) {
+    const std::int64_t lim = t + kFoldWords < nwords ? t + kFoldWords : nwords;
     __m256i bytes[G];
     for (int g = 0; g < G; ++g) bytes[g] = zero;
     for (; t < lim; ++t) {
-      const __m256i pv = _mm256_set1_epi64x(static_cast<long long>(row[t]));
+      const __m256i pv = _mm256_set1_epi64x(
+          static_cast<long long>(next_word(s, row)));
       const std::uint64_t* wt = w + t * cstride;
       for (int g = 0; g < G; ++g) {
         const __m256i wv =
@@ -118,10 +122,10 @@ inline void xnor_counts(const std::uint64_t* w, std::int64_t cstride,
 // Mismatch verdicts (m < bound) of 4·G adjacent channels for one row.
 template <int G>
 inline std::uint64_t xnor_lanes(const std::uint64_t* w, std::int64_t cstride,
-                                const std::int64_t* bound,
-                                const std::uint64_t* row, std::int64_t wpr) {
+                                const std::int64_t* bound, const PatchWalk& s,
+                                std::int64_t start) {
   __m256i count[G];
-  xnor_counts<G>(w, cstride, row, wpr, count);
+  xnor_counts<G>(w, cstride, s, start, count);
   std::uint64_t bits = 0;
   for (int g = 0; g < G; ++g) {
     const __m256i b =
@@ -135,21 +139,21 @@ inline std::uint64_t xnor_lanes(const std::uint64_t* w, std::int64_t cstride,
 
 void xnor_conv_avx2(const std::uint64_t* w, std::int64_t cstride,
                     const std::int64_t* bound, const std::uint64_t* flip,
-                    std::int64_t channels, const std::uint64_t* patches,
-                    std::int64_t rows, std::int64_t wpr,
+                    std::int64_t channels, const PatchSource& src,
                     std::uint64_t* out) {
-  for (std::int64_t p = 0; p < rows; ++p) {
-    const std::uint64_t* row = patches + p * wpr;
+  const PatchWalk s = patch_walk(src, 1);
+  std::int64_t start = 0, ow = 0;
+  for (std::int64_t p = 0; p < s.rows; ++p, next_row(s, start, ow)) {
     for (std::int64_t c0 = 0; c0 < channels; c0 += 64) {
       const std::int64_t n = channels - c0 < 64 ? channels - c0 : 64;
       std::uint64_t bits = 0;
       std::int64_t c = 0;
       for (; c + 16 <= n; c += 16) {
-        bits |= xnor_lanes<4>(w + c0 + c, cstride, bound + c0 + c, row, wpr)
+        bits |= xnor_lanes<4>(w + c0 + c, cstride, bound + c0 + c, s, start)
                 << c;
       }
       for (; c < n; c += 4) {
-        bits |= xnor_lanes<1>(w + c0 + c, cstride, bound + c0 + c, row, wpr)
+        bits |= xnor_lanes<1>(w + c0 + c, cstride, bound + c0 + c, s, start)
                 << c;
       }
       if (n < 64) bits &= (std::uint64_t{1} << n) - 1;  // padding lanes
@@ -162,10 +166,10 @@ void xnor_conv_avx2(const std::uint64_t* w, std::int64_t cstride,
 // low dword of each 64-bit lane, gathered into the low 128 bits.
 template <int G>
 inline void xnor_acc_lanes(const std::uint64_t* w, std::int64_t cstride,
-                           const std::uint64_t* row, std::int64_t wpr,
+                           const PatchWalk& s, std::int64_t start,
                            __m256i nbits, std::int32_t* acc) {
   __m256i count[G];
-  xnor_counts<G>(w, cstride, row, wpr, count);
+  xnor_counts<G>(w, cstride, s, start, count);
   const __m256i low = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
   for (int g = 0; g < G; ++g) {
     const __m256i v =
@@ -177,23 +181,23 @@ inline void xnor_acc_lanes(const std::uint64_t* w, std::int64_t cstride,
 }
 
 void xnor_acc_avx2(const std::uint64_t* w, std::int64_t cstride,
-                   std::int64_t lanes, const std::uint64_t* patches,
-                   std::int64_t rows, std::int64_t wpr, std::int64_t nbits,
-                   std::int32_t* acc) {
+                   std::int64_t lanes, const PatchSource& src,
+                   std::int64_t nbits, std::int32_t* acc) {
+  const PatchWalk s = patch_walk(src, 1);
   const __m256i total = _mm256_set1_epi64x(static_cast<long long>(nbits));
-  for (std::int64_t p = 0; p < rows; ++p) {
-    const std::uint64_t* row = patches + p * wpr;
+  std::int64_t start = 0, ow = 0;
+  for (std::int64_t p = 0; p < s.rows; ++p, next_row(s, start, ow)) {
     std::int32_t* out = acc + p * cstride;
     std::int64_t c = 0;
     for (; c + 16 <= lanes; c += 16) {
-      xnor_acc_lanes<4>(w + c, cstride, row, wpr, total, out + c);
+      xnor_acc_lanes<4>(w + c, cstride, s, start, total, out + c);
     }
     if (c + 8 <= lanes) {
-      xnor_acc_lanes<2>(w + c, cstride, row, wpr, total, out + c);
+      xnor_acc_lanes<2>(w + c, cstride, s, start, total, out + c);
       c += 8;
     }
     for (; c < lanes; c += 4) {
-      xnor_acc_lanes<1>(w + c, cstride, row, wpr, total, out + c);
+      xnor_acc_lanes<1>(w + c, cstride, s, start, total, out + c);
     }
   }
 }
@@ -203,27 +207,28 @@ void xnor_acc_avx2(const std::uint64_t* w, std::int64_t cstride,
 constexpr std::int64_t kFoldBytePairs = 64;
 
 // Accumulator verdicts (Σ patch·weight > bound) of 4·G adjacent
-// channels.  VPMADDUBSW multiplies the unsigned pixel bytes by the ±1
-// weight bytes and adds neighbours into int16 lanes; VPMADDWD folds
-// those into two int32 halves of each channel's 64-bit lane, whose sum
-// the low dword compare reads.
+// channels for the patch row at map bit `start`.  VPMADDUBSW multiplies
+// the unsigned pixel bytes by the ±1 weight bytes and adds neighbours
+// into int16 lanes; VPMADDWD folds those into two int32 halves of each
+// channel's 64-bit lane, whose sum the low dword compare reads.
 template <int G>
-inline std::uint64_t byte_lanes(const std::uint64_t* patch,
-                                std::int64_t nwords, const std::uint64_t* w,
-                                std::int64_t cstride,
+inline std::uint64_t byte_lanes(const PatchWalk& s, std::int64_t start,
+                                const std::uint64_t* w, std::int64_t cstride,
                                 const std::int64_t* bound) {
   const __m256i zero = _mm256_setzero_si256();
   const __m256i ones = _mm256_set1_epi16(1);
   __m256i acc[G];
   for (int g = 0; g < G; ++g) acc[g] = zero;
+  const std::int64_t nwords = s.k * s.wpj;
+  RowWords row{start, 0};
   for (std::int64_t t = 0; t < nwords;) {
     const std::int64_t lim =
         t + kFoldBytePairs < nwords ? t + kFoldBytePairs : nwords;
     __m256i pairs[G];
     for (int g = 0; g < G; ++g) pairs[g] = zero;
     for (; t < lim; ++t) {
-      const __m256i pv =
-          _mm256_set1_epi64x(static_cast<long long>(patch[t]));
+      const __m256i pv = _mm256_set1_epi64x(
+          static_cast<long long>(next_word(s, row)));
       const std::uint64_t* wt = w + t * cstride;
       for (int g = 0; g < G; ++g) {
         const __m256i wv =
@@ -252,23 +257,21 @@ inline std::uint64_t byte_lanes(const std::uint64_t* patch,
 
 void byte_conv_avx2(const std::uint64_t* w, std::int64_t cstride,
                     const std::int64_t* bound, const std::uint64_t* flip,
-                    std::int64_t channels, const std::uint64_t* patches,
-                    std::int64_t rows, std::int64_t nwords,
+                    std::int64_t channels, const PatchSource& src,
                     std::uint64_t* out) {
-  for (std::int64_t p = 0; p < rows; ++p) {
-    const std::uint64_t* patch = patches + p * nwords;
+  const PatchWalk s = patch_walk(src, 8);
+  std::int64_t start = 0, ow = 0;
+  for (std::int64_t p = 0; p < s.rows; ++p, next_row(s, start, ow)) {
     for (std::int64_t c0 = 0; c0 < channels; c0 += 64) {
       const std::int64_t n = channels - c0 < 64 ? channels - c0 : 64;
       std::uint64_t bits = 0;
       std::int64_t c = 0;
       for (; c + 16 <= n; c += 16) {
-        bits |= byte_lanes<4>(patch, nwords, w + c0 + c, cstride,
-                              bound + c0 + c)
+        bits |= byte_lanes<4>(s, start, w + c0 + c, cstride, bound + c0 + c)
                 << c;
       }
       for (; c < n; c += 4) {
-        bits |= byte_lanes<1>(patch, nwords, w + c0 + c, cstride,
-                              bound + c0 + c)
+        bits |= byte_lanes<1>(s, start, w + c0 + c, cstride, bound + c0 + c)
                 << c;
       }
       if (n < 64) bits &= (std::uint64_t{1} << n) - 1;  // padding lanes

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #if defined(__SSE2__)
@@ -244,15 +243,17 @@ namespace {
 // contiguous field and conv weight rows store taps in the matching
 // (kh, kw, c) order (tap_column), so a patch row is K runs of K·C map
 // bits.  Each stage makes one dispatched kernel call (kernels.hpp) that
-// computes every output channel of a position as one C-bit pixel field:
+// reads its patch rows straight from the stage's input — no patch
+// matrix is written — and computes every output channel of a position
+// as one C-bit pixel field:
 //
-//   1. the first stage multiplies byte patches of the channels-last
-//      pixels by ±1 weight bytes and sums them;
-//   2. binary convs run bit_im2col, then the all-channel XNOR-popcount
-//      kernel with the threshold compare fused in;
+//   1. the first stage multiplies the patch bytes of the channels-last
+//      quantised pixels by ±1 weight bytes and sums them;
+//   2. binary convs run the all-channel XNOR-popcount kernel over the
+//      input map with the threshold compare fused in;
 //   3. 2×2 max-pool ORs the four pixel fields of each window;
-//   4. dense stages read the map gathered into the CHW order their
-//      weights keep.
+//   4. dense stages read their input as one pixel in the CHW order their
+//      weights keep: the 1×1 map itself, or a gathered copy.
 //
 // Several positions share an output word, so one image runs serially;
 // callers fan out over images.  All arithmetic is integer, so scores are
@@ -318,12 +319,21 @@ void check_stage(const CompiledStage& s, Dim in_ch, Dim in_h, Dim in_w) {
                                                      << " input");
 }
 
+// Patch rows of a stride-1 K×K conv over `in`; a dense stage reads a 1×1
+// map with K = 1, its single row being the whole map.
+detail::PatchSource patch_rows(const ChannelsLastMap& in, Dim kernel) {
+  const Dim out_w = in.w - kernel + 1;
+  return {in.words.data(), in.ch, in.w, kernel, out_w,
+          (in.h - kernel + 1) * out_w};
+}
+
 // Per-call operands of a thresholded stage for the stage kernels
-// (kernels.hpp): weight words transposed to (word, channel) order with
-// the channel axis padded to the 4 lanes of a 256-bit vector, one bound
-// per channel, and the negate flags one bit per channel.  They are
-// rebuilt from CompiledStage on every call, never cached, so SEU flips
-// and scrub repairs reach the engine exactly as they reach the weights.
+// (kernels.hpp): weight words in the per-run layout, transposed to
+// (word, channel) order with the channel axis padded to the 4 lanes of a
+// 256-bit vector, one bound per channel, and the negate flags one bit
+// per channel.  They are rebuilt from CompiledStage on every call, never
+// cached, so SEU flips and scrub repairs reach the engine exactly as
+// they reach the weights.
 struct StageOperands {
   Dim cstride;
   std::vector<std::uint64_t> w;
@@ -343,30 +353,28 @@ struct StageOperands {
   }
 };
 
-// xnor_conv operands.  Before negation a channel fires when
-// acc = cols − 2m ≥ τ, i.e. when m < ⌊(cols − τ)/2⌋ + 1.  τ may be
-// INT32_MIN or INT32_MAX (γ = 0 folding), so the bound is clamped to the
-// reachable [0, cols + 1].
-StageOperands xnor_operands(const CompiledStage& s) {
-  const Dim wpr = s.weights.words_per_row();
+// xnor_conv operands for patch rows of `kernel` runs.  Before negation
+// a channel fires when acc = cols − 2m ≥ τ, i.e. when
+// m < ⌊(cols − τ)/2⌋ + 1.  τ may be INT32_MIN or INT32_MAX (γ = 0
+// folding), so the bound is clamped to the reachable [0, cols + 1].
+StageOperands xnor_operands(const CompiledStage& s, Dim kernel) {
   const Dim cols = s.weights.cols();
-  StageOperands op(s, wpr);
+  StageOperands op(s, kernel * ((cols / kernel + 63) / 64));
+  transpose_runs(s.weights, kernel, op.cstride, op.w.data());
   for (Dim oc = 0; oc < s.out_ch; ++oc) {
-    const std::uint64_t* row = s.weights.row_data(oc);
-    for (Dim t = 0; t < wpr; ++t) {
-      op.w[static_cast<std::size_t>(t * op.cstride + oc)] = row[t];
-    }
     op.bound[static_cast<std::size_t>(oc)] = std::clamp<std::int64_t>(
         ((cols - s.threshold(oc, 0)) >> 1) + 1, 0, cols + 1);
   }
   return op;
 }
 
-// byte_conv operands: weight bit 8t + k becomes signed byte k of word
-// t, +1 when set and −1 when clear, and before negation a channel fires
-// when acc = Σ x·w > τ − 1.  The bound is clamped to the reachable
-// [−255·cols − 1, 255·cols], which the caller keeps inside int32.
-StageOperands byte_operands(const CompiledStage& s, Dim nwords) {
+// byte_conv operands: word kh·wpj + j of a channel holds the weights of
+// bytes [8j, 8j + 8) of run kh, each a signed byte, +1 when the weight
+// bit is set and −1 otherwise (−1 past the run, where the pixels are
+// zero).  Before negation a channel fires when acc = Σ x·w > τ − 1.  The
+// bound is clamped to the reachable [−255·cols − 1, 255·cols], which the
+// caller keeps inside int32.
+StageOperands byte_operands(const CompiledStage& s) {
   static constexpr std::array<std::uint64_t, 256> kSignLut = [] {
     std::array<std::uint64_t, 256> t{};
     for (int v = 0; v < 256; ++v) {
@@ -378,13 +386,17 @@ StageOperands byte_operands(const CompiledStage& s, Dim nwords) {
     }
     return t;
   }();
+  const Dim run = s.kernel * s.in_ch;  // weight columns of one kernel row
   const Dim reach = 255 * s.weights.cols();
-  StageOperands op(s, nwords);
+  StageOperands op(s, s.kernel * ((run + 7) / 8));
   for (Dim oc = 0; oc < s.out_ch; ++oc) {
     const std::uint64_t* row = s.weights.row_data(oc);
-    for (Dim t = 0; t < nwords; ++t) {
-      op.w[static_cast<std::size_t>(t * op.cstride + oc)] =
-          kSignLut[(row[t >> 3] >> ((t & 7) * 8)) & 0xFF];
+    std::uint64_t* dst = op.w.data() + oc;
+    for (Dim kh = 0; kh < s.kernel; ++kh) {
+      for (Dim b = 0; b < run; b += 8, dst += op.cstride) {
+        *dst = kSignLut[detail::row_bits(row, kh * run + b,
+                                         std::min<Dim>(8, run - b))];
+      }
     }
     op.bound[static_cast<std::size_t>(oc)] = std::clamp<std::int64_t>(
         std::int64_t{s.threshold(oc, 0)} - 1, -reach - 1, reach);
@@ -393,25 +405,23 @@ StageOperands byte_operands(const CompiledStage& s, Dim nwords) {
 }
 
 // Quantises an NCHW image (NaN already rejected) to levels 0..`levels`
-// in channels-last order, plus 8 zero elements of slack for word-sized
-// copies.  For a float v ≥ 0, ⌊double(v) + 0.5⌋ equals the oracle's
-// std::lround(v) — the float sum v + 0.5f does not (0.49999997f would
-// round up) — and truncation is that floor.
+// in channels-last order, into px[0, C·H·W).  For a float v ≥ 0,
+// ⌊double(v) + 0.5⌋ equals the oracle's std::lround(v) — the float sum
+// v + 0.5f does not (0.49999997f would round up) — and truncation is
+// that floor.
 template <typename T>
-std::vector<T> quantise_channels_last(const Tensor& image, int levels) {
+void quantise_channels_last(const Tensor& image, int levels, T* px) {
   const Dim ch = image.shape()[1];
   const Dim hw = image.shape()[2] * image.shape()[3];
   const float scale = static_cast<float>(levels);
   const float* src = image.data();
-  std::vector<T> px(static_cast<std::size_t>(ch * hw + 8), 0);
   for (Dim c = 0; c < ch; ++c) {
     for (Dim i = 0; i < hw; ++i) {
       const float v = std::clamp(src[c * hw + i], 0.0f, 1.0f) * scale;
-      px[static_cast<std::size_t>(i * ch + c)] = static_cast<T>(
+      px[i * ch + c] = static_cast<T>(
           static_cast<std::int32_t>(static_cast<double>(v) + 0.5));
     }
   }
-  return px;
 }
 
 ChannelsLastMap exec_fixed_point_conv(const CompiledStage& s,
@@ -419,44 +429,27 @@ ChannelsLastMap exec_fixed_point_conv(const CompiledStage& s,
                                       int input_levels) {
   check_stage(s, image.shape()[1], image.shape()[2], image.shape()[3]);
   ChannelsLastMap out(s.out_ch, s.out_h, s.out_w);
-  const Dim run = s.kernel * s.in_ch;  // bytes of one kernel row
   // The byte kernels sum in 32-bit lanes: |acc| ≤ 255·cols must fit.
-  if (input_levels <= 255 && run * s.kernel < (Dim{1} << 23)) {
-    // A patch is K runs of `run` contiguous pixel bytes, copied a word at
-    // a time (the pixel bytes carry slack for the reads).  A run's last
-    // word is cut to the run, so the zeros it spills are overwritten by
-    // the next run or left as the patch's zero padding; the matrix keeps
-    // a spare word for the last patch's spill.
-    const std::vector<std::uint8_t> px =
-        quantise_channels_last<std::uint8_t>(image, input_levels);
-    const Dim nwords = (run * s.kernel + 7) / 8;
-    std::vector<std::uint64_t> patches(
-        static_cast<std::size_t>(s.out_h * s.out_w * nwords + 1), 0);
-    auto* dst = reinterpret_cast<unsigned char*>(patches.data());
-    for (Dim oh = 0; oh < s.out_h; ++oh) {
-      for (Dim ow = 0; ow < s.out_w; ++ow, dst += 8 * nwords) {
-        for (Dim kh = 0; kh < s.kernel; ++kh) {
-          const std::uint8_t* src =
-              px.data() + ((oh + kh) * s.in_w + ow) * s.in_ch;
-          for (Dim b = 0; b < run; b += 8) {
-            std::uint64_t v;
-            std::memcpy(&v, src + b, 8);
-            if (run - b < 8) v &= ~0ULL >> (8 * (8 - (run - b)));
-            std::memcpy(dst + kh * run + b, &v, 8);
-          }
-        }
-      }
-    }
-    const StageOperands op = byte_operands(s, nwords);
+  if (input_levels <= 255 && s.weights.cols() < (Dim{1} << 23)) {
+    // The kernel reads each patch row's runs of K·C₀ pixel bytes straight
+    // from the quantised pixels, 8 bytes at a time; a spare word keeps
+    // the reads near the last pixel in bounds.
+    std::vector<std::uint64_t> px(
+        static_cast<std::size_t>(image.numel() / 8 + 2), 0);
+    quantise_channels_last(image, input_levels,
+                           reinterpret_cast<std::uint8_t*>(px.data()));
+    const detail::PatchSource src{px.data(), s.in_ch, s.in_w,
+                                  s.kernel, s.out_w, s.out_h * s.out_w};
+    const StageOperands op = byte_operands(s);
     detail::kernels().byte_conv(op.w.data(), op.cstride, op.bound.data(),
-                                op.flip.data(), s.out_ch, patches.data(),
-                                s.out_h * s.out_w, nwords, out.words.data());
+                                op.flip.data(), s.out_ch, src,
+                                out.words.data());
     return out;
   }
   // Pixels wider than a byte (QuantizeInput allows 16 bits) or patches
   // too long for 32-bit sums: a portable integer loop over the same taps.
-  const std::vector<std::int32_t> px =
-      quantise_channels_last<std::int32_t>(image, input_levels);
+  std::vector<std::int32_t> px(static_cast<std::size_t>(image.numel()));
+  quantise_channels_last(image, input_levels, px.data());
   for (Dim oh = 0; oh < s.out_h; ++oh) {
     for (Dim ow = 0; ow < s.out_w; ++ow) {
       for (Dim oc = 0; oc < s.out_ch; ++oc) {
@@ -539,35 +532,33 @@ void threshold_lanes(const CompiledStage& s, const XnorLanes& lanes,
   }
 }
 
-// Thresholds every patch row against every output channel; row p's
-// pixel lands at bit p·out_ch of `out`.  The plain path is one
+// Thresholds every patch row of `src` against every output channel; row
+// p's pixel lands at bit p·out_ch of `out`.  The plain path is one
 // all-channel kernel call with the compare fused in.  When
 // core/integrity guards the call (a checking scope or armed faults on
 // this thread), the same lane loop writes accumulators instead, plus
 // checksum lanes when the call is verified, so the faults strike and
-// the check sees them (checked_xnor) before the threshold pass.
-void xnor_stage(const CompiledStage& s, const BitMatrix& patches,
+// the check sees them (checked_xnor) before the threshold pass.  The
+// guard is opened once per stage: xnor_begin advances the call ordinal
+// that armed faults and detections are keyed by.
+void xnor_stage(const CompiledStage& s, const detail::PatchSource& src,
                 ChannelsLastMap& out) {
-  const Dim rows = patches.rows();
   core::integrity::XnorGuard guard = core::integrity::xnor_begin();
   if (guard.active) {
-    threshold_lanes(s, checked_xnor(s.weights, patches, guard), rows, out);
+    threshold_lanes(s, checked_xnor(s.weights, src, guard), src.rows, out);
     return;
   }
-  const StageOperands op = xnor_operands(s);
+  const StageOperands op = xnor_operands(s, src.k);
   detail::kernels().xnor_conv(op.w.data(), op.cstride, op.bound.data(),
-                              op.flip.data(), s.out_ch, patches.row_data(0),
-                              rows, patches.words_per_row(),
+                              op.flip.data(), s.out_ch, src,
                               out.words.data());
 }
 
 ChannelsLastMap exec_binary_conv(const CompiledStage& s,
                                  const ChannelsLastMap& in) {
   check_stage(s, in.ch, in.h, in.w);
-  const BitMatrix patches =
-      bit_im2col(in.words.data(), in.ch, in.h, in.w, s.kernel);
   ChannelsLastMap out(s.out_ch, s.out_h, s.out_w);
-  xnor_stage(s, patches, out);
+  xnor_stage(s, patch_rows(in, s.kernel), out);
   return out;
 }
 
@@ -598,30 +589,29 @@ ChannelsLastMap exec_maxpool(const CompiledStage& s,
 }
 
 // Dense weights keep the CHW flatten order of the float graph, so a
-// dense stage reads its input map gathered into that order — a plain
-// copy for a 1×1 map, which is every dense input of CNV.
-BitMatrix gather_chw(const ChannelsLastMap& in) {
+// dense stage reads its input as one pixel in that order: the map itself
+// when it is 1×1, which is every dense input of CNV, else a gathered
+// copy.
+ChannelsLastMap flatten_chw(ChannelsLastMap in) {
   const Dim hw = in.h * in.w;
-  BitMatrix flat(1, in.ch * hw);
-  if (hw == 1) {
-    std::copy_n(in.words.data(), flat.words_per_row(), flat.row_data(0));
-    return flat;
-  }
+  if (hw == 1) return in;
+  ChannelsLastMap flat(in.ch * hw, 1, 1);
   for (Dim c = 0; c < in.ch; ++c) {
     for (Dim i = 0; i < hw; ++i) {
-      if (in.get(i * in.ch + c)) flat.set(0, c * hw + i, true);
+      if (in.get(i * in.ch + c)) flat.set(c * hw + i);
     }
   }
   return flat;
 }
 
-// Integer class scores cols − 2·mismatches; a guarded call takes them
-// from the checked product's single position.
+// Integer class scores cols − 2·mismatches of the one-pixel map `flat`;
+// a guarded call takes them from the checked product's single position.
 std::vector<std::int32_t> output_scores(const CompiledStage& s,
-                                        const BitMatrix& act) {
+                                        const ChannelsLastMap& flat) {
   core::integrity::XnorGuard guard = core::integrity::xnor_begin();
   if (guard.active) {
-    const XnorLanes lanes = checked_xnor(s.weights, act, guard);
+    const XnorLanes lanes =
+        checked_xnor(s.weights, patch_rows(flat, 1), guard);
     return std::vector<std::int32_t>(lanes.acc.get(),
                                      lanes.acc.get() + s.out_ch);
   }
@@ -630,8 +620,8 @@ std::vector<std::int32_t> output_scores(const CompiledStage& s,
   for (Dim oc = 0; oc < s.out_ch; ++oc) {
     scores[static_cast<std::size_t>(oc)] = static_cast<std::int32_t>(
         s.weights.cols() - 2 * xor_pop(s.weights.row_data(oc),
-                                       act.row_data(0),
-                                       act.words_per_row()));
+                                       flat.words.data(),
+                                       s.weights.words_per_row()));
   }
   return scores;
 }
@@ -651,14 +641,15 @@ std::vector<std::int32_t> run_reference_packed(const CompiledBnn& net,
         break;
       case StageKind::kBinaryDense: {
         check_stage(stage, fmap.ch, fmap.h, fmap.w);
+        const ChannelsLastMap flat = flatten_chw(std::move(fmap));
         ChannelsLastMap next(stage.out_ch, 1, 1);
-        xnor_stage(stage, gather_chw(fmap), next);
+        xnor_stage(stage, patch_rows(flat, 1), next);
         fmap = std::move(next);
         break;
       }
       case StageKind::kOutputDense:
         check_stage(stage, fmap.ch, fmap.h, fmap.w);
-        return output_scores(stage, gather_chw(fmap));
+        return output_scores(stage, flatten_chw(std::move(fmap)));
       case StageKind::kFixedPointConv:
         MPCNN_CHECK(false, "fixed-point conv must be the first stage");
     }
@@ -843,9 +834,17 @@ std::vector<std::int32_t> run_reference(const CompiledBnn& net,
   MPCNN_CHECK(net.input_levels >= 1 && net.input_levels <= 65535,
               "input level count " << net.input_levels);
   // std::clamp saturates ±Inf to 1 and 0 but passes NaN through, and no
-  // integer conversion of NaN is defined.
-  for (Dim i = 0; i < image.numel(); ++i) {
-    MPCNN_CHECK(!std::isnan(image[i]), "pixel " << i << " is NaN");
+  // integer conversion of NaN is defined.  The scan is branch-free, so
+  // it vectorises; only a rejected image looks for the first NaN.
+  const float* px = image.data();
+  const Dim numel = image.numel();
+  int nan = 0;  // an int, not a bool: GCC vectorises this OR reduction
+  for (Dim i = 0; i < numel; ++i) nan |= std::isnan(px[i]);
+  if (nan != 0) {
+    const Dim at = std::find_if(px, px + numel,
+                                [](float v) { return std::isnan(v); }) -
+                   px;
+    MPCNN_CHECK(false, "pixel " << at << " is NaN");
   }
   const bool binary = net.fully_binary();
   MPCNN_CHECK(binary || exec != BnnExec::kPacked,

@@ -18,8 +18,47 @@ CpuFeatures probe_features() {
   f.popcnt = __builtin_cpu_supports("popcnt");
   f.avx2 = __builtin_cpu_supports("avx2");
   f.fma = __builtin_cpu_supports("fma");
+  f.avx512f = __builtin_cpu_supports("avx512f");
+  f.avx512bw = __builtin_cpu_supports("avx512bw");
+  f.avx512vl = __builtin_cpu_supports("avx512vl");
+  f.avx512vpopcntdq = __builtin_cpu_supports("avx512vpopcntdq");
+  f.avx512vnni = __builtin_cpu_supports("avx512vnni");
 #endif
   return f;
+}
+
+constexpr Isa kLevels[] = {Isa::kScalar, Isa::kSse2, Isa::kAvx2,
+                           Isa::kAvx512};
+
+// The features a level's kernels execute, each level on top of the one
+// below it.
+bool runs_on(Isa isa, const CpuFeatures& f) {
+  switch (isa) {
+    case Isa::kScalar:
+      return true;
+    case Isa::kSse2:
+      return f.sse2;
+    case Isa::kAvx2:
+      return f.avx2 && f.popcnt;
+    case Isa::kAvx512:
+      return runs_on(Isa::kAvx2, f) && f.avx512f && f.avx512bw &&
+             f.avx512vl && f.avx512vpopcntdq && f.avx512vnni;
+  }
+  return false;
+}
+
+const char* required_features(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return "nothing";
+    case Isa::kSse2:
+      return "SSE2";
+    case Isa::kAvx2:
+      return "AVX2+POPCNT";
+    case Isa::kAvx512:
+      return "AVX2+POPCNT and AVX-512 F/BW/VL/VPOPCNTDQ/VNNI";
+  }
+  return "?";
 }
 
 Isa resolve_isa() {
@@ -27,22 +66,17 @@ Isa resolve_isa() {
   const char* env = std::getenv("MPCNN_ISA");
   if (env != nullptr && env[0] != '\0') {
     const std::string v(env);
-    if (v == "scalar") return Isa::kScalar;
-    if (v == "sse2") {
-      MPCNN_CHECK(f.sse2, "MPCNN_ISA=sse2 but the CPU does not report SSE2");
-      return Isa::kSse2;
+    for (const Isa isa : kLevels) {
+      if (v != isa_name(isa)) continue;
+      MPCNN_CHECK(runs_on(isa, f),
+                  "MPCNN_ISA=" << v << " but the CPU does not report "
+                               << required_features(isa));
+      return isa;
     }
-    if (v == "avx2") {
-      MPCNN_CHECK(f.avx2 && f.popcnt,
-                  "MPCNN_ISA=avx2 but the CPU does not report AVX2+POPCNT");
-      return Isa::kAvx2;
-    }
-    MPCNN_CHECK(false, "MPCNN_ISA='" << v
-                                     << "' (expected scalar, sse2 or avx2)");
+    MPCNN_CHECK(false, "MPCNN_ISA='"
+                           << v << "' (expected scalar, sse2, avx2 or avx512)");
   }
-  if (f.avx2 && f.popcnt) return Isa::kAvx2;
-  if (f.sse2) return Isa::kSse2;
-  return Isa::kScalar;
+  return supported_isas().back();
 }
 
 struct IsaState {
@@ -87,8 +121,18 @@ const char* isa_name(Isa isa) {
       return "sse2";
     case Isa::kAvx2:
       return "avx2";
+    case Isa::kAvx512:
+      return "avx512";
   }
   return "?";
+}
+
+std::vector<Isa> supported_isas() {
+  std::vector<Isa> levels;
+  for (const Isa isa : kLevels) {
+    if (runs_on(isa, cpu_features())) levels.push_back(isa);
+  }
+  return levels;
 }
 
 Isa active_isa() {
@@ -141,6 +185,11 @@ std::string cpu_signature() {
   add(f.popcnt, "popcnt");
   add(f.avx2, "avx2");
   add(f.fma, "fma");
+  add(f.avx512f, "avx512f");
+  add(f.avx512bw, "avx512bw");
+  add(f.avx512vl, "avx512vl");
+  add(f.avx512vpopcntdq, "avx512vpopcntdq");
+  add(f.avx512vnni, "avx512vnni");
   if (!any) sig += "none";
   sig += " isa=";
   sig += isa_name(active_isa());

@@ -14,8 +14,11 @@
 //            POPCNT kernels when the CPU reports POPCNT.
 //   avx2   — 256-bit VPSHUFB nibble-LUT popcount, AVX2 GEMM tiles.
 //            Requires AVX2 (+POPCNT for the bit kernels).
+//   avx512 — VPOPCNTQ binary stage kernels and the VPDPBUSD byte stage;
+//            float GEMM keeps its AVX2 tiles.  Requires AVX-512 F, BW,
+//            VL, VPOPCNTDQ and VNNI on top of avx2.
 //
-// `MPCNN_ISA=scalar|sse2|avx2` forces a level; forcing a level the CPU
+// `MPCNN_ISA=scalar|sse2|avx2|avx512` forces a level; forcing a level the CPU
 // cannot execute (or an unknown name) throws Error.  The level is
 // resolved once on first use; tests that flip MPCNN_ISA in-process call
 // refresh_isa(), which bumps a generation counter that every dispatch
@@ -33,16 +36,26 @@ struct CpuFeatures {
   bool popcnt = false;
   bool avx2 = false;
   bool fma = false;
+  bool avx512f = false;
+  bool avx512bw = false;
+  bool avx512vl = false;
+  bool avx512vpopcntdq = false;
+  bool avx512vnni = false;
 };
 
 /// Detected features of the host CPU (probed once, then cached).
 const CpuFeatures& cpu_features();
 
 /// Dispatch levels, ordered; higher levels require CPU support.
-enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
 
-/// Lower-case level name ("scalar", "sse2", "avx2").
+/// Lower-case level name ("scalar", "sse2", "avx2", "avx512").
 const char* isa_name(Isa isa);
+
+/// Every level MPCNN_ISA may force on this CPU, in ascending order
+/// (scalar first).  The one definition of "levels this CPU runs": tests,
+/// sweeps, benches and `mpcnn_cli cpuinfo` all iterate this list.
+std::vector<Isa> supported_isas();
 
 /// The active dispatch level: MPCNN_ISA if set (validated against the
 /// CPU), otherwise the best level the CPU supports.  Resolved once;
@@ -63,7 +76,8 @@ int isa_generation();
 
 /// Human-readable signature of (features, active level) — the key bench
 /// gates use to tell machines apart, e.g.
-/// "x86-64 sse2+popcnt+avx2+fma isa=avx2".
+/// "x86-64 sse2+popcnt+avx2+fma isa=avx2"; AVX-512 hosts also name
+/// avx512f, avx512bw, avx512vl, avx512vpopcntdq and avx512vnni.
 std::string cpu_signature();
 
 /// --- dispatch-slot introspection -----------------------------------

@@ -257,7 +257,8 @@ const GemmKernels& gemm_kernels() {
   if (k == nullptr || bound_gen.load(std::memory_order_acquire) != gen) {
     std::lock_guard<std::mutex> lock(mu);
     k = &kGemmKernelsGeneric;
-    if (core::active_isa() == core::Isa::kAvx2 &&
+    // The avx512 level keeps these tiles: float GEMM has no AVX-512 variant.
+    if (core::active_isa() >= core::Isa::kAvx2 &&
         kGemmKernelsAvx2.tile != nullptr) {
       k = &kGemmKernelsAvx2;
     }

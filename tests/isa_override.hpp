@@ -38,10 +38,10 @@ struct IsaOverride {
 
 // Every level this machine can execute, scalar first (the oracle run).
 inline std::vector<std::string> supported_levels() {
-  const core::CpuFeatures& f = core::cpu_features();
-  std::vector<std::string> levels = {"scalar"};
-  if (f.sse2) levels.push_back("sse2");
-  if (f.avx2 && f.popcnt) levels.push_back("avx2");
+  std::vector<std::string> levels;
+  for (const core::Isa isa : core::supported_isas()) {
+    levels.push_back(core::isa_name(isa));
+  }
   return levels;
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
+
+#include "bnn/kernels_impl.hpp"
 
 #include "tensor/rng.hpp"
 
@@ -142,72 +145,81 @@ TEST(XnorGemm, ColumnMismatchThrows) {
   EXPECT_THROW(xnor_gemm(a, b, out.data()), Error);
 }
 
-// bit_im2col against a per-bit patch assembly of the channels-last
-// contract: map bit (y·w + x)·ch + c is channel c of pixel (y, x), and
-// patch column (kh·K + kw)·ch + c is that bit of pixel (oh+kh, ow+kw).
-// Channel counts straddle words (3, 5) and make kernel-row runs longer
-// than a word (65 × K = 2).
-struct Im2colCase {
+// The stage kernels' patch reader (bnn/kernels_impl.hpp) against a
+// per-bit patch assembly of the channels-last contract: map bit
+// (y·w + x)·ch + c is channel c of pixel (y, x), and bit b of word
+// kh·wpj + j of the patch row at (oh, ow) is bit i = 64j + b of run kh —
+// tap (kh, kw = i / ch, c = i % ch), the bit of pixel (oh+kh, ow+kw) —
+// or zero past the run.  Channel counts straddle words (3, 5) and make
+// runs longer than a word (65 × K = 2), or are byte-aligned (8, 16, 24,
+// 40, 64).  The map has exactly one spare word, and 8×8 maps of 5 and 24
+// channels end on a word boundary, so the last run's last word reaches
+// into the spare word.
+struct PatchCase {
   Dim ch, h, w, kernel;
 };
 
-class BitIm2colShapes : public ::testing::TestWithParam<Im2colCase> {};
+// Names each case in test listings, e.g. "ch3_9x7_k3".
+void PrintTo(const PatchCase& c, std::ostream* os) {
+  *os << "ch" << c.ch << "_" << c.h << "x" << c.w << "_k" << c.kernel;
+}
 
-TEST_P(BitIm2colShapes, MatchesPerBitPatchAssembly) {
+class PatchWordReader : public ::testing::TestWithParam<PatchCase> {};
+
+TEST_P(PatchWordReader, MatchesPerBitPatchAssembly) {
   const auto [ch, h, w, kernel] = GetParam();
   Rng rng(static_cast<std::uint64_t>(ch * h * w * kernel));
   const Dim bits = ch * h * w;
-  std::vector<std::uint64_t> map(static_cast<std::size_t>((bits + 63) / 64 + 1),
-                                 0);
+  std::vector<std::uint64_t> map(
+      static_cast<std::size_t>((bits + 63) / 64 + 1), 0);
   for (Dim bit = 0; bit < bits; ++bit) {
     if (rng.bernoulli(0.5)) {
       map[static_cast<std::size_t>(bit >> 6)] |= 1ULL << (bit & 63);
     }
   }
-  auto bit_of = [&](Dim c, Dim y, Dim x) {
+  auto bit_of = [&](Dim c, Dim y, Dim x) -> std::uint64_t {
     const Dim bit = (y * w + x) * ch + c;
-    return ((map[static_cast<std::size_t>(bit >> 6)] >> (bit & 63)) & 1ULL) !=
-           0;
+    return (map[static_cast<std::size_t>(bit >> 6)] >> (bit & 63)) & 1ULL;
   };
-  const BitMatrix patches = bit_im2col(map.data(), ch, h, w, kernel);
   const Dim out_h = h - kernel + 1, out_w = w - kernel + 1;
-  const Dim cols = ch * kernel * kernel;
-  ASSERT_EQ(patches.rows(), out_h * out_w);
-  ASSERT_EQ(patches.cols(), cols);
+  const detail::PatchWalk walk = detail::patch_walk(
+      {map.data(), ch, w, kernel, out_w, out_h * out_w}, 1);
+  const Dim run = kernel * ch;
+  ASSERT_EQ(walk.wpj, (run + 63) / 64);
+  Dim start = 0, ow_at = 0;
   for (Dim oh = 0; oh < out_h; ++oh) {
     for (Dim ow = 0; ow < out_w; ++ow) {
-      const Dim pos = oh * out_w + ow;
+      detail::RowWords row{start, 0};
       for (Dim kh = 0; kh < kernel; ++kh) {
-        for (Dim kw = 0; kw < kernel; ++kw) {
-          for (Dim c = 0; c < ch; ++c) {
-            const Dim col = (kh * kernel + kw) * ch + c;
-            ASSERT_EQ(patches.get(pos, col), bit_of(c, oh + kh, ow + kw))
-                << "pos=" << pos << " kh=" << kh << " kw=" << kw
-                << " c=" << c;
+        for (Dim j = 0; j < walk.wpj; ++j) {
+          std::uint64_t want = 0;
+          for (Dim b = 0; b < 64 && 64 * j + b < run; ++b) {
+            const Dim i = 64 * j + b;
+            want |= bit_of(i % ch, oh + kh, ow + i / ch) << b;
           }
+          ASSERT_EQ(detail::next_word(walk, row), want)
+              << "oh=" << oh << " ow=" << ow << " kh=" << kh << " j=" << j;
         }
       }
-      // Padding past `cols` stays zero, so XOR against weights cancels.
-      const Dim tail = cols & 63;
-      if (tail != 0) {
-        EXPECT_EQ(patches.row_data(pos)[patches.words_per_row() - 1] >> tail,
-                  0u)
-            << "pos=" << pos;
-      }
+      detail::next_row(walk, start, ow_at);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    TailWordHostile, BitIm2colShapes,
-    ::testing::Values(Im2colCase{3, 9, 7, 3},     // 3-bit pixels
-                      Im2colCase{1, 8, 8, 3},     // one channel
-                      Im2colCase{5, 5, 13, 3},    // fields straddle words
-                      Im2colCase{4, 6, 6, 1},     // K = 1 passthrough
-                      Im2colCase{2, 12, 11, 5},   // wide kernel
-                      Im2colCase{65, 4, 5, 2},    // runs longer than a word
-                      Im2colCase{16, 30, 30, 3},  // CNV conv1, width 0.25
-                      Im2colCase{64, 30, 30, 3}   // CNV conv1, full width
+    TailWordHostile, PatchWordReader,
+    ::testing::Values(PatchCase{3, 9, 7, 3},     // 3-bit pixels
+                      PatchCase{1, 8, 8, 3},     // one channel
+                      PatchCase{5, 5, 13, 3},    // fields straddle words
+                      PatchCase{4, 6, 6, 1},     // K = 1 passthrough
+                      PatchCase{2, 12, 11, 5},   // wide kernel
+                      PatchCase{65, 4, 5, 2},    // runs longer than a word
+                      PatchCase{16, 30, 30, 3},  // CNV conv1, width 0.25
+                      PatchCase{64, 30, 30, 3},  // CNV conv1, full width
+                      PatchCase{8, 5, 6, 3},     // byte-aligned pixels
+                      PatchCase{40, 5, 7, 2},    // byte-aligned, 80-bit runs
+                      PatchCase{24, 8, 8, 3},    // reads reach the spare
+                      PatchCase{5, 8, 8, 3}      // reads reach the spare
                       ));
 
 }  // namespace

@@ -188,6 +188,12 @@ CompiledBnn build_net(const NetSpec& spec, Rng& rng) {
 // odd, non-square maps; a pool sees an odd map; the last conv maps (4×3,
 // 2×1, 1×6, 3×2, 2×2, 3×2) feed dense stages through the channels-last →
 // CHW gather; most output widths are not a multiple of the 4 SIMD lanes.
+// The last two nets aim at the stage kernels' patch reader: byte-aligned
+// pixels of 8, 24 and 40 bits, first-stage runs of 8k and 8k + 1 bytes,
+// maps that end on a word boundary (24 × 8×9 and 5 × 8×8 bits) so the
+// last run's last word reaches into the spare word, and 68- and
+// 76-channel convs, whose cstride ≡ 4 (mod 8) leaves an AVX-512 lane
+// group half past the row.
 std::vector<NetSpec> hostile_nets() {
   using K = StageKind;
   return {
@@ -218,6 +224,17 @@ std::vector<NetSpec> hostile_nets() {
        {{K::kFixedPointConv, 40, 3}, {K::kBinaryConv, 230, 1},
         {K::kBinaryConv, 7, 3}, {K::kBinaryDense, 9},
         {K::kOutputDense, 4}}},
+      // 16-byte first-stage runs, then 24-, 40- and 8-bit pixels.
+      {255, 8, 9, 10,
+       {{K::kFixedPointConv, 24, 2}, {K::kBinaryConv, 40, 3},
+        {K::kBinaryConv, 76, 2}, {K::kMaxPoolBinary},
+        {K::kBinaryConv, 8, 2}, {K::kOutputDense, 5}}},
+      // 17-byte first-stage runs, then 5- and 68-bit pixels (reads off
+      // byte boundaries) and a gathered 4×4 dense input.
+      {255, 17, 8, 8,
+       {{K::kFixedPointConv, 5, 1}, {K::kBinaryConv, 68, 3},
+        {K::kBinaryConv, 24, 3}, {K::kBinaryDense, 65},
+        {K::kOutputDense, 6}}},
   };
 }
 

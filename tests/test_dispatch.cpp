@@ -8,6 +8,7 @@
 // compare against the scalar-forced run and the naive oracles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -87,6 +88,48 @@ TEST(DispatchRegistry, ScalarForcedBindsPortableVariants) {
     if (b.slot == "bnn.byte_conv") {
       EXPECT_EQ(b.variant, "portable");
     }
+  }
+}
+
+// MPCNN_ISA=avx512 binds the AVX-512 stage kernels, with float GEMM on
+// its AVX2 tiles and single dot products on AVX2's xor_pop, where the CPU has every feature the level needs, and
+// is refused where it does not.
+TEST(DispatchRegistry, Avx512ForcedBindsAvx512VariantsOrThrows) {
+  const std::vector<core::Isa> levels = core::supported_isas();
+  if (std::find(levels.begin(), levels.end(), core::Isa::kAvx512) ==
+      levels.end()) {
+    const core::Isa before = core::active_isa();
+    ::setenv("MPCNN_ISA", "avx512", 1);
+    EXPECT_THROW(core::refresh_isa(), Error);
+    ::unsetenv("MPCNN_ISA");
+    EXPECT_EQ(core::active_isa(), before);
+    core::refresh_isa();
+    return;
+  }
+  IsaOverride avx512("avx512");
+  EXPECT_EQ(core::active_isa(), core::Isa::kAvx512);
+  EXPECT_NE(core::cpu_signature().find("isa=avx512"), std::string::npos);
+  for (const auto& b : core::kernel_bindings()) {
+    if (b.slot == "gemm.tile") {
+      EXPECT_EQ(b.variant, "avx2");
+    }
+    if (b.slot == "bnn.xnor_conv" || b.slot == "bnn.byte_conv" ||
+        b.slot == "integrity.xnor_checksum") {
+      EXPECT_EQ(b.variant, "avx512") << b.slot;
+    }
+    if (b.slot == "bnn.xor_popcount") {
+      EXPECT_EQ(b.variant, "avx2");  // single dots keep the AVX2 kernel
+    }
+  }
+}
+
+TEST(DispatchRegistry, SupportedLevelsAscendFromScalar) {
+  const std::vector<core::Isa> levels = core::supported_isas();
+  ASSERT_FALSE(levels.empty());
+  EXPECT_EQ(levels.front(), core::Isa::kScalar);
+  EXPECT_TRUE(std::is_sorted(levels.begin(), levels.end()));
+  if (!core::isa_forced()) {
+    EXPECT_EQ(levels.back(), core::active_isa());  // the default level
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/serve.hpp"
@@ -10,6 +11,14 @@
 
 namespace mpcnn {
 namespace {
+
+// "t0", "t1", …, appended rather than "t" + std::to_string(t), whose
+// inlined insert draws a GCC 12 -Wrestrict false positive.
+std::string tenant_name(int t) {
+  std::string name = "t";
+  name += std::to_string(t);
+  return name;
+}
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -365,7 +374,7 @@ TEST_F(ServeTest, ContinuousBatchingBeatsFixedBaselineOnGoodput) {
 
   std::vector<core::TenantConfig> tenants(4);
   for (int t = 0; t < 4; ++t) {
-    tenants[static_cast<std::size_t>(t)].name = "t" + std::to_string(t);
+    tenants[static_cast<std::size_t>(t)].name = tenant_name(t);
     tenants[static_cast<std::size_t>(t)].slo_s = slo;
   }
   // 4 tenants, each at ~45% of capacity: 1.8× saturating in aggregate.
@@ -450,7 +459,7 @@ TEST_F(ServeTest, DeterministicAcrossThreadCountsAndSubmitters) {
     config.session.scrub_interval = 2;
     std::vector<core::TenantConfig> tenants(3);
     for (int t = 0; t < 3; ++t) {
-      tenants[static_cast<std::size_t>(t)].name = "t" + std::to_string(t);
+      tenants[static_cast<std::size_t>(t)].name = tenant_name(t);
       tenants[static_cast<std::size_t>(t)].slo_s =
           img_s * static_cast<double>(batch) * 6.0;
       tenants[static_cast<std::size_t>(t)].bucket_rate = 2.0 / img_s;

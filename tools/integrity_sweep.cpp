@@ -140,10 +140,7 @@ int run(const Options& opt) {
   }
 
   // ---- phase 2: full-mode sweep across ISA levels and threads -------
-  std::vector<core::Isa> levels = {core::Isa::kScalar};
-  const core::CpuFeatures& features = core::cpu_features();
-  if (features.sse2) levels.push_back(core::Isa::kSse2);
-  if (features.avx2) levels.push_back(core::Isa::kAvx2);
+  const std::vector<core::Isa> levels = core::supported_isas();
 
   std::int64_t total_fired = 0;
   std::int64_t total_struck = 0;

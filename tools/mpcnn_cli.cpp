@@ -171,7 +171,7 @@ Args parse(int argc, char** argv) {
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       args.options[key] = argv[++i];
     } else {
-      args.options[key] = "1";
+      args.options[key] = std::string("1");  // a flag without a value
     }
   }
   return args;
@@ -457,8 +457,17 @@ int cmd_verify(const Args& args) {
 // format so scripts can grep individual rows.
 int cmd_cpuinfo(const Args&) {
   const core::CpuFeatures& f = core::cpu_features();
-  std::printf("cpu: sse2=%d popcnt=%d avx2=%d fma=%d\n", f.sse2 ? 1 : 0,
-              f.popcnt ? 1 : 0, f.avx2 ? 1 : 0, f.fma ? 1 : 0);
+  std::printf(
+      "cpu: sse2=%d popcnt=%d avx2=%d fma=%d avx512f=%d avx512bw=%d "
+      "avx512vl=%d avx512vpopcntdq=%d avx512vnni=%d\n",
+      f.sse2 ? 1 : 0, f.popcnt ? 1 : 0, f.avx2 ? 1 : 0, f.fma ? 1 : 0,
+      f.avx512f ? 1 : 0, f.avx512bw ? 1 : 0, f.avx512vl ? 1 : 0,
+      f.avx512vpopcntdq ? 1 : 0, f.avx512vnni ? 1 : 0);
+  std::printf("levels:");
+  for (const core::Isa isa : core::supported_isas()) {
+    std::printf(" %s", core::isa_name(isa));
+  }
+  std::printf("\n");
   const char* forced = std::getenv("MPCNN_ISA");
   if (core::isa_forced() && forced != nullptr) {
     std::printf("isa: %s (override: MPCNN_ISA=%s)\n",
