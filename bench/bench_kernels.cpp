@@ -1,7 +1,9 @@
 // Micro-benchmarks of the compute kernels underneath everything
-// (google-benchmark): float GEMM, XNOR-popcount dot products, im2col,
-// whole-network BNN inference in the packed engine, and one host float
-// image through Net::predict (BM_NetPredict/<model>).
+// (google-benchmark): float GEMM (square, and the batch-1 conv GEMMs of
+// the served host models as BM_Gemm/<M>x<N>x<K>), XNOR-popcount dot
+// products, im2col, whole-network BNN inference in the packed engine,
+// and one host float image through Net::predict (BM_NetPredict/<model>).
+// MPCNN_ISA=<level> runs every row at one dispatch level.
 //
 // The custom main below additionally registers one benchmark per
 // supported ISA dispatch level (BM_GemmIsa/<isa>, BM_XnorGemmIsa/<isa>,
@@ -29,22 +31,27 @@ namespace {
 
 using namespace mpcnn;
 
-void BM_Gemm(benchmark::State& state) {
-  const Dim n = state.range(0);
+// C (M×N) = A (M×K) · B (K×N), beta = 0 as a conv layer calls it.
+void gemm_body(Dim m, Dim n, Dim k, benchmark::State& state) {
   Rng rng(1);
-  std::vector<float> A(static_cast<std::size_t>(n * n));
-  std::vector<float> B(static_cast<std::size_t>(n * n));
-  std::vector<float> C(static_cast<std::size_t>(n * n));
+  std::vector<float> A(static_cast<std::size_t>(m * k));
+  std::vector<float> B(static_cast<std::size_t>(k * n));
+  std::vector<float> C(static_cast<std::size_t>(m * n));
   for (auto& v : A) v = static_cast<float>(rng.uniform());
   for (auto& v : B) v = static_cast<float>(rng.uniform());
   for (auto _ : state) {
-    gemm(n, n, n, 1.0f, A.data(), B.data(), 0.0f, C.data());
+    gemm(m, n, k, 1.0f, A.data(), B.data(), 0.0f, C.data());
     benchmark::DoNotOptimize(C.data());
   }
   state.counters["GFLOPs"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n,
+      2.0 * static_cast<double>(m) * n * k,
       benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
+}
+
+void BM_Gemm(benchmark::State& state) {
+  const Dim n = state.range(0);
+  gemm_body(n, n, n, state);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
@@ -276,6 +283,25 @@ void xnor_gemm_isa_body(const std::string& isa, benchmark::State& state) {
       benchmark::Counter::kIs1000);
 }
 
+// The batch-1 conv GEMMs (out channels × positions × patch) that
+// dominate a host image at Workbench widths: Model C's 18-channel 32×32
+// and 36-channel 16×16 3×3 convs, and Model A's first 5×5 conv.  A tile
+// change shows here per level (MPCNN_ISA) without the end-to-end bench.
+void register_conv_gemm_benchmarks() {
+  struct ConvGemm {
+    Dim m, n, k;
+  };
+  for (const ConvGemm s : {ConvGemm{18, 1024, 162}, ConvGemm{36, 256, 324},
+                           ConvGemm{12, 1024, 75}}) {
+    benchmark::RegisterBenchmark(
+        ("BM_Gemm/" + std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
+         std::to_string(s.k))
+            .c_str(),
+        [s](benchmark::State& state) { gemm_body(s.m, s.n, s.k, state); })
+        ->UseRealTime();
+  }
+}
+
 void register_net_benchmarks() {
   for (const char which : {'A', 'C'}) {
     benchmark::RegisterBenchmark(
@@ -309,6 +335,7 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("mpcnn_cpu_signature",
                               mpcnn::core::cpu_signature());
   benchmark::Initialize(&argc, argv);
+  register_conv_gemm_benchmarks();
   register_net_benchmarks();
   register_isa_benchmarks();
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -24,7 +24,8 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 
 # ISA sweep: the kernel/BNN/dispatch test trees, the stage kernels'
 # patch reader, the ABFT suites whose checksum lanes ride the dispatched
-# stage kernel, and the float inference path (NetInfer, Im2Col) must pass
+# stage kernel, the guard-page lane-tail suite (LaneTailGuard) and the
+# float inference path (NetInfer, Im2Col) must pass
 # with the dispatcher forced to every level this host supports: the
 # `levels:` line of cpuinfo, core::supported_isas() (forcing an
 # unsupported level is refused by the registry).
@@ -35,7 +36,7 @@ if [ -z "$ISA_LEVELS" ]; then
 fi
 for isa in $ISA_LEVELS; do
   MPCNN_ISA="$isa" ctest --test-dir build \
-    -R 'Gemm|BitVector|BitMatrix|PatchWordReader|SignBit|PackedBnn|Partial|Dispatch|Determinism|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col' \
+    -R 'Gemm|BitVector|BitMatrix|PatchWordReader|SignBit|PackedBnn|Partial|Dispatch|Determinism|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|LaneTailGuard' \
     --output-on-failure 2>&1 | tee "isa_${isa}_output.txt"
 done
 
@@ -122,11 +123,12 @@ MPCNN_THREADS=4 ctest --test-dir build-tsan \
 # accumulator lanes under AVX-512 lane masks, and the float inference path
 # and the GEMM shape suites, whose im2col row copies read input rows
 # directly and whose GEMM tiles read B in place when it is one panel
-# wide.
+# wide and load and store column tails under lane masks (LaneTailGuard
+# also pins those masks in the Release tree, against guard pages).
 cmake -B build-asan -G Ninja -DMPCNN_SANITIZE=address
 cmake --build build-asan
 MPCNN_THREADS=4 ctest --test-dir build-asan \
-  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|PatchWordReader|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|GemmVsNaive|GemmVariantsHostile' \
+  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|PatchWordReader|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|GemmVsNaive|GemmVariantsHostile|LaneTailGuard' \
   --output-on-failure 2>&1 | tee asan_output.txt
 build-asan/tools/fuzz_artifact --iterations 1200 \
   2>&1 | tee -a asan_output.txt

@@ -12,11 +12,16 @@
 //   scalar — portable C++ only: SWAR popcount, autovectorised GEMM tile.
 //   sse2   — x86-64 baseline paths (PSADBW byte conv) plus hardware
 //            POPCNT kernels when the CPU reports POPCNT.
-//   avx2   — 256-bit VPSHUFB nibble-LUT popcount, AVX2 GEMM tiles.
+//   avx2   — 256-bit VPSHUFB nibble-LUT popcount, the 256-bit float GEMM
+//            tile, the A·Bᵀ panel tile and the ABFT epilogue passes.
 //            Requires AVX2 (+POPCNT for the bit kernels).
-//   avx512 — VPOPCNTQ binary stage kernels and the VPDPBUSD byte stage;
-//            float GEMM keeps its AVX2 tiles.  Requires AVX-512 F, BW,
-//            VL, VPOPCNTDQ and VNNI on top of avx2.
+//   avx512 — VPOPCNTQ binary stage kernels, the VPDPBUSD byte stage and
+//            the 512-bit float GEMM tile; the A·Bᵀ tile and the ABFT
+//            passes stay on AVX2.  Requires AVX-512 F, BW, VL, VPOPCNTDQ
+//            and VNNI on top of avx2.
+//   Both GEMM tiles are one template (tensor/gemm_tile_impl.hpp) that
+//   forms α·A[i][k] once per row block, rounded to float as the portable
+//   tile rounds it, so every level's float results stay bit-identical.
 //
 // `MPCNN_ISA=scalar|sse2|avx2|avx512` forces a level; forcing a level the CPU
 // cannot execute (or an unknown name) throws Error.  The level is

@@ -22,10 +22,15 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 // the compiler can auto-vectorise for the build baseline (SSE2 on
 // x86-64); i is unrolled by 4 to amortise the A-loads.  This is the
 // rounding-order reference every ISA variant must reproduce bit-exactly.
+// With `overwrite` the tile's own block of C is zeroed first, so every
+// chain starts from +0.0 as the vector tiles' zeroed accumulators do.
 void tile_generic(std::int64_t mb, std::int64_t nb, std::int64_t kb,
                   float alpha, const float* A, std::int64_t lda,
                   const float* B, std::int64_t ldb, float* C,
-                  std::int64_t ldc) {
+                  std::int64_t ldc, bool overwrite) {
+  if (overwrite) {
+    for (std::int64_t r = 0; r < mb; ++r) std::fill_n(C + r * ldc, nb, 0.0f);
+  }
   std::int64_t i = 0;
   for (; i + 4 <= mb; i += 4) {
     for (std::int64_t k = 0; k < kb; ++k) {
@@ -77,6 +82,15 @@ std::vector<float>& packed_b_scratch() {
 const detail::GemmKernels kGemmKernelsGeneric = {"generic", &tile_generic,
                                                  nullptr, nullptr, nullptr};
 
+// The avx512 level: the 512-bit tile, with the AVX2 A·Bᵀ tile and ABFT
+// passes (the A·Bᵀ tile serves training; the passes reduce in double).
+const detail::GemmKernels& avx512_kernels() {
+  static const detail::GemmKernels k = {
+      "avx512", detail::kGemmTileAvx512, detail::kGemmKernelsAvx2.bt_tile,
+      detail::kGemmKernelsAvx2.abft_pass, detail::kGemmKernelsAvx2.abft_dots};
+  return k;
+}
+
 // ABFT epilogue kernels of the bound dispatch level, in the form the
 // integrity hooks accept (null members → portable fallback loops).
 core::integrity::GemmAbftKernels abft_kernels() {
@@ -94,7 +108,7 @@ core::integrity::GemmAbftKernels abft_kernels() {
 
 constexpr std::int64_t kMc = 64;
 constexpr std::int64_t kNc = 256;
-constexpr std::int64_t kKc = 256;
+constexpr std::int64_t kKc = detail::kGemmTileMaxKb;
 
 void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
                   float alpha, const float* A, const float* B, float beta,
@@ -140,14 +154,17 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
 
   // One chunk per M-tile: each output row is scaled and accumulated by
   // exactly one thread with the k0-ascending order of the serial kernel,
-  // so results are bit-identical at any thread count.
+  // so results are bit-identical at any thread count.  With beta = 0 the
+  // first k-tile overwrites C, each chain starting from +0.0 — the value
+  // scale_rows would have stored — so C is neither read nor zeroed first.
+  const bool overwrite = beta == 0.0f && ktiles > 0;
   const float* Bp_data = Bp.data();
   core::parallel_for(0, mtiles, 1, [&, Bp_data](std::int64_t t0,
                                                 std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t) {
       const std::int64_t i0 = t * kMc;
       const std::int64_t mb = std::min(kMc, M - i0);
-      scale_rows(mb, N, beta, C + i0 * N);
+      if (!overwrite) scale_rows(mb, N, beta, C + i0 * N);
       for (std::int64_t kt = 0; kt < ktiles; ++kt) {
         const std::int64_t k0 = kt * kKc;
         const std::int64_t kb = std::min(kKc, K - k0);
@@ -157,7 +174,7 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
           const float* Bt = in_place ? B + k0 * N
                                      : Bp_data + (kt * ntiles + nt) * panel;
           kern.tile(mb, nb, kb, alpha, A + i0 * K + k0, K, Bt, nb,
-                    C + i0 * N + j0, N);
+                    C + i0 * N + j0, N, overwrite && kt == 0);
         }
       }
     }
@@ -256,11 +273,18 @@ const GemmKernels& gemm_kernels() {
   const GemmKernels* k = cur.load(std::memory_order_acquire);
   if (k == nullptr || bound_gen.load(std::memory_order_acquire) != gen) {
     std::lock_guard<std::mutex> lock(mu);
+    // scalar and sse2 run the portable tile; avx2 binds the AVX2 table;
+    // avx512 binds the 512-bit tile beside the AVX2 A·Bᵀ tile and ABFT
+    // passes.  Every tile keeps the portable tile's per-element chain
+    // (α·A[i][k] rounded to float, then one multiply and one add per k,
+    // k ascending), so the level changes speed, never a bit.
     k = &kGemmKernelsGeneric;
-    // The avx512 level keeps these tiles: float GEMM has no AVX-512 variant.
-    if (core::active_isa() >= core::Isa::kAvx2 &&
-        kGemmKernelsAvx2.tile != nullptr) {
+    const core::Isa isa = core::active_isa();
+    if (isa >= core::Isa::kAvx2 && kGemmKernelsAvx2.tile != nullptr) {
       k = &kGemmKernelsAvx2;
+      if (isa >= core::Isa::kAvx512 && kGemmTileAvx512 != nullptr) {
+        k = &avx512_kernels();
+      }
     }
     cur.store(k, std::memory_order_release);
     bound_gen.store(gen, std::memory_order_release);

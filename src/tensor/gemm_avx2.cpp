@@ -1,19 +1,23 @@
-// AVX2 GEMM tile kernels.  This TU is compiled with
+// AVX2 GEMM kernels: the 256-bit instance of the register-blocked tile
+// (gemm_tile_impl.hpp), the A·Bᵀ panel tile and the ABFT epilogue
+// passes.  This TU is compiled with
 //   -mavx2 -mfma -ffp-contract=off
 // (see src/tensor/CMakeLists.txt); nothing here may be called unless the
-// dispatcher verified AVX2 at runtime.
+// dispatcher verified AVX2 at runtime.  The avx512 level keeps this
+// TU's A·Bᵀ tile and ABFT passes and binds gemm_avx512.cpp's tile.
 //
-// Bit-identity contract: these kernels reproduce the portable tile
-// kernels' per-element rounding sequence exactly.  Vectorisation runs
-// across j (output columns) only — each C element keeps one k-ascending
-// chain of mul-then-add, one rounding per operation.  That is also why
+// Bit-identity contract: these kernels reproduce the portable kernels'
+// per-element rounding sequence exactly.  Vectorisation runs across j
+// (output columns) only — each C element keeps one k-ascending chain of
+// mul-then-add, one rounding per operation.  That is also why
 // accumulation uses explicit _mm256_mul_ps/_mm256_add_ps rather than
 // _mm256_fmadd_ps: a fused multiply-add rounds once where the scalar
 // baseline rounds twice, which would break cross-ISA bit-identity.  GCC
 // lowers the unfused intrinsics to plain vector +/* which -mfma's
 // default contraction would happily re-fuse, hence -ffp-contract=off on
-// this file.  FMA stays valuable for *throughput* via wider ILP here
-// (8-wide lanes, 4-row unroll), not via fusion.
+// this file.  The tile forms each α·A[i][k] once per 6-row block, rounded
+// to float exactly as the portable tile rounds it, and broadcasts it
+// from that buffer; the bits it multiplies are the same.
 #include "tensor/gemm_kernels.hpp"
 
 #if defined(__AVX2__)
@@ -22,111 +26,37 @@
 
 #include <cmath>
 
+#include "tensor/gemm_tile_impl.hpp"
+
 namespace mpcnn::detail {
 namespace {
 
-// C[i][j] += (alpha·A[i][k]) · B[k][j], k ascending.  C register tiles
-// are loaded once per (i,j) block and carried across the whole kb loop;
-// since vector lanes map 1:1 onto j indices, each element sees the same
-// (((C + p0) + p1) + ...) sequence as the portable kernel's
-// memory-resident accumulation.
+// 256-bit vector ops for gemm_tile (gemm_tile_impl.hpp).  The column
+// tail loads and stores through VMASKMOVPS, which suppresses faults in
+// the masked-off lanes.
+struct Ymm {
+  using Vec = __m256;
+  using Mask = __m256i;
+  static constexpr int kLanes = 8;
+  static Vec zero() { return _mm256_setzero_ps(); }
+  static Vec load(const float* p) { return _mm256_loadu_ps(p); }
+  static Vec load(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
+  static void store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
+  static void store(float* p, Vec v, Mask m) { _mm256_maskstore_ps(p, m, v); }
+  static Vec broadcast(const float* p) { return _mm256_broadcast_ss(p); }
+  static Vec add(Vec a, Vec b) { return _mm256_add_ps(a, b); }
+  static Vec mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
+  static Mask tail(std::int64_t n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+};
+
 void tile_avx2(std::int64_t mb, std::int64_t nb, std::int64_t kb,
                float alpha, const float* A, std::int64_t lda,
                const float* B, std::int64_t ldb, float* C,
-               std::int64_t ldc) {
-  std::int64_t i = 0;
-  for (; i + 4 <= mb; i += 4) {
-    const float* a0p = A + (i + 0) * lda;
-    const float* a1p = A + (i + 1) * lda;
-    const float* a2p = A + (i + 2) * lda;
-    const float* a3p = A + (i + 3) * lda;
-    float* c0p = C + (i + 0) * ldc;
-    float* c1p = C + (i + 1) * ldc;
-    float* c2p = C + (i + 2) * ldc;
-    float* c3p = C + (i + 3) * ldc;
-    std::int64_t j = 0;
-    for (; j + 16 <= nb; j += 16) {
-      __m256 c00 = _mm256_loadu_ps(c0p + j);
-      __m256 c01 = _mm256_loadu_ps(c0p + j + 8);
-      __m256 c10 = _mm256_loadu_ps(c1p + j);
-      __m256 c11 = _mm256_loadu_ps(c1p + j + 8);
-      __m256 c20 = _mm256_loadu_ps(c2p + j);
-      __m256 c21 = _mm256_loadu_ps(c2p + j + 8);
-      __m256 c30 = _mm256_loadu_ps(c3p + j);
-      __m256 c31 = _mm256_loadu_ps(c3p + j + 8);
-      for (std::int64_t k = 0; k < kb; ++k) {
-        const float* b = B + k * ldb + j;
-        _mm_prefetch(reinterpret_cast<const char*>(b + 8 * ldb),
-                     _MM_HINT_T0);
-        const __m256 b0 = _mm256_loadu_ps(b);
-        const __m256 b1 = _mm256_loadu_ps(b + 8);
-        const __m256 a0 = _mm256_set1_ps(alpha * a0p[k]);
-        const __m256 a1 = _mm256_set1_ps(alpha * a1p[k]);
-        const __m256 a2 = _mm256_set1_ps(alpha * a2p[k]);
-        const __m256 a3 = _mm256_set1_ps(alpha * a3p[k]);
-        c00 = _mm256_add_ps(c00, _mm256_mul_ps(a0, b0));
-        c01 = _mm256_add_ps(c01, _mm256_mul_ps(a0, b1));
-        c10 = _mm256_add_ps(c10, _mm256_mul_ps(a1, b0));
-        c11 = _mm256_add_ps(c11, _mm256_mul_ps(a1, b1));
-        c20 = _mm256_add_ps(c20, _mm256_mul_ps(a2, b0));
-        c21 = _mm256_add_ps(c21, _mm256_mul_ps(a2, b1));
-        c30 = _mm256_add_ps(c30, _mm256_mul_ps(a3, b0));
-        c31 = _mm256_add_ps(c31, _mm256_mul_ps(a3, b1));
-      }
-      _mm256_storeu_ps(c0p + j, c00);
-      _mm256_storeu_ps(c0p + j + 8, c01);
-      _mm256_storeu_ps(c1p + j, c10);
-      _mm256_storeu_ps(c1p + j + 8, c11);
-      _mm256_storeu_ps(c2p + j, c20);
-      _mm256_storeu_ps(c2p + j + 8, c21);
-      _mm256_storeu_ps(c3p + j, c30);
-      _mm256_storeu_ps(c3p + j + 8, c31);
-    }
-    for (; j + 8 <= nb; j += 8) {
-      __m256 c0 = _mm256_loadu_ps(c0p + j);
-      __m256 c1 = _mm256_loadu_ps(c1p + j);
-      __m256 c2 = _mm256_loadu_ps(c2p + j);
-      __m256 c3 = _mm256_loadu_ps(c3p + j);
-      for (std::int64_t k = 0; k < kb; ++k) {
-        const __m256 b0 = _mm256_loadu_ps(B + k * ldb + j);
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(alpha * a0p[k]), b0));
-        c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(alpha * a1p[k]), b0));
-        c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(alpha * a2p[k]), b0));
-        c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(alpha * a3p[k]), b0));
-      }
-      _mm256_storeu_ps(c0p + j, c0);
-      _mm256_storeu_ps(c1p + j, c1);
-      _mm256_storeu_ps(c2p + j, c2);
-      _mm256_storeu_ps(c3p + j, c3);
-    }
-    for (; j < nb; ++j) {
-      for (std::int64_t k = 0; k < kb; ++k) {
-        const float bj = B[k * ldb + j];
-        c0p[j] += (alpha * a0p[k]) * bj;
-        c1p[j] += (alpha * a1p[k]) * bj;
-        c2p[j] += (alpha * a2p[k]) * bj;
-        c3p[j] += (alpha * a3p[k]) * bj;
-      }
-    }
-  }
-  for (; i < mb; ++i) {
-    const float* ap = A + i * lda;
-    float* cp = C + i * ldc;
-    std::int64_t j = 0;
-    for (; j + 8 <= nb; j += 8) {
-      __m256 c0 = _mm256_loadu_ps(cp + j);
-      for (std::int64_t k = 0; k < kb; ++k) {
-        const __m256 b0 = _mm256_loadu_ps(B + k * ldb + j);
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(alpha * ap[k]), b0));
-      }
-      _mm256_storeu_ps(cp + j, c0);
-    }
-    for (; j < nb; ++j) {
-      for (std::int64_t k = 0; k < kb; ++k) {
-        cp[j] += (alpha * ap[k]) * B[k * ldb + j];
-      }
-    }
-  }
+               std::int64_t ldc, bool overwrite) {
+  gemm_tile<Ymm>(mb, nb, kb, alpha, A, lda, B, ldb, C, ldc, overwrite);
 }
 
 // A·Bᵀ tile with the original dot-form rounding: each element's acc is a

@@ -1,30 +1,43 @@
 // Internal GEMM dispatch table — not part of the public API.
 //
-// gemm.cpp owns the portable tile kernels and the dispatch decision;
-// gemm_avx2.cpp (compiled with -mavx2 in its own TU so the rest of the
-// binary stays baseline x86-64) contributes the 256-bit variants.  Both
-// sides implement the *same per-element accumulation order* as the
-// original blocked kernels, so every variant is bit-identical to the
-// scalar/SSE2 baseline — the contract the dispatch tests enforce.
+// gemm.cpp owns the portable tile kernels and the dispatch decision.
+// Two ISA-flagged TUs contribute vector variants, each compiled with its
+// own per-file flags so the rest of the binary stays baseline x86-64:
+// gemm_avx2.cpp (-mavx2) the 256-bit tile, the A·Bᵀ panel tile and the
+// ABFT epilogue passes; gemm_avx512.cpp (-mavx512f/bw/vl) the 512-bit
+// tile.  Both tiles are one register-blocked body, gemm_tile_impl.hpp,
+// instantiated at their vector width.  The avx2 level binds the AVX2
+// table; the avx512 level binds the 512-bit tile and keeps the AVX2
+// A·Bᵀ tile and ABFT passes.  Every variant implements the *same
+// per-element accumulation order* as the portable tile, so every level
+// is bit-identical to the scalar/SSE2 baseline — the contract the
+// dispatch tests enforce.
 //
 // Keep this header dependency-free (<cstdint> only): it is included by
-// ISA-flagged TUs, and any inline function a -mavx2 TU emits into a
+// ISA-flagged TUs, and any inline function such a TU emits into a
 // shared COMDAT section could be picked by the linker for the whole
-// binary, smuggling AVX2 code onto baseline CPUs.
+// binary, smuggling AVX2/AVX-512 code onto baseline CPUs.
 #pragma once
 
 #include <cstdint>
 
 namespace mpcnn::detail {
 
+/// Longest k range one tile call takes (gemm.cpp's k-tile): the vector
+/// tiles keep one row block's α·A for all of it in a stack buffer.
+constexpr std::int64_t kGemmTileMaxKb = 256;
+
 /// Accumulates a (mb × nb) C tile from an (mb × kb) A slice and a
-/// (kb × nb) B block whose rows lie ldb apart:
+/// (kb × nb) B block whose rows lie ldb apart, kb ≤ kGemmTileMaxKb:
 ///   C[i][j] += Σ_k (alpha·A[i·lda+k]) · B[k·ldb+j]   (k ascending,
-/// one rounding per multiply and per add — never fused).
+/// one rounding per multiply and per add — never fused).  With
+/// `overwrite` the old C is never read: each element's chain starts from
+/// +0.0 instead (beta = 0, the product's first k-tile).
 using GemmTileFn = void (*)(std::int64_t mb, std::int64_t nb,
                             std::int64_t kb, float alpha, const float* A,
                             std::int64_t lda, const float* B,
-                            std::int64_t ldb, float* C, std::int64_t ldc);
+                            std::int64_t ldb, float* C, std::int64_t ldc,
+                            bool overwrite);
 
 /// A·Bᵀ tile with the dot-form epilogue of the original gemm_bt:
 ///   acc = Σ_k A[i·lda+k] · Bp[k·nb+j]  (k ascending, register-resident
@@ -63,7 +76,7 @@ using GemmAbftDotsFn = void (*)(const float* m, std::int64_t rows,
                                 double* dots_abs);
 
 struct GemmKernels {
-  const char* name;       ///< variant label for cpuinfo ("generic", "avx2")
+  const char* name;       ///< gemm.tile label ("generic", "avx2", "avx512")
   GemmTileFn tile;        ///< never null
   GemmBtTileFn bt_tile;   ///< null → gemm_bt uses the unpacked dot form
   GemmAbftPassFn abft_pass;  ///< null → portable epilogue loops
@@ -76,5 +89,8 @@ const GemmKernels& gemm_kernels();
 /// AVX2 variant, defined in gemm_avx2.cpp.  On non-x86 builds its
 /// function pointers are null and the dispatcher never selects it.
 extern const GemmKernels kGemmKernelsAvx2;
+
+/// 512-bit tile, defined in gemm_avx512.cpp (null on non-x86 builds).
+extern const GemmTileFn kGemmTileAvx512;
 
 }  // namespace mpcnn::detail

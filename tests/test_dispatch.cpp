@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -91,9 +92,10 @@ TEST(DispatchRegistry, ScalarForcedBindsPortableVariants) {
   }
 }
 
-// MPCNN_ISA=avx512 binds the AVX-512 stage kernels, with float GEMM on
-// its AVX2 tiles and single dot products on AVX2's xor_pop, where the CPU has every feature the level needs, and
-// is refused where it does not.
+// MPCNN_ISA=avx512 binds the AVX-512 stage kernels and the 512-bit float
+// GEMM tile, with single dot products on AVX2's xor_pop and the A·Bᵀ tile
+// on AVX2's panel tile, where the CPU has every feature the level needs,
+// and is refused where it does not.
 TEST(DispatchRegistry, Avx512ForcedBindsAvx512VariantsOrThrows) {
   const std::vector<core::Isa> levels = core::supported_isas();
   if (std::find(levels.begin(), levels.end(), core::Isa::kAvx512) ==
@@ -111,7 +113,10 @@ TEST(DispatchRegistry, Avx512ForcedBindsAvx512VariantsOrThrows) {
   EXPECT_NE(core::cpu_signature().find("isa=avx512"), std::string::npos);
   for (const auto& b : core::kernel_bindings()) {
     if (b.slot == "gemm.tile") {
-      EXPECT_EQ(b.variant, "avx2");
+      EXPECT_EQ(b.variant, "avx512");
+    }
+    if (b.slot == "gemm.bt") {
+      EXPECT_EQ(b.variant, "avx2-panel");
     }
     if (b.slot == "bnn.xnor_conv" || b.slot == "bnn.byte_conv" ||
         b.slot == "integrity.xnor_checksum") {
@@ -156,40 +161,62 @@ TEST(DispatchRegistry, SignatureNamesActiveLevel) {
 // ---- GEMM bit-identity ------------------------------------------------
 
 // Shapes exercising every tile tail: single rows/columns, exact register
-// widths, one-off widths, and K spanning multiple packing panels.
+// widths, one-off widths, and K spanning multiple packing panels.  The
+// vector tiles take rows in blocks of 6 and two vectors of columns (16
+// at 256 bits, 32 at 512), so M = 6k+1 … 6k+5 leave every row-tail
+// block, N tails of 1, 15, 17, 31 and 33 past a 16- or 32-column block
+// leave every masked column tail, and K = 256/257 puts kb at the k-tile
+// edge, the α·A buffer's bound.  The served batch-1 conv shapes of
+// Models C and A are included as they run.
 struct GemmShape {
   Dim m, n, k;
 };
 
-const GemmShape kShapes[] = {{1, 1, 1},     {1, 3, 1},    {3, 1, 3},
-                             {4, 16, 8},    {5, 17, 9},   {63, 255, 257},
-                             {65, 3, 255},  {1, 257, 63}, {127, 129, 1},
-                             {66, 258, 3},  {129, 511, 259}};
+const GemmShape kShapes[] = {
+    {1, 1, 1},       {1, 3, 1},       {3, 1, 3},         {4, 16, 8},
+    {5, 17, 9},      {63, 255, 257},  {65, 3, 255},      {1, 257, 63},
+    {127, 129, 1},   {66, 258, 3},    {129, 511, 259},
+    // row tails past one and two 6-row blocks, and whole blocks
+    {7, 33, 20},     {8, 47, 21},     {9, 49, 22},       {10, 63, 23},
+    {11, 65, 24},    {13, 17, 19},    {14, 31, 18},      {15, 15, 17},
+    {16, 1, 16},     {17, 16, 15},    {12, 32, 14},      {18, 48, 13},
+    {24, 64, 12},    {36, 80, 11},
+    // k-tile edge: kb = 256, and 256 + 1
+    {7, 33, 256},    {13, 17, 257},   {6, 31, 256},      {5, 49, 257},
+    // served conv GEMMs (out channels × positions × patch)
+    {18, 1024, 162}, {36, 256, 324},  {12, 225, 300},    {24, 49, 300}};
 
 using GemmFn = void (*)(std::int64_t, std::int64_t, std::int64_t, float,
                         const float*, const float*, float, float*);
 
+// beta = 0.25 scales the old C; beta = 0 must ignore it (NaN here) and
+// start every chain from +0.0, as the scalar tile does.
 void expect_bit_identical_across_levels(GemmFn fn, const char* what) {
   for (const GemmShape& s : kShapes) {
     const std::vector<float> a = random_floats(s.m * s.k, 11 + s.m);
     const std::vector<float> b = random_floats(s.k * s.n, 23 + s.n);
-    const std::vector<float> c0 = random_floats(s.m * s.n, 37 + s.k);
-
-    std::vector<float> want;
-    {
-      IsaOverride scalar("scalar");
-      want = c0;
-      fn(s.m, s.n, s.k, 0.75f, a.data(), b.data(), 0.25f, want.data());
-    }
-    for (const std::string& level : supported_levels()) {
-      IsaOverride isa(level);
-      std::vector<float> got = c0;
-      fn(s.m, s.n, s.k, 0.75f, a.data(), b.data(), 0.25f, got.data());
-      ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                            got.size() * sizeof(float)),
-                0)
-          << what << " isa=" << level << " shape " << s.m << "x" << s.n
-          << "x" << s.k << " diverged from the scalar-forced run";
+    for (const float beta : {0.25f, 0.0f}) {
+      const std::vector<float> c0 =
+          beta != 0.0f ? random_floats(s.m * s.n, 37 + s.k)
+                       : std::vector<float>(static_cast<std::size_t>(s.m * s.n),
+                                            std::nanf(""));
+      std::vector<float> want;
+      {
+        IsaOverride scalar("scalar");
+        want = c0;
+        fn(s.m, s.n, s.k, 0.75f, a.data(), b.data(), beta, want.data());
+      }
+      for (const std::string& level : supported_levels()) {
+        IsaOverride isa(level);
+        std::vector<float> got = c0;
+        fn(s.m, s.n, s.k, 0.75f, a.data(), b.data(), beta, got.data());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << what << " isa=" << level << " shape " << s.m << "x" << s.n
+            << "x" << s.k << " beta=" << beta
+            << " diverged from the scalar-forced run";
+      }
     }
   }
 }
@@ -204,6 +231,28 @@ TEST(DispatchGemm, GemmAtBitIdenticalAcrossIsaLevels) {
 
 TEST(DispatchGemm, GemmBtBitIdenticalAcrossIsaLevels) {
   expect_bit_identical_across_levels(&gemm_bt, "gemm_bt");
+}
+
+// With beta = 0 every chain starts from +0.0: a row of A that is all
+// zeros against a negative B forms only −0.0 products, and
+// +0.0 + (−0.0) is +0.0.  A tile that started from its first product
+// would leave −0.0 there.
+TEST(DispatchGemm, BetaZeroChainsStartFromPositiveZero) {
+  const GemmShape s{7, 33, 5};
+  std::vector<float> a = random_floats(s.m * s.k, 41);
+  std::fill(a.begin(), a.begin() + s.k, 0.0f);
+  std::vector<float> b = random_floats(s.k * s.n, 43);
+  for (float& x : b) x = -std::fabs(x) - 0.5f;
+  for (const std::string& level : supported_levels()) {
+    IsaOverride isa(level);
+    std::vector<float> c(static_cast<std::size_t>(s.m * s.n), std::nanf(""));
+    gemm(s.m, s.n, s.k, 1.0f, a.data(), b.data(), 0.0f, c.data());
+    for (Dim j = 0; j < s.n; ++j) {
+      ASSERT_FALSE(std::signbit(c[static_cast<std::size_t>(j)]))
+          << "isa=" << level << " column " << j;
+      ASSERT_EQ(c[static_cast<std::size_t>(j)], 0.0f);
+    }
+  }
 }
 
 TEST(DispatchGemm, DispatchedGemmStaysNearNaiveOracle) {
