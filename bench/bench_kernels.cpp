@@ -1,8 +1,10 @@
 // Micro-benchmarks of the compute kernels underneath everything
 // (google-benchmark): float GEMM (square, and the batch-1 conv GEMMs of
-// the served host models as BM_Gemm/<M>x<N>x<K>), XNOR-popcount dot
-// products, im2col, whole-network BNN inference in the packed engine,
-// and one host float image through Net::predict (BM_NetPredict/<model>).
+// the served host models as BM_Gemm/<M>x<N>x<K>), im2col, whole-network
+// BNN inference in the packed engine, and one host float image through
+// Net::predict (BM_NetPredict/<model>).  Binary products have one
+// implementation, the stage lane kernel, timed here through xnor_gemm
+// (BM_XnorGemm) and inside whole networks.
 // MPCNN_ISA=<level> runs every row at one dispatch level.
 //
 // The custom main below additionally registers one benchmark per
@@ -86,24 +88,6 @@ void BM_GemmThreads(benchmark::State& state) {
 BENCHMARK(BM_GemmThreads)
     ->ArgsProduct({{256, 512}, {1, 2, 4, 8}})
     ->UseRealTime();
-
-void BM_XnorDot(benchmark::State& state) {
-  const Dim bits = state.range(0);
-  Rng rng(2);
-  bnn::BitVector a(bits), b(bits);
-  for (Dim i = 0; i < bits; ++i) {
-    a.set(i, rng.bernoulli(0.5));
-    b.set(i, rng.bernoulli(0.5));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.dot_bipolar(b));
-  }
-  state.counters["Gbit/s"] = benchmark::Counter(
-      static_cast<double>(bits),
-      benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::kIs1000);
-}
-BENCHMARK(BM_XnorDot)->Arg(576)->Arg(2304)->Arg(16384);
 
 void BM_Im2Col(benchmark::State& state) {
   ConvGeometry g{64, 30, 30, 3, 1, 0};

@@ -70,51 +70,33 @@ void byte_conv_portable(const std::uint64_t* w, std::int64_t cstride,
 }
 
 const BnnKernels& scalar_table() {
-  static const BnnKernels t = {"scalar",      "scalar",       "portable",
-                               &xor_pop_impl, &xnor_conv_impl, &xnor_acc_impl,
-                               &byte_conv_portable};
+  static const BnnKernels t = {"scalar", "portable", &xnor_conv_impl,
+                               &xnor_acc_impl, &byte_conv_portable};
   return t;
 }
 
 const BnnKernels& popcnt_table() {
-  if (kBnnPopPopcnt.xor_pop == nullptr) return scalar_table();
-  static const BnnKernels t = {"popcnt",
-                               "popcnt",
-                               "portable",
-                               kBnnPopPopcnt.xor_pop,
-                               kBnnPopPopcnt.xnor_conv,
-                               kBnnPopPopcnt.xnor_acc,
-                               &byte_conv_portable};
+  if (kBnnPopPopcnt.xnor_conv == nullptr) return scalar_table();
+  static const BnnKernels t = {"popcnt", "portable", kBnnPopPopcnt.xnor_conv,
+                               kBnnPopPopcnt.xnor_acc, &byte_conv_portable};
   return t;
 }
 
 const BnnKernels& avx2_table() {
-  if (kBnnPopAvx2.xor_pop == nullptr || kByteConvAvx2 == nullptr) {
+  if (kBnnPopAvx2.xnor_conv == nullptr || kByteConvAvx2 == nullptr) {
     return popcnt_table();
   }
-  static const BnnKernels t = {"avx2",
-                               "avx2",
-                               "avx2",
-                               kBnnPopAvx2.xor_pop,
-                               kBnnPopAvx2.xnor_conv,
-                               kBnnPopAvx2.xnor_acc,
-                               kByteConvAvx2};
+  static const BnnKernels t = {"avx2", "avx2", kBnnPopAvx2.xnor_conv,
+                               kBnnPopAvx2.xnor_acc, kByteConvAvx2};
   return t;
 }
 
-// Single dot products keep the AVX2 level's xor_pop: they serve only
-// BitVector dots and the output stage's few class scores per image.
 const BnnKernels& avx512_table() {
   if (kBnnPopAvx512.xnor_conv == nullptr || kByteConvAvx512 == nullptr) {
     return avx2_table();
   }
-  static const BnnKernels t = {"avx512",
-                               avx2_table().dot_name,
-                               "avx512",
-                               avx2_table().xor_pop,
-                               kBnnPopAvx512.xnor_conv,
-                               kBnnPopAvx512.xnor_acc,
-                               kByteConvAvx512};
+  static const BnnKernels t = {"avx512", "avx512", kBnnPopAvx512.xnor_conv,
+                               kBnnPopAvx512.xnor_acc, kByteConvAvx512};
   return t;
 }
 
@@ -153,10 +135,7 @@ const BnnKernels& kernels() {
 namespace {
 
 const char* bnn_pop_variant() { return kernels().pop_name; }
-const char* bnn_dot_variant() { return kernels().dot_name; }
 const char* bnn_byte_variant() { return kernels().byte_name; }
-[[maybe_unused]] const bool kPopSlotRegistered =
-    core::register_kernel_slot("bnn.xor_popcount", &bnn_dot_variant);
 [[maybe_unused]] const bool kXnorConvSlotRegistered =
     core::register_kernel_slot("bnn.xnor_conv", &bnn_pop_variant);
 [[maybe_unused]] const bool kByteConvSlotRegistered =
@@ -165,51 +144,10 @@ const char* bnn_byte_variant() { return kernels().byte_name; }
 }  // namespace
 }  // namespace detail
 
-namespace {
-
-Dim words_for(Dim nbits) { return (nbits + 63) / 64; }
-
-}  // namespace
-
-BitVector::BitVector(Dim nbits)
-    : nbits_(nbits), words_(static_cast<std::size_t>(words_for(nbits)), 0) {
-  MPCNN_CHECK(nbits >= 0, "negative BitVector size");
-}
-
-void BitVector::set(Dim i, bool v) {
-  MPCNN_DCHECK(i >= 0 && i < nbits_, "bit index " << i << " of " << nbits_);
-  const std::size_t w = static_cast<std::size_t>(i >> 6);
-  const std::uint64_t mask = 1ULL << (i & 63);
-  if (v) {
-    words_[w] |= mask;
-  } else {
-    words_[w] &= ~mask;
-  }
-}
-
-bool BitVector::get(Dim i) const {
-  MPCNN_DCHECK(i >= 0 && i < nbits_, "bit index " << i << " of " << nbits_);
-  return (words_[static_cast<std::size_t>(i >> 6)] >> (i & 63)) & 1ULL;
-}
-
-Dim BitVector::xnor_matches(const BitVector& other) const {
-  MPCNN_CHECK(nbits_ == other.nbits_, "xnor size mismatch: "
-                                          << nbits_ << " vs "
-                                          << other.nbits_);
-  // Padding bits are zero in both vectors, so they never mismatch.
-  return nbits_ - static_cast<Dim>(detail::kernels().xor_pop(
-                      words_.data(), other.words_.data(),
-                      static_cast<Dim>(words_.size())));
-}
-
-std::int64_t BitVector::dot_bipolar(const BitVector& other) const {
-  return 2 * static_cast<std::int64_t>(xnor_matches(other)) - nbits_;
-}
-
 BitMatrix::BitMatrix(Dim rows, Dim cols)
     : rows_(rows),
       cols_(cols),
-      words_per_row_(words_for(cols)),
+      words_per_row_((cols + 63) / 64),
       words_(static_cast<std::size_t>(rows * words_per_row_), 0) {
   MPCNN_CHECK(rows >= 0 && cols >= 0, "negative BitMatrix shape");
 }

@@ -1,9 +1,13 @@
-// Packed binary vectors and XNOR-popcount kernels.
+// Packed bit matrices and the XNOR-popcount product.
 //
 // In the bipolar convention a logical bit 1 encodes the value +1 and a
 // bit 0 encodes −1.  The dot product of two bipolar vectors of length n
 // is then  2·popcount(xnor(a, b)) − n  — the datapath a FINN engine
-// implements in LUTs.
+// implements in LUTs.  Like FINN's one matrix–vector–threshold unit,
+// every binary product here runs on the stage lane kernel
+// (bnn/kernels.hpp), with output channels as lanes: a thresholded stage
+// through xnor_conv, and xnor_gemm, the output stage's class scores and
+// every checked stage through its accumulator mode, checked_xnor below.
 //
 // Bit-layout contract: feature maps are channels-last.  Pixel (y, x) of
 // an h×w map with C channels holds its channel bits at bit
@@ -27,45 +31,6 @@
 #include "tensor/shape.hpp"
 
 namespace mpcnn::bnn {
-
-/// Fixed-length packed bit vector.
-class BitVector {
- public:
-  BitVector() = default;
-  explicit BitVector(Dim nbits);
-
-  Dim size() const { return nbits_; }
-  Dim words() const { return static_cast<Dim>(words_.size()); }
-
-  /// Per-bit accessors: bounds-checked in debug builds only; release
-  /// inner loops should prefer whole-word access via data()/word().
-  void set(Dim i, bool v);
-  bool get(Dim i) const;
-
-  /// Unchecked word access (debug-asserted) for word-parallel kernels.
-  std::uint64_t word(Dim w) const {
-    MPCNN_DCHECK(w >= 0 && w < words(), "word index " << w);
-    return words_[static_cast<std::size_t>(w)];
-  }
-
-  const std::uint64_t* data() const { return words_.data(); }
-  std::uint64_t* data() { return words_.data(); }
-
-  /// Number of positions where the two vectors carry the same bit
-  /// (XNOR-popcount).  Sizes must match.
-  Dim xnor_matches(const BitVector& other) const;
-
-  /// Bipolar dot product: 2·matches − n.
-  std::int64_t dot_bipolar(const BitVector& other) const;
-
-  bool operator==(const BitVector& other) const {
-    return nbits_ == other.nbits_ && words_ == other.words_;
-  }
-
- private:
-  Dim nbits_ = 0;
-  std::vector<std::uint64_t> words_;
-};
 
 /// Row-major matrix of bits; each row is independently dot-able and
 /// starts word-aligned (rows never share a word — parallel writers of
@@ -118,17 +83,17 @@ struct XnorLanes {
   std::int32_t at(Dim r, Dim p) const { return acc[p * stride + r]; }
 };
 
-/// The checked XNOR product behind xnor_gemm and the packed engine's
-/// checked stages.  One all-channel accumulator-mode kernel call over
-/// the patch rows of `b` computes A's rows as lanes and, when `guard`
-/// verifies, core/integrity's checksum rows after them, encoded from the
-/// very weight words the kernel reads; xnor_end then fires the call's
-/// armed faults and checks every position.  `guard` comes from
-/// core::integrity::xnor_begin(); an inactive one yields the plain
-/// product.  A's rows hold b.k runs of a patch row each (A.cols() =
-/// b.k² · b.c for a conv; xnor_gemm's K = 1 source of 64·wpr-bit pixels
-/// pads to A's row words).  Serial, like the rest of the engine: callers
-/// fan out over images.
+/// The checked XNOR product behind xnor_gemm, the packed engine's class
+/// scores and its checked stages.  One all-channel accumulator-mode
+/// kernel call over the patch rows of `b` computes A's rows as lanes
+/// and, when `guard` verifies, core/integrity's checksum rows after
+/// them, encoded from the very weight words the kernel reads; xnor_end
+/// then fires the call's armed faults and checks every position.
+/// `guard` comes from core::integrity::xnor_begin(); an inactive one
+/// yields the plain product, data lanes only.  A's rows hold b.k runs
+/// of a patch row each (A.cols() = b.k² · b.c for a conv; xnor_gemm's
+/// K = 1 source of 64·wpr-bit pixels pads to A's row words).  Serial,
+/// like the rest of the engine: callers fan out over images.
 XnorLanes checked_xnor(const BitMatrix& a, const detail::PatchSource& b,
                        core::integrity::XnorGuard& guard);
 

@@ -7,7 +7,7 @@
 // nibbles, look both up in a 16-entry in-register table of nibble
 // popcounts, add.  The VPSADBW fold of the per-byte counts into 64-bit
 // lanes is *deferred*: byte counts accumulate in an epi8 register for as
-// many steps as cannot overflow before one SAD drains them — the fold is
+// many words as cannot overflow before one SAD drains them — the fold is
 // the expensive part, so deferring it is most of the win over hardware
 // POPCNT.  The stage kernels use output channels (and in accumulator
 // mode the checksum rows too) as the 64-bit lanes.
@@ -24,8 +24,7 @@
 namespace mpcnn::bnn::detail {
 namespace {
 
-// Per-byte popcounts of v (32 counts, each ≤ 8 — safe to accumulate 28
-// of these in epi8 before a VPSADBW fold).
+// Per-byte popcounts of v (32 counts, each ≤ 8).
 inline __m256i popcount_epi8(__m256i v) {
   const __m256i lut = _mm256_setr_epi8(
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
@@ -35,45 +34,6 @@ inline __m256i popcount_epi8(__m256i v) {
   const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low);
   return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
                          _mm256_shuffle_epi8(lut, hi));
-}
-
-// Steps (of 4 words each) whose byte counts fit one epi8 accumulator.
-constexpr std::int64_t kSadDeferSteps = 28;
-
-inline std::int64_t hsum_epi64(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i s = _mm_add_epi64(lo, hi);
-  return _mm_cvtsi128_si64(s) +
-         _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
-}
-
-std::int64_t xor_pop_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                          std::int64_t nwords) {
-  const std::int64_t vec_end = nwords & ~std::int64_t{3};
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t t = 0;
-  while (t < vec_end) {
-    const std::int64_t lim =
-        t + 4 * kSadDeferSteps < vec_end ? t + 4 * kSadDeferSteps : vec_end;
-    __m256i bytes = _mm256_setzero_si256();
-    for (; t < lim; t += 4) {
-      const __m256i va =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + t));
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + t));
-      bytes = _mm256_add_epi8(bytes,
-                              popcount_epi8(_mm256_xor_si256(va, vb)));
-    }
-    acc = _mm256_add_epi64(
-        acc, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
-  }
-  // Rows shorter than one vector step (3-word conv rows) skip the fold.
-  std::int64_t m = vec_end > 0 ? hsum_epi64(acc) : 0;
-  for (; t < nwords; ++t) {
-    m += static_cast<std::int64_t>(_mm_popcnt_u64(a[t] ^ b[t]));
-  }
-  return m;
 }
 
 // ---- stage kernels: output channels as 64-bit lanes ---------------------
@@ -282,8 +242,7 @@ void byte_conv_avx2(const std::uint64_t* w, std::int64_t cstride,
 
 }  // namespace
 
-const BnnPopFns kBnnPopAvx2 = {&xor_pop_avx2, &xnor_conv_avx2,
-                               &xnor_acc_avx2};
+const BnnPopFns kBnnPopAvx2 = {&xnor_conv_avx2, &xnor_acc_avx2};
 const StageKernelFn kByteConvAvx2 = &byte_conv_avx2;
 
 }  // namespace mpcnn::bnn::detail
@@ -291,7 +250,7 @@ const StageKernelFn kByteConvAvx2 = &byte_conv_avx2;
 #else  // non-x86 build or missing per-file flags: never bound.
 
 namespace mpcnn::bnn::detail {
-const BnnPopFns kBnnPopAvx2 = {nullptr, nullptr, nullptr};
+const BnnPopFns kBnnPopAvx2 = {nullptr, nullptr};
 const StageKernelFn kByteConvAvx2 = nullptr;
 }  // namespace mpcnn::bnn::detail
 

@@ -10,8 +10,8 @@
 // counts each lane's mismatches in place, so the binary kernels need no
 // per-byte fold; the byte stage multiplies the unsigned pixel bytes by
 // the ±1 weight bytes with VPDPBUSD, four products into each 32-bit half
-// of a lane.  Single dot products (xor_pop) stay on the AVX2 kernel.
-// All integer arithmetic — results are exactly the scalar values.
+// of a lane.  All integer arithmetic — results are exactly the scalar
+// values.
 //
 // cstride is padded to 4 lanes, not 8, so a row's last group of lanes
 // loads (and in accumulator mode stores) under a lane mask: a full
@@ -240,8 +240,7 @@ void byte_conv_avx512(const std::uint64_t* w, std::int64_t cstride,
 
 }  // namespace
 
-const BnnPopFns kBnnPopAvx512 = {nullptr, &xnor_conv_avx512,
-                                 &xnor_acc_avx512};
+const BnnPopFns kBnnPopAvx512 = {&xnor_conv_avx512, &xnor_acc_avx512};
 const StageKernelFn kByteConvAvx512 = &byte_conv_avx512;
 
 }  // namespace mpcnn::bnn::detail
@@ -249,7 +248,7 @@ const StageKernelFn kByteConvAvx512 = &byte_conv_avx512;
 #else  // non-x86 build or missing per-file flags: never bound.
 
 namespace mpcnn::bnn::detail {
-const BnnPopFns kBnnPopAvx512 = {nullptr, nullptr, nullptr};
+const BnnPopFns kBnnPopAvx512 = {nullptr, nullptr};
 const StageKernelFn kByteConvAvx512 = nullptr;
 }  // namespace mpcnn::bnn::detail
 

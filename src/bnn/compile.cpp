@@ -238,30 +238,36 @@ namespace {
 // ------------------- packed word-parallel engine ----------------------
 //
 // The generic oracle further down sums every accumulator one element at
-// a time; for fully-binary nets this engine works on whole words of
-// channels-last bit maps (bitpack.hpp).  A pixel's channel bits are one
-// contiguous field and conv weight rows store taps in the matching
-// (kh, kw, c) order (tap_column), so a patch row is K runs of K·C map
-// bits.  Each stage makes one dispatched kernel call (kernels.hpp) that
-// reads its patch rows straight from the stage's input — no patch
-// matrix is written — and computes every output channel of a position
-// as one C-bit pixel field:
+// a time; for the fully-binary nets of packed_domain this engine works
+// on whole words of channels-last bit maps (bitpack.hpp).  A pixel's
+// channel bits are one contiguous field and conv weight rows store taps
+// in the matching (kh, kw, c) order (tap_column), so a patch row is K
+// runs of K·C map bits.  Each stage makes one dispatched kernel call
+// (kernels.hpp) that reads its patch rows straight from the stage's
+// input — no patch matrix is written — and computes every output
+// channel of a position as one C-bit pixel field:
 //
 //   1. the first stage multiplies the patch bytes of the channels-last
 //      quantised pixels by ±1 weight bytes and sums them;
-//   2. binary convs run the all-channel XNOR-popcount kernel over the
-//      input map with the threshold compare fused in;
+//   2. binary convs run the all-channel XNOR-popcount lane kernel over
+//      the input map with the threshold compare fused in;
 //   3. 2×2 max-pool ORs the four pixel fields of each window;
 //   4. dense stages read their input as one pixel in the CHW order their
-//      weights keep: the 1×1 map itself, or a gathered copy.
+//      weights keep: the 1×1 map itself, or a gathered copy.  A hidden
+//      one thresholds like a conv; the output stage takes its class
+//      scores from the same lane kernel's accumulator mode.
 //
 // Several positions share an output word, so one image runs serially;
 // callers fan out over images.  All arithmetic is integer, so scores are
 // bit-identical to the oracle at every ISA level and thread count.
 
-bool fire_binary(const CompiledStage& s, Dim oc, std::int64_t acc) {
-  return (acc >= s.threshold(oc, 0)) !=
-         (s.negate[static_cast<std::size_t>(oc)] != 0);
+// The nets this engine runs: every activation one bit, and a first stage
+// the byte kernels can run — pixels of at most 8 bits, and patches short
+// enough that every |Σ x·w| ≤ 255·cols fits their 32-bit sums.  The
+// oracle runs every other net.
+bool packed_domain(const CompiledBnn& net) {
+  return net.fully_binary() && net.input_levels <= 255 &&
+         net.stages.front().weights.cols() < (Dim{1} << 23);
 }
 
 // Channels-last bit map: pixel (y, x) holds its `ch` channel bits at bit
@@ -372,8 +378,8 @@ StageOperands xnor_operands(const CompiledStage& s, Dim kernel) {
 // bytes [8j, 8j + 8) of run kh, each a signed byte, +1 when the weight
 // bit is set and −1 otherwise (−1 past the run, where the pixels are
 // zero).  Before negation a channel fires when acc = Σ x·w > τ − 1.  The
-// bound is clamped to the reachable [−255·cols − 1, 255·cols], which the
-// caller keeps inside int32.
+// bound is clamped to the reachable [−255·cols − 1, 255·cols], which
+// packed_domain keeps inside int32.
 StageOperands byte_operands(const CompiledStage& s) {
   static constexpr std::array<std::uint64_t, 256> kSignLut = [] {
     std::array<std::uint64_t, 256> t{};
@@ -405,12 +411,12 @@ StageOperands byte_operands(const CompiledStage& s) {
 }
 
 // Quantises an NCHW image (NaN already rejected) to levels 0..`levels`
-// in channels-last order, into px[0, C·H·W).  For a float v ≥ 0,
-// ⌊double(v) + 0.5⌋ equals the oracle's std::lround(v) — the float sum
-// v + 0.5f does not (0.49999997f would round up) — and truncation is
-// that floor.
-template <typename T>
-void quantise_channels_last(const Tensor& image, int levels, T* px) {
+// (≤ 255) in channels-last order, into px[0, C·H·W).  For a float
+// v ≥ 0, ⌊double(v) + 0.5⌋ equals the oracle's std::lround(v) — the
+// float sum v + 0.5f does not (0.49999997f would round up) — and
+// truncation is that floor.
+void quantise_channels_last(const Tensor& image, int levels,
+                            std::uint8_t* px) {
   const Dim ch = image.shape()[1];
   const Dim hw = image.shape()[2] * image.shape()[3];
   const float scale = static_cast<float>(levels);
@@ -418,67 +424,40 @@ void quantise_channels_last(const Tensor& image, int levels, T* px) {
   for (Dim c = 0; c < ch; ++c) {
     for (Dim i = 0; i < hw; ++i) {
       const float v = std::clamp(src[c * hw + i], 0.0f, 1.0f) * scale;
-      px[i * ch + c] = static_cast<T>(
+      px[i * ch + c] = static_cast<std::uint8_t>(
           static_cast<std::int32_t>(static_cast<double>(v) + 0.5));
     }
   }
 }
 
+// The byte kernel reads each patch row's runs of K·C₀ pixel bytes
+// straight from the quantised pixels, 8 bytes at a time; a spare word
+// keeps the reads near the last pixel in bounds.  run_reference sends
+// only nets inside packed_domain here.
 ChannelsLastMap exec_fixed_point_conv(const CompiledStage& s,
                                       const Tensor& image,
                                       int input_levels) {
   check_stage(s, image.shape()[1], image.shape()[2], image.shape()[3]);
   ChannelsLastMap out(s.out_ch, s.out_h, s.out_w);
-  // The byte kernels sum in 32-bit lanes: |acc| ≤ 255·cols must fit.
-  if (input_levels <= 255 && s.weights.cols() < (Dim{1} << 23)) {
-    // The kernel reads each patch row's runs of K·C₀ pixel bytes straight
-    // from the quantised pixels, 8 bytes at a time; a spare word keeps
-    // the reads near the last pixel in bounds.
-    std::vector<std::uint64_t> px(
-        static_cast<std::size_t>(image.numel() / 8 + 2), 0);
-    quantise_channels_last(image, input_levels,
-                           reinterpret_cast<std::uint8_t*>(px.data()));
-    const detail::PatchSource src{px.data(), s.in_ch, s.in_w,
-                                  s.kernel, s.out_w, s.out_h * s.out_w};
-    const StageOperands op = byte_operands(s);
-    detail::kernels().byte_conv(op.w.data(), op.cstride, op.bound.data(),
-                                op.flip.data(), s.out_ch, src,
-                                out.words.data());
-    return out;
-  }
-  // Pixels wider than a byte (QuantizeInput allows 16 bits) or patches
-  // too long for 32-bit sums: a portable integer loop over the same taps.
-  std::vector<std::int32_t> px(static_cast<std::size_t>(image.numel()));
-  quantise_channels_last(image, input_levels, px.data());
-  for (Dim oh = 0; oh < s.out_h; ++oh) {
-    for (Dim ow = 0; ow < s.out_w; ++ow) {
-      for (Dim oc = 0; oc < s.out_ch; ++oc) {
-        std::int64_t acc = 0;
-        for (Dim kh = 0; kh < s.kernel; ++kh) {
-          for (Dim kw = 0; kw < s.kernel; ++kw) {
-            const std::int32_t* pixel =
-                px.data() + ((oh + kh) * s.in_w + ow + kw) * s.in_ch;
-            for (Dim c = 0; c < s.in_ch; ++c) {
-              acc += s.weights.get(oc, tap_column(s, c, kh, kw)) ? pixel[c]
-                                                                 : -pixel[c];
-            }
-          }
-        }
-        if (fire_binary(s, oc, acc)) {
-          out.set((oh * s.out_w + ow) * s.out_ch + oc);
-        }
-      }
-    }
-  }
+  std::vector<std::uint64_t> px(
+      static_cast<std::size_t>(image.numel() / 8 + 2), 0);
+  quantise_channels_last(image, input_levels,
+                         reinterpret_cast<std::uint8_t*>(px.data()));
+  const detail::PatchSource src{px.data(), s.in_ch, s.in_w,
+                                s.kernel, s.out_w, s.out_h * s.out_w};
+  const StageOperands op = byte_operands(s);
+  detail::kernels().byte_conv(op.w.data(), op.cstride, op.bound.data(),
+                              op.flip.data(), s.out_ch, src,
+                              out.words.data());
   return out;
 }
 
 // Pixel fields of checked accumulators: bit c of position p fires when
-// (acc ≥ τ_c) differs from negate bit c, the compare fire_binary makes,
-// over the whole int32 range, so a faulted accumulator thresholds as it
-// would in any datapath.  `below` marks the channels under their
-// threshold (τ > acc); XOR with the complemented negate bits (`keep`)
-// turns that into fired bits.
+// (acc ≥ τ_c) differs from negate bit c, the oracle's compare
+// (quantise_level), over the whole int32 range, so a faulted accumulator
+// thresholds as it would in any datapath.  `below` marks the channels
+// under their threshold (τ > acc); XOR with the complemented negate bits
+// (`keep`) turns that into fired bits.
 void threshold_lanes(const CompiledStage& s, const XnorLanes& lanes,
                      Dim positions, ChannelsLastMap& out) {
   const Dim ch = s.out_ch;
@@ -604,26 +583,16 @@ ChannelsLastMap flatten_chw(ChannelsLastMap in) {
   return flat;
 }
 
-// Integer class scores cols − 2·mismatches of the one-pixel map `flat`;
-// a guarded call takes them from the checked product's single position.
+// Integer class scores cols − 2·mismatches of the one-pixel map `flat`:
+// the accumulator lanes of one checked_xnor call, whose guard, like a
+// thresholded stage's, is opened once.  An inactive guard computes the
+// data lanes only.
 std::vector<std::int32_t> output_scores(const CompiledStage& s,
                                         const ChannelsLastMap& flat) {
   core::integrity::XnorGuard guard = core::integrity::xnor_begin();
-  if (guard.active) {
-    const XnorLanes lanes =
-        checked_xnor(s.weights, patch_rows(flat, 1), guard);
-    return std::vector<std::int32_t>(lanes.acc.get(),
-                                     lanes.acc.get() + s.out_ch);
-  }
-  std::vector<std::int32_t> scores(static_cast<std::size_t>(s.out_ch));
-  const detail::XorPopFn xor_pop = detail::kernels().xor_pop;
-  for (Dim oc = 0; oc < s.out_ch; ++oc) {
-    scores[static_cast<std::size_t>(oc)] = static_cast<std::int32_t>(
-        s.weights.cols() - 2 * xor_pop(s.weights.row_data(oc),
-                                       flat.words.data(),
-                                       s.weights.words_per_row()));
-  }
-  return scores;
+  const XnorLanes lanes = checked_xnor(s.weights, patch_rows(flat, 1), guard);
+  return std::vector<std::int32_t>(lanes.acc.get(),
+                                   lanes.acc.get() + s.out_ch);
 }
 
 std::vector<std::int32_t> run_reference_packed(const CompiledBnn& net,
@@ -846,10 +815,11 @@ std::vector<std::int32_t> run_reference(const CompiledBnn& net,
                    px;
     MPCNN_CHECK(false, "pixel " << at << " is NaN");
   }
-  const bool binary = net.fully_binary();
-  MPCNN_CHECK(binary || exec != BnnExec::kPacked,
-              "packed engine requires a fully binarised net");
-  if (binary && exec != BnnExec::kOracle) {
+  const bool packed = packed_domain(net);
+  MPCNN_CHECK(packed || exec != BnnExec::kPacked,
+              "packed engine requires a fully binarised net with 8-bit "
+              "inputs and first-stage patches under 2^23 columns");
+  if (packed && exec != BnnExec::kOracle) {
     return run_reference_packed(net, image);
   }
   // The oracle quantises to integers 0..levels with std::lround, apart

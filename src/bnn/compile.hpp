@@ -111,15 +111,19 @@ CompiledBnn compile_bnn(nn::Net& net);
 
 /// Which executor run_reference uses.
 ///
-///  - kAuto:   the packed engine for fully-binary nets, the oracle for
-///    partially-binarised ones.  The default.
+///  - kAuto:   the packed engine for every net in its domain, the oracle
+///    for every other net.  The default.
 ///  - kPacked: the word-parallel engine over channels-last bit maps —
 ///    one dispatched kernel call per stage computes every output channel
-///    of every position, a position's channels as one pixel field (byte
-///    patches times ±1 weight bytes for the first stage, bit-level
-///    im2col plus all-channel XNOR-popcount for binary convs, each with
-///    the threshold compare fused in).  One image runs serially.
-///    Throws on a multi-bit net.
+///    of every position, a position's channels as one pixel field: byte
+///    patches times ±1 weight bytes for the first stage, and the
+///    all-channel XNOR-popcount lane kernel for every binary conv and
+///    dense stage, with the threshold compare fused in, and for the
+///    output stage's class scores.  One image runs serially.  Its domain
+///    is a fully-binary net whose inputs are at most 8 bits
+///    (input_levels ≤ 255) and whose first stage has under 2^23 patch
+///    columns, so the byte kernels' 32-bit sums cannot wrap; it throws
+///    on any other net.
 ///  - kOracle: the generic L-level interpreter, one accumulator per
 ///    (channel, position) summed element by element; the fully-binary
 ///    net is its L = 2 case.  The correctness reference for kPacked.

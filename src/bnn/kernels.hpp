@@ -7,11 +7,12 @@
 // over channels-last data: one call per stage computes every output
 // channel of every position, each position's channels as one C-bit
 // pixel field.  The binary one also has an accumulator-writing mode, the
-// checked product behind xnor_gemm and the engine's ABFT path, whose
-// extra lanes carry core/integrity's checksum rows.  xor_pop serves
-// single dot products.  Everything here is exact integer arithmetic, so
-// *every* variant returns identical values — the dispatch tests compare
-// whole-network outputs across forced ISA levels.
+// one product behind xnor_gemm, the output stage's class scores and the
+// engine's ABFT path, whose extra lanes carry core/integrity's checksum
+// rows; every binary product of the engine runs on this lane kernel.
+// Everything here is exact integer arithmetic, so *every* variant
+// returns identical values — the dispatch tests compare whole-network
+// outputs across forced ISA levels.
 //
 // Stage kernels read their patch rows straight from the stage's input
 // (PatchSource); no patch matrix is ever written.  They share one
@@ -57,11 +58,6 @@ struct PatchSource {
   std::int64_t rows;
 };
 
-/// Σ popcount(a[t] ^ b[t]) over nwords words.
-using XorPopFn = std::int64_t (*)(const std::uint64_t* a,
-                                  const std::uint64_t* b,
-                                  std::int64_t nwords);
-
 /// A stage kernel thresholds every patch row of `src` against every
 /// output channel in one call: row p's pixel — bit c fires when channel
 /// c's verdict differs from negate bit c of `flip` (one word per 64
@@ -92,9 +88,7 @@ using XnorAccFn = void (*)(const std::uint64_t* w, std::int64_t cstride,
 struct BnnKernels {
   const char* pop_name;   ///< xnor_conv/xnor_acc: "scalar", "popcnt",
                           ///< "avx2", "avx512"
-  const char* dot_name;   ///< xor_pop: "scalar", "popcnt", "avx2"
   const char* byte_name;  ///< byte_conv: "portable", "avx2", "avx512"
-  XorPopFn xor_pop;
   StageKernelFn xnor_conv;
   XnorAccFn xnor_acc;
   StageKernelFn byte_conv;
@@ -104,14 +98,12 @@ struct BnnKernels {
 /// scalar → SWAR popcounts and the portable byte conv;
 /// sse2   → POPCNT popcounts when the CPU has POPCNT, portable byte conv;
 /// avx2   → 256-bit nibble-LUT popcounts and the VPMADDUBSW byte conv;
-/// avx512 → VPOPCNTQ stage kernels, the VPDPBUSD byte conv and AVX2's
-///          xor_pop.
+/// avx512 → VPOPCNTQ popcounts and the VPDPBUSD byte conv.
 const BnnKernels& kernels();
 
 /// ISA-TU exports.  Function pointers are null when the TU was built
 /// without its ISA (non-x86); the dispatcher then falls back.
 struct BnnPopFns {
-  XorPopFn xor_pop;
   StageKernelFn xnor_conv;
   XnorAccFn xnor_acc;
 };
@@ -119,8 +111,7 @@ struct BnnPopFns {
 extern const BnnPopFns kBnnPopPopcnt;  ///< bitpack_popcnt.cpp (-mpopcnt)
 extern const BnnPopFns kBnnPopAvx2;    ///< bitpack_avx2.cpp (-mavx2)
 extern const StageKernelFn kByteConvAvx2;  ///< bitpack_avx2.cpp (-mavx2)
-extern const BnnPopFns kBnnPopAvx512;  ///< bitpack_avx512.cpp (-mavx512*),
-                                       ///< stage kernels only (null xor_pop)
+extern const BnnPopFns kBnnPopAvx512;  ///< bitpack_avx512.cpp (-mavx512*)
 extern const StageKernelFn kByteConvAvx512;  ///< bitpack_avx512.cpp
 
 }  // namespace mpcnn::bnn::detail

@@ -129,23 +129,6 @@ static inline std::uint64_t next_word(const PatchWalk& s, RowWords& r) {
   return v & s.tail;
 }
 
-// ---- xor-popcount rows -------------------------------------------------
-
-// Two accumulators keep independent popcount dependency chains in
-// flight; rows are at most a few words, so no deeper unroll pays off.
-static inline std::int64_t xor_pop_impl(const std::uint64_t* a,
-                                        const std::uint64_t* b,
-                                        std::int64_t nwords) {
-  std::int64_t m0 = 0, m1 = 0;
-  std::int64_t t = 0;
-  for (; t + 2 <= nwords; t += 2) {
-    m0 += bnn_popcount64(a[t] ^ b[t]);
-    m1 += bnn_popcount64(a[t + 1] ^ b[t + 1]);
-  }
-  if (t < nwords) m0 += bnn_popcount64(a[t] ^ b[t]);
-  return m0 + m1;
-}
-
 // ---- all-channel binary conv stage (xnor_conv, xnor_acc) ---------------
 //
 // The portable kernels count up to 64 lanes per pass, four at a time in

@@ -245,8 +245,6 @@ class StreamSession {
   Dim completed() const { return completed_; }
   /// Simulated time the fabric is busy until.
   double fpga_busy_until() const { return fpga_free_; }
-  /// Simulated time the host is busy until.
-  double host_busy_until() const { return host_free_; }
 
   /// Supervisor state and counters (degradation, scrubs, shed, …).
   FabricState fabric_state() const { return state_; }

@@ -64,8 +64,6 @@ class ArtifactWriter {
     bytes(&value, sizeof(T));
   }
 
-  std::size_t payload_size() const { return payload_.size(); }
-
   /// Atomic publish: write `path + ".tmp"`, flush, fsync, rename over
   /// `path`.  A crash mid-commit never clobbers an existing `path`.
   void commit(const std::string& path) const;

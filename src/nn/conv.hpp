@@ -38,7 +38,6 @@ class Conv2D final : public Layer {
 
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
-  bool has_bias() const { return has_bias_; }
 
  private:
   ConvGeometry geometry(const Shape& in) const;

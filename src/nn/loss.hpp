@@ -15,9 +15,6 @@ class SoftmaxCrossEntropy {
   float forward(const Tensor& logits, const std::vector<int>& labels);
   Tensor backward() const;
 
-  /// Per-row softmax probabilities from the last forward().
-  const Tensor& probabilities() const { return probs_; }
-
  private:
   Tensor probs_;
   std::vector<int> labels_;

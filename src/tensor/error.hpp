@@ -44,7 +44,7 @@ namespace detail {
 
 /// Debug-only precondition: identical to MPCNN_CHECK in debug builds,
 /// compiled out entirely under NDEBUG.  Used on per-element accessors
-/// (BitVector/BitMatrix get/set and the like) so hot inner loops are not
+/// (BitMatrix get/set and the like) so hot inner loops are not
 /// check-bound in release builds while the API stays checked in debug.
 #ifndef NDEBUG
 #define MPCNN_DCHECK(cond, msg) MPCNN_CHECK(cond, msg)

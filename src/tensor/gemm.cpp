@@ -83,7 +83,8 @@ const detail::GemmKernels kGemmKernelsGeneric = {"generic", &tile_generic,
                                                  nullptr, nullptr, nullptr};
 
 // The avx512 level: the 512-bit tile, with the AVX2 A·Bᵀ tile and ABFT
-// passes (the A·Bᵀ tile serves training; the passes reduce in double).
+// passes (the A·Bᵀ tile serves training and every nn::Dense::run, Model
+// A's served classifier included; the passes reduce in double).
 const detail::GemmKernels& avx512_kernels() {
   static const detail::GemmKernels k = {
       "avx512", detail::kGemmTileAvx512, detail::kGemmKernelsAvx2.bt_tile,
@@ -123,13 +124,14 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
   // panels are shared read-only by all M-tile workers and reused across
   // the whole K-loop of each tile.  With one column panel (N <= kNc)
   // panel (kt, 0) already is B + k0·N with rows of length N, so B is
-  // read in place.  Both sides of that choice were timed end to end on
-  // cascade_host (Model C serves N = 1024, 256 and 64 convs; 10
-  // alternating rounds each, 4-vCPU x86 host): packing at every N lost
-  // all 10 rounds to this split (median -5.5%), and so did reading B in
-  // place at every N (-3.0%), although an isolated loop over the same
-  // N = 1024 GEMMs ran 9% faster in place.  Either way the tile sees the
-  // same values, so the floating-point result cannot change.
+  // read in place.  Reading B in place at every N was timed against
+  // this split end to end (avx512, 4-vCPU x86 host, alternating seed-1
+  // rounds): faster on cascade_host (Model C serves N = 1024, 256 and 64
+  // convs; median +7.0%, ahead in 9 of 10 rounds) and scene_static
+  // (+3.9%, 3 rounds), slower on scene_churn (Model A's first conv has
+  // N = 1024; median -3.0%, behind in 2 of 3), so the split stays.
+  // Either way the tile sees the same values, so the floating-point
+  // result cannot change.
   const std::int64_t panel = kKc * kNc;
   const bool in_place = ntiles == 1;
   std::vector<float>& Bp = packed_b_scratch();

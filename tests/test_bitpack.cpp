@@ -12,83 +12,19 @@
 namespace mpcnn::bnn {
 namespace {
 
-TEST(BitVector, SetGetClear) {
-  BitVector v(100);
-  EXPECT_EQ(v.size(), 100);
-  v.set(0, true);
-  v.set(63, true);
-  v.set(64, true);
-  v.set(99, true);
-  EXPECT_TRUE(v.get(0));
-  EXPECT_TRUE(v.get(63));
-  EXPECT_TRUE(v.get(64));
-  EXPECT_TRUE(v.get(99));
-  EXPECT_FALSE(v.get(1));
-  v.set(63, false);
-  EXPECT_FALSE(v.get(63));
-  EXPECT_TRUE(v.get(64));
-}
-
-TEST(BitVector, BoundsCheckedInDebugBuilds) {
-  // get/set are MPCNN_DCHECK-guarded: checked in debug builds, unchecked
-  // in release so inner loops are not check-bound.
-  if constexpr (kDebugChecksEnabled) {
-    BitVector v(10);
-    EXPECT_THROW(v.get(10), Error);
-    EXPECT_THROW(v.set(-1, true), Error);
-  }
-}
-
-class BitVectorDot : public ::testing::TestWithParam<int> {};
-
-TEST_P(BitVectorDot, BipolarDotMatchesFloatReference) {
-  const int n = GetParam();
-  Rng rng(static_cast<std::uint64_t>(n) * 7919);
-  BitVector a(n), b(n);
-  std::vector<float> fa(static_cast<std::size_t>(n)),
-      fb(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const bool ba = rng.bernoulli(0.5);
-    const bool bb = rng.bernoulli(0.5);
-    a.set(i, ba);
-    b.set(i, bb);
-    fa[static_cast<std::size_t>(i)] = ba ? 1.0f : -1.0f;
-    fb[static_cast<std::size_t>(i)] = bb ? 1.0f : -1.0f;
-  }
-  float expected = 0.0f;
-  for (int i = 0; i < n; ++i) {
-    expected += fa[static_cast<std::size_t>(i)] *
-                fb[static_cast<std::size_t>(i)];
-  }
-  EXPECT_EQ(static_cast<float>(a.dot_bipolar(b)), expected);
-  // matches = (dot + n) / 2
-  EXPECT_EQ(a.xnor_matches(b), (a.dot_bipolar(b) + n) / 2);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, BitVectorDot,
-                         ::testing::Values(1, 7, 63, 64, 65, 100, 127, 128,
-                                           576, 2304));
-
-TEST(BitVector, PaddingBitsDoNotCountAsMatches) {
-  // Two all-zero vectors of size 65: every real position matches (both
-  // encode −1), the 63 padding bits must not inflate the count.
-  BitVector a(65), b(65);
-  EXPECT_EQ(a.xnor_matches(b), 65);
-  EXPECT_EQ(a.dot_bipolar(b), 65);
-}
-
-TEST(BitVector, SizeMismatchThrows) {
-  BitVector a(10), b(11);
-  EXPECT_THROW(a.xnor_matches(b), Error);
-}
-
-TEST(BitVector, EqualityOperator) {
-  BitVector a(20), b(20), c(21);
-  a.set(5, true);
-  EXPECT_FALSE(a == b);
-  b.set(5, true);
-  EXPECT_TRUE(a == b);
-  EXPECT_FALSE(a == c);
+TEST(BitMatrix, SetGetClear) {
+  BitMatrix m(2, 100);
+  EXPECT_EQ(m.words_per_row(), 2);
+  for (Dim c : {0, 63, 64, 99}) m.set(1, c, true);
+  EXPECT_TRUE(m.get(1, 0));
+  EXPECT_TRUE(m.get(1, 63));
+  EXPECT_TRUE(m.get(1, 64));
+  EXPECT_TRUE(m.get(1, 99));
+  EXPECT_FALSE(m.get(1, 1));
+  EXPECT_FALSE(m.get(0, 0));  // rows never share a word
+  m.set(1, 63, false);
+  EXPECT_FALSE(m.get(1, 63));
+  EXPECT_TRUE(m.get(1, 64));
 }
 
 TEST(BitMatrix, BoundsCheckedInDebugBuilds) {
@@ -106,8 +42,10 @@ TEST(SignBit, ZeroMapsToPlusOne) {
 }
 
 // Randomized packed-vs-scalar equivalence at tail-word hostile widths:
-// cols % 64 ∈ {0, 1, 63} plus small odd sizes.  The reference is built
-// bit by bit from get(), so it shares no kernel with xnor_gemm.
+// cols % 64 ∈ {0, 1, 63} plus small odd sizes, and CNV's 576- and
+// 2,304-bit conv patch rows.  The reference is built bit by bit from
+// get(), so it shares no kernel with xnor_gemm and pins the bipolar-dot
+// identity  dot = 2·matches − cols  on its own.
 class XnorGemmShapes : public ::testing::TestWithParam<int> {};
 
 TEST_P(XnorGemmShapes, MatchesRowDotReference) {
@@ -136,8 +74,17 @@ TEST_P(XnorGemmShapes, MatchesRowDotReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TailWordHostile, XnorGemmShapes,
-                         ::testing::Values(1, 63, 64, 65, 127, 128, 191,
-                                           192, 193));
+                         ::testing::Values(1, 7, 63, 64, 65, 100, 127, 128,
+                                           191, 192, 193, 576, 2304));
+
+TEST(XnorGemm, PaddingBitsDoNotCountAsMatches) {
+  // All-zero rows of 65 columns: every real column matches (both encode
+  // −1), and the 63 padding bits of the last word must not add to it.
+  BitMatrix a(3, 65), b(2, 65);
+  std::vector<std::int32_t> out(6);
+  xnor_gemm(a, b, out.data());
+  EXPECT_EQ(out, std::vector<std::int32_t>(6, 65));
+}
 
 TEST(XnorGemm, ColumnMismatchThrows) {
   BitMatrix a(2, 64), b(2, 65);

@@ -188,12 +188,14 @@ CompiledBnn build_net(const NetSpec& spec, Rng& rng) {
 // odd, non-square maps; a pool sees an odd map; the last conv maps (4×3,
 // 2×1, 1×6, 3×2, 2×2, 3×2) feed dense stages through the channels-last →
 // CHW gather; most output widths are not a multiple of the 4 SIMD lanes.
-// The last two nets aim at the stage kernels' patch reader: byte-aligned
-// pixels of 8, 24 and 40 bits, first-stage runs of 8k and 8k + 1 bytes,
-// maps that end on a word boundary (24 × 8×9 and 5 × 8×8 bits) so the
-// last run's last word reaches into the spare word, and 68- and
-// 76-channel convs, whose cstride ≡ 4 (mod 8) leaves an AVX-512 lane
-// group half past the row.
+// Two nets aim at the stage kernels' patch reader: byte-aligned pixels
+// of 8, 24 and 40 bits, first-stage runs of 8k and 8k + 1 bytes, maps
+// that end on a word boundary (24 × 8×9 and 5 × 8×8 bits) so the last
+// run's last word reaches into the spare word, and 68- and 76-channel
+// convs, whose cstride ≡ 4 (mod 8) leaves an AVX-512 lane group half
+// past the row.  The last two aim at the output stage's accumulator
+// lanes: 73 and 130 classes take more than one lane pass (72 lanes at
+// AVX-512, 64 in the portable kernels), over rows of 1 and 2,070 bits.
 std::vector<NetSpec> hostile_nets() {
   using K = StageKind;
   return {
@@ -209,10 +211,6 @@ std::vector<NetSpec> hostile_nets() {
        {{K::kFixedPointConv, 100, 1}, {K::kBinaryConv, 1, 3},
         {K::kBinaryConv, 63, 5}, {K::kBinaryDense, 5},
         {K::kOutputDense, 7}}},
-      // 16-bit pixels take the portable integer first stage.
-      {65535, 130, 5, 4,
-       {{K::kFixedPointConv, 3, 2}, {K::kBinaryConv, 64, 2},
-        {K::kOutputDense, 5}}},
       // A 1-bit quantiser and 252-byte first-stage patches.
       {1, 63, 9, 9,
        {{K::kFixedPointConv, 3, 2}, {K::kMaxPoolBinary},
@@ -235,6 +233,13 @@ std::vector<NetSpec> hostile_nets() {
        {{K::kFixedPointConv, 5, 1}, {K::kBinaryConv, 68, 3},
         {K::kBinaryConv, 24, 3}, {K::kBinaryDense, 65},
         {K::kOutputDense, 6}}},
+      // One output bit: 73 class scores from 1-column rows.
+      {255, 2, 3, 3, {{K::kFixedPointConv, 1, 3}, {K::kOutputDense, 73}}},
+      // A 3×3 map of 230-channel pixels: 130 class scores from
+      // 2,070-column rows.
+      {255, 4, 5, 5,
+       {{K::kFixedPointConv, 16, 1}, {K::kBinaryConv, 230, 3},
+        {K::kOutputDense, 130}}},
   };
 }
 
@@ -305,6 +310,40 @@ TEST(PackedBnn, HostileGeometriesMatchOracle) {
       }
     }
   }
+}
+
+// The packed engine runs fully-binary nets whose first stage the byte
+// kernels can run: pixels of at most 8 bits and under 2^23 patch
+// columns.  kPacked refuses 16-bit pixels and a 2^23-column first stage;
+// kAuto runs both on the oracle.
+TEST(PackedBnn, NetsOutsideTheByteKernelRunOnTheOracle) {
+  using K = StageKind;
+  Rng rng(103);
+  const CompiledBnn wide_pixels =
+      build_net({65535, 130, 5, 4,
+                 {{K::kFixedPointConv, 3, 2}, {K::kBinaryConv, 64, 2},
+                  {K::kOutputDense, 5}}},
+                rng);
+  Tensor images(Shape{3, 130, 5, 4});
+  images.fill_uniform(rng, -0.25f, 1.25f);
+  for (Dim i = 0; i < images.shape()[0]; ++i) {
+    const Tensor image = images.slice_batch(i);
+    EXPECT_THROW(run_reference(wide_pixels, image, BnnExec::kPacked), Error);
+    EXPECT_EQ(run_reference(wide_pixels, image),
+              run_reference(wide_pixels, image, BnnExec::kOracle))
+        << "image " << i;
+  }
+
+  const Dim ch = Dim{1} << 21;  // 2^23 columns with K = 2
+  const CompiledBnn long_patches = build_net(
+      {255, ch, 2, 2, {{K::kFixedPointConv, 1, 2}, {K::kOutputDense, 2}}},
+      rng);
+  ASSERT_EQ(long_patches.stages.front().weights.cols(), Dim{1} << 23);
+  Tensor image(Shape{1, ch, 2, 2});
+  image.fill_uniform(rng, 0.0f, 1.0f);
+  EXPECT_THROW(run_reference(long_patches, image, BnnExec::kPacked), Error);
+  EXPECT_EQ(run_reference(long_patches, image),
+            run_reference(long_patches, image, BnnExec::kOracle));
 }
 
 TEST(PackedBnn, RoundingBoundaryPixelsMatchOracle) {

@@ -1,8 +1,8 @@
 // Runtime-ISA dispatch equivalence.
 //
 // Every kernel the CPU-feature registry can bind (generic/SSE2/AVX2 GEMM
-// tiles, SWAR/POPCNT/AVX2 popcount and XNOR conv, portable/AVX2 byte
-// convolution) must produce *bit-identical* results: the dispatcher may
+// tiles, SWAR/POPCNT/AVX2 XNOR conv, portable/AVX2 byte convolution)
+// must produce *bit-identical* results: the dispatcher may
 // only change speed, never a single output bit, at any thread count.
 // These tests force each level through MPCNN_ISA + refresh_isa() and
 // compare against the scalar-forced run and the naive oracles.
@@ -64,8 +64,8 @@ TEST(DispatchRegistry, ReportsEveryKernelSlot) {
     EXPECT_FALSE(b.variant.empty()) << b.slot;
   }
   for (const char* expected :
-       {"bnn.byte_conv", "bnn.xnor_conv", "bnn.xor_popcount", "gemm.bt",
-        "gemm.tile", "integrity.xnor_checksum"}) {
+       {"bnn.byte_conv", "bnn.xnor_conv", "gemm.bt", "gemm.tile",
+        "integrity.xnor_checksum"}) {
     EXPECT_NE(std::find(slots.begin(), slots.end(), expected), slots.end())
         << "slot " << expected << " not registered";
   }
@@ -82,8 +82,7 @@ TEST(DispatchRegistry, ScalarForcedBindsPortableVariants) {
     if (b.slot == "gemm.bt") {
       EXPECT_EQ(b.variant, "dot");
     }
-    if (b.slot == "bnn.xor_popcount" || b.slot == "bnn.xnor_conv" ||
-        b.slot == "integrity.xnor_checksum") {
+    if (b.slot == "bnn.xnor_conv" || b.slot == "integrity.xnor_checksum") {
       EXPECT_EQ(b.variant, "scalar");
     }
     if (b.slot == "bnn.byte_conv") {
@@ -93,9 +92,8 @@ TEST(DispatchRegistry, ScalarForcedBindsPortableVariants) {
 }
 
 // MPCNN_ISA=avx512 binds the AVX-512 stage kernels and the 512-bit float
-// GEMM tile, with single dot products on AVX2's xor_pop and the A·Bᵀ tile
-// on AVX2's panel tile, where the CPU has every feature the level needs,
-// and is refused where it does not.
+// GEMM tile, with the A·Bᵀ tile on AVX2's panel tile, where the CPU has
+// every feature the level needs, and is refused where it does not.
 TEST(DispatchRegistry, Avx512ForcedBindsAvx512VariantsOrThrows) {
   const std::vector<core::Isa> levels = core::supported_isas();
   if (std::find(levels.begin(), levels.end(), core::Isa::kAvx512) ==
@@ -121,9 +119,6 @@ TEST(DispatchRegistry, Avx512ForcedBindsAvx512VariantsOrThrows) {
     if (b.slot == "bnn.xnor_conv" || b.slot == "bnn.byte_conv" ||
         b.slot == "integrity.xnor_checksum") {
       EXPECT_EQ(b.variant, "avx512") << b.slot;
-    }
-    if (b.slot == "bnn.xor_popcount") {
-      EXPECT_EQ(b.variant, "avx2");  // single dots keep the AVX2 kernel
     }
   }
 }
