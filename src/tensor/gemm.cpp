@@ -71,9 +71,10 @@ void scale_rows(std::int64_t rows, std::int64_t N, float beta, float* C) {
   for (std::int64_t i = 0; i < rows * N; ++i) C[i] *= beta;
 }
 
-// Per-thread packed-B storage, reused across gemm calls so the hot path
-// allocates only when a larger problem arrives.  Thread-local because
-// gemm may run inside a batch-parallel region (one instance per worker).
+// Per-thread packed-Bᵀ storage of gemm_bt_packed, reused across calls so
+// the hot path allocates only when a larger problem arrives.  Thread-local
+// because gemm_bt may run inside a batch-parallel region (one instance
+// per worker).
 std::vector<float>& packed_b_scratch() {
   thread_local std::vector<float> buf;
   return buf;
@@ -103,9 +104,9 @@ core::integrity::GemmAbftKernels abft_kernels() {
 }
 
 // --- cache blocking ---------------------------------------------------
-// Blocking only moves tile boundaries and packing panel sizes; each
-// output element keeps its one-thread, k-ascending accumulation, so the
-// block sizes can never change results.
+// Blocking only moves tile boundaries; each output element keeps its
+// one-thread, k-ascending accumulation, so the block sizes can never
+// change results.
 
 constexpr std::int64_t kMc = 64;
 constexpr std::int64_t kNc = 256;
@@ -119,50 +120,22 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
   const std::int64_t ntiles = ceil_div(N, kNc);
   const std::int64_t ktiles = ceil_div(K, kKc);
 
-  // Pack B once into panel-contiguous layout: panel (kt, nt) holds the
-  // (kb x nb) block with rows of length nb back to back.  The packed
-  // panels are shared read-only by all M-tile workers and reused across
-  // the whole K-loop of each tile.  With one column panel (N <= kNc)
-  // panel (kt, 0) already is B + k0·N with rows of length N, so B is
-  // read in place.  Reading B in place at every N was timed against
-  // this split end to end (avx512, 4-vCPU x86 host, alternating seed-1
-  // rounds): faster on cascade_host (Model C serves N = 1024, 256 and 64
-  // convs; median +7.0%, ahead in 9 of 10 rounds) and scene_static
-  // (+3.9%, 3 rounds), slower on scene_churn (Model A's first conv has
-  // N = 1024; median -3.0%, behind in 2 of 3), so the split stays.
-  // Either way the tile sees the same values, so the floating-point
-  // result cannot change.
-  const std::int64_t panel = kKc * kNc;
-  const bool in_place = ntiles == 1;
-  std::vector<float>& Bp = packed_b_scratch();
-  if (!in_place) {
-    if (static_cast<std::int64_t>(Bp.size()) < ktiles * ntiles * panel) {
-      Bp.resize(static_cast<std::size_t>(ktiles * ntiles * panel));
-    }
-    core::parallel_for(0, ktiles * ntiles, 1, [&](std::int64_t t0,
-                                                  std::int64_t t1) {
-      for (std::int64_t t = t0; t < t1; ++t) {
-        const std::int64_t k0 = (t / ntiles) * kKc;
-        const std::int64_t j0 = (t % ntiles) * kNc;
-        const std::int64_t kb = std::min(kKc, K - k0);
-        const std::int64_t nb = std::min(kNc, N - j0);
-        float* dst = Bp.data() + t * panel;
-        for (std::int64_t k = 0; k < kb; ++k) {
-          std::copy_n(B + (k0 + k) * N + j0, nb, dst + k * nb);
-        }
-      }
-    });
-  }
-
+  // B is read in place at every N: block (kt, nt) is B + k0·N + j0 with
+  // rows N apart.  Copying B wider than kNc into contiguous panels first
+  // was timed against this end to end (avx512, 4-vCPU x86 host, 10
+  // alternating seed-1 rounds each): in place was faster on cascade_host
+  // (Model C serves N = 1024, 256 and 64 convs; median +7.0%, ahead in 9
+  // of 10), scene_static (+3.0%, 8 of 10) and scene_churn (Model A's
+  // first conv has N = 1024; +4.7%, 8 of 10).  Either way the tile sees
+  // the same values, so the floating-point result cannot change.
+  //
   // One chunk per M-tile: each output row is scaled and accumulated by
   // exactly one thread with the k0-ascending order of the serial kernel,
   // so results are bit-identical at any thread count.  With beta = 0 the
   // first k-tile overwrites C, each chain starting from +0.0 — the value
   // scale_rows would have stored — so C is neither read nor zeroed first.
   const bool overwrite = beta == 0.0f && ktiles > 0;
-  const float* Bp_data = Bp.data();
-  core::parallel_for(0, mtiles, 1, [&, Bp_data](std::int64_t t0,
-                                                std::int64_t t1) {
+  core::parallel_for(0, mtiles, 1, [&](std::int64_t t0, std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t) {
       const std::int64_t i0 = t * kMc;
       const std::int64_t mb = std::min(kMc, M - i0);
@@ -173,10 +146,8 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
         for (std::int64_t nt = 0; nt < ntiles; ++nt) {
           const std::int64_t j0 = nt * kNc;
           const std::int64_t nb = std::min(kNc, N - j0);
-          const float* Bt = in_place ? B + k0 * N
-                                     : Bp_data + (kt * ntiles + nt) * panel;
-          kern.tile(mb, nb, kb, alpha, A + i0 * K + k0, K, Bt, nb,
-                    C + i0 * N + j0, N, overwrite && kt == 0);
+          kern.tile(mb, nb, kb, alpha, A + i0 * K + k0, K, B + k0 * N + j0,
+                    N, C + i0 * N + j0, N, overwrite && kt == 0);
         }
       }
     }

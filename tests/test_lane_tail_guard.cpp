@@ -210,12 +210,13 @@ TEST(LaneTailGuard, XnorAccLastWeightAndAccumulatorLane) {
 
 // ---- float GEMM tile --------------------------------------------------
 
-// B (K×N, N ≤ 256: read in place) and C (M×N) end at guard pages.  M = 7
-// takes a 6-row block and a 1-row block; K = 300 takes two k-tiles, so C
-// is read back from memory in the second one even when beta = 0.
+// B (K×N, read in place) and C (M×N) end at guard pages.  M = 7 takes a
+// 6-row block and a 1-row block; K = 300 takes two k-tiles, so C is read
+// back from memory in the second one even when beta = 0.  N = 273 puts
+// the tail of a second 256-column block against the page.
 TEST(LaneTailGuard, GemmTileLastBRowAndCRow) {
   constexpr std::int64_t M = 7, K = 300;
-  for (const std::int64_t N : {1, 15, 17, 31, 33, 47}) {
+  for (const std::int64_t N : {1, 15, 17, 31, 33, 47, 273}) {
     ASSERT_TRUE(N % 16 == 1 || N % 16 == 15);
     Rng rng(static_cast<std::uint64_t>(N));
     std::vector<float> a(static_cast<std::size_t>(M * K));
