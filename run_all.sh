@@ -36,7 +36,7 @@ if [ -z "$ISA_LEVELS" ]; then
 fi
 for isa in $ISA_LEVELS; do
   MPCNN_ISA="$isa" ctest --test-dir build \
-    -R 'Gemm|BitMatrix|PatchWordReader|SignBit|PackedBnn|Partial|Dispatch|Determinism|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|LaneTailGuard' \
+    -R 'Gemm|BitVector|BitMatrix|PatchWordReader|SignBit|PackedBnn|Partial|Dispatch|Determinism|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|LaneTailGuard' \
     --output-on-failure 2>&1 | tee "isa_${isa}_output.txt"
 done
 
@@ -128,7 +128,7 @@ MPCNN_THREADS=4 ctest --test-dir build-tsan \
 cmake -B build-asan -G Ninja -DMPCNN_SANITIZE=address
 cmake --build build-asan
 MPCNN_THREADS=4 ctest --test-dir build-asan \
-  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitMatrix|PatchWordReader|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|GemmVsNaive|GemmVariantsHostile|LaneTailGuard' \
+  -R 'Fault|WeightScrub|Crc32|Stream|Serve|Scene|ExtractTile|Fleet|ThreadPool|BitVector|BitMatrix|PatchWordReader|SignBit|XnorGemm|PackedBnn|Partial|Compile|Artifact|Checkpoint|Dispatch|Integrity|Canary|XnorAbft|GemmAbft|InstrumentedEngine|NetInfer|Im2Col|GemmVsNaive|GemmVariantsHostile|LaneTailGuard' \
   --output-on-failure 2>&1 | tee asan_output.txt
 build-asan/tools/fuzz_artifact --iterations 1200 \
   2>&1 | tee -a asan_output.txt

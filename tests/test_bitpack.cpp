@@ -35,6 +35,35 @@ TEST(BitMatrix, BoundsCheckedInDebugBuilds) {
   }
 }
 
+// An n-bit vector is a one-row BitMatrix, and xnor_gemm is the one binary
+// product: the bipolar dot of two vectors must equal the dot product of
+// their ±1 floats, and the matching bits must be (dot + n) / 2.
+class BitVectorDot : public ::testing::TestWithParam<int> {};
+
+TEST_P(BitVectorDot, BipolarDotMatchesFloatReference) {
+  const Dim n = GetParam();
+  Rng rng(static_cast<std::uint64_t>(n) * 7919);
+  BitMatrix a(1, n), b(1, n);
+  float expected = 0.0f;
+  Dim matches = 0;
+  for (Dim i = 0; i < n; ++i) {
+    const bool ba = rng.bernoulli(0.5);
+    const bool bb = rng.bernoulli(0.5);
+    a.set(0, i, ba);
+    b.set(0, i, bb);
+    expected += (ba ? 1.0f : -1.0f) * (bb ? 1.0f : -1.0f);
+    if (ba == bb) ++matches;
+  }
+  std::int32_t dot = 0;
+  xnor_gemm(a, b, &dot);
+  EXPECT_EQ(static_cast<float>(dot), expected);
+  EXPECT_EQ(matches, (dot + n) / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BitVectorDot,
+                         ::testing::Values(1, 7, 63, 64, 65, 100, 127, 128,
+                                           576, 2304));
+
 TEST(SignBit, ZeroMapsToPlusOne) {
   EXPECT_TRUE(sign_bit(0.0f));
   EXPECT_TRUE(sign_bit(1.0f));
